@@ -128,13 +128,8 @@ def replay_on_hard_subsequence(p: Polytope, x0: np.ndarray, trace: LearnTrace, c
     """
     pos_of = {sid: k for k, sid in enumerate(trace.processed)}
     sub = [costs[pos_of[sid]] for sid in trace.hard]
-    model, _ = replay_learn_raw(p, x0, sub)
+    model, _ = learn(p, x0, sub)
     return model
-
-
-def replay_learn_raw(p: Polytope, x0: np.ndarray, costs, tol: ToleranceSet = DEFAULT_TOL):
-    """learn() without provenance side channels; helper for replay paths."""
-    return learn(p, x0, costs, tol)
 
 
 def certificate_bound(n: int, t: int, delta: float) -> Certificate:

@@ -5,11 +5,18 @@ The central object is ``Polytope``: X = {x : A x <= b} with A dense (m x d).
 bounded in direction c, returns a *vertex* optimizer together with a canonical
 basis identifier, so repeated solves of the same data are bitwise identical.
 
-The solver is a two-phase dense tableau simplex with Bland's rule (lowest
-eligible index enters, lowest basic index leaves among ratio ties) applied to
-the dual in standard form:
+The solver is a two-phase dense tableau simplex applied to the dual in
+standard form:
 
     min b.y   s.t.  A^T y = -c,  y >= 0.
+
+Pricing is Dantzig's rule (most negative reduced cost enters, lowest index
+among ties); after a run of ``_DEGENERATE_RUN`` consecutive degenerate pivots
+it falls back to Bland's rule (lowest eligible index enters) until the next
+non-degenerate pivot.  The leaving row is the minimum ratio, lowest basic
+index among ties.  Bland's rule cannot cycle, so each degenerate run is
+finite, and the objective strictly falls between runs, so the simplex
+terminates.
 
 A terminal dual basis is a set of linearly independent rows of A; the primal
 point x = A_B^{-1} b_B is then a vertex of X, and the dual optimality test
@@ -177,30 +184,58 @@ class SolveResult:
 _OPTIMAL, _INFEASIBLE, _UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 
+# Rows per block of the pivot update.  Updating in blocks keeps the rank-one
+# temporary small and in cache instead of allocating a whole tableau per pivot.
+_ROW_BLOCK = 64
+
+
 def _pivot(T: np.ndarray, r: int, j: int) -> None:
     prow = T[r] / T[r, j]
-    T -= np.outer(T[:, j], prow)
+    for i in range(0, T.shape[0], _ROW_BLOCK):
+        block = T[i : i + _ROW_BLOCK]
+        block -= np.outer(block[:, j], prow)
     T[r] = prow
     T[:, j] = 0.0
     T[r, j] = 1.0
 
 
-def _bland_iterate(T, basis, allowed, tol_rc, max_iter):
-    """Run Bland pivots until no allowed column has reduced cost < -tol_rc.
+# Consecutive degenerate pivots after which pricing falls back to Bland's rule.
+_DEGENERATE_RUN = 50
+
+
+def _iterate(T, basis, n_priced, tol_rc, max_iter):
+    """Pivot until no priced column has reduced cost < -tol_rc.
 
     T has shape (p+1, ncols+1): body rows, then the reduced-cost row; last
-    column is the RHS (with T[-1, -1] = -objective).  Returns the number of
-    iterations, or raises InternalError past max_iter; returns -1 when an
-    unbounded ray is detected.
+    column is the RHS (with T[-1, -1] = -objective).  Only the first
+    ``n_priced`` columns may enter.  Returns the number of iterations, or -1
+    when an unbounded ray is detected; raises InternalError past max_iter.
+
+    Pricing is Dantzig's rule: the most negative reduced cost enters, ties
+    to the lowest index.  A pivot whose ratio-test step is 0 is degenerate;
+    after ``_DEGENERATE_RUN`` of them in a row pricing switches to Bland's
+    rule (lowest eligible index enters) until the next non-degenerate pivot.
+    The leaving row is the minimum ratio, ties to the lowest basic index.
+    Termination: Bland's rule cannot cycle (Bland 1977), so every degenerate
+    stretch ends after finitely many pivots; each non-degenerate pivot
+    strictly lowers the objective, so no basis from an earlier stretch
+    recurs.  Every choice depends only on T, the basis and the pivots
+    made so far, so runs are deterministic.
     """
     p = T.shape[0] - 1
     it = 0
+    degenerate = 0
     while True:
-        z = T[p, :-1]
-        cand = np.flatnonzero(allowed & (z < -tol_rc))
-        if cand.size == 0:
-            return it
-        j = int(cand[0])
+        z = T[p, :n_priced]
+        if degenerate < _DEGENERATE_RUN:
+            j = int(np.argmin(z))
+            if z[j] >= -tol_rc:
+                return it
+        else:
+            cand = np.flatnonzero(z < -tol_rc)
+            if cand.size == 0:
+                return it
+            j = int(cand[0])
         col = T[:p, j]
         elig = col > 1e-10 * (1.0 + np.max(np.abs(col)))
         if not np.any(elig):
@@ -212,13 +247,17 @@ def _bland_iterate(T, basis, allowed, tol_rc, max_iter):
         r = int(ties[np.argmin(basis[ties])])
         _pivot(T, r, j)
         basis[r] = j
+        degenerate = degenerate + 1 if rmin == 0.0 else 0
         it += 1
         if it > max_iter:
             raise InternalError("simplex iteration limit exceeded")
 
 
 def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
-    """min g.w  s.t.  M w = q, w >= 0   (two-phase tableau, Bland's rule).
+    """min g.w  s.t.  M w = q, w >= 0   (two-phase tableau, see ``_iterate``).
+
+    Phase one prices all columns, artificials included; phase two drops the
+    artificial columns and prices the n columns of M.
 
     Returns (status, w, basis_columns).  ``basis_columns`` indexes columns of
     M (sorted order is up to the caller); redundant equality rows detected in
@@ -233,8 +272,10 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
             return _UNBOUNDED, None, None
         return _OPTIMAL, np.zeros(n), np.zeros(0, dtype=int)
 
+    # M (a view of A^T) is the largest input: read it without temporaries
+    # of its size, here and when it is copied into the tableau
     scale = 1.0 + max(
-        float(np.max(np.abs(M))) if M.size else 0.0,
+        max(float(M.max()), -float(M.min())) if M.size else 0.0,
         float(np.max(np.abs(q))),
         float(np.max(np.abs(g))) if g.size else 0.0,
     )
@@ -243,7 +284,8 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
 
     sgn = np.where(q < 0.0, -1.0, 1.0)
     T = np.zeros((p + 1, n + p + 1))
-    T[:p, :n] = M * sgn[:, None]
+    T[:p, :n] = M
+    T[:p, :n] *= sgn[:, None]
     T[:p, n : n + p] = np.eye(p)
     T[:p, -1] = q * sgn
     # phase-1 reduced costs for the all-artificial basis
@@ -252,8 +294,7 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
     T[p, -1] = -T[:p, -1].sum()
     basis = np.arange(n, n + p)
 
-    allowed = np.ones(n + p, dtype=bool)
-    if _bland_iterate(T, basis, allowed, tol_rc, max_iter) < 0:
+    if _iterate(T, basis, n + p, tol_rc, max_iter) < 0:
         raise InternalError("phase-one objective unbounded below zero")
     if -T[p, -1] > 1e-8 * (1.0 + float(np.sum(np.abs(q)))):
         return _INFEASIBLE, None, None
@@ -280,13 +321,12 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
         basis = basis[keep]
         p = len(keep)
 
-    # phase 2: rebuild the cost row from scratch for the real objective
-    gx = np.concatenate([g, np.zeros(T.shape[1] - 1 - n)])
-    T[p, :-1] = gx - gx[basis] @ T[:p, :-1]
-    T[p, -1] = -float(gx[basis] @ T[:p, -1])
-    allowed = np.zeros(T.shape[1] - 1, dtype=bool)
-    allowed[:n] = True
-    if _bland_iterate(T, basis, allowed, tol_rc, max_iter) < 0:
+    # phase 2 never prices the artificial columns, so it drops them; the
+    # cost row is rebuilt from scratch for the real objective
+    T = np.hstack([T[:, :n], T[:, -1:]])
+    T[p, :-1] = g - g[basis] @ T[:p, :-1]
+    T[p, -1] = -float(g[basis] @ T[:p, -1])
+    if _iterate(T, basis, n, tol_rc, max_iter) < 0:
         return _UNBOUNDED, None, None
 
     w = np.zeros(n)
@@ -319,7 +359,7 @@ def solve_lp(p: Polytope, c: np.ndarray, tol: ToleranceSet = DEFAULT_TOL) -> Sol
             return SolveResult(SolveStatus.OPTIMAL, 0.0, np.zeros(0), (), np.zeros(m))
         return SolveResult(SolveStatus.INFEASIBLE)
 
-    status, w, basis = _simplex(np.ascontiguousarray(A.T), -c, b)
+    status, w, basis = _simplex(A.T, -c, b)
     if status == _OPTIMAL:
         rows = np.sort(basis)
         Asub, bsub = A[rows], b[rows]
@@ -342,7 +382,7 @@ def solve_lp(p: Polytope, c: np.ndarray, tol: ToleranceSet = DEFAULT_TOL) -> Sol
         return SolveResult(SolveStatus.INFEASIBLE)
 
     # dual infeasible: primal is either infeasible or unbounded (Farkas split)
-    status0, _, _ = _simplex(np.ascontiguousarray(A.T), np.zeros(d), b)
+    status0, _, _ = _simplex(A.T, np.zeros(d), b)
     if status0 == _UNBOUNDED:
         return SolveResult(SolveStatus.INFEASIBLE)
     return SolveResult(SolveStatus.UNBOUNDED)

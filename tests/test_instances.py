@@ -14,6 +14,7 @@ from lpslice import (
     solve_lp,
 )
 from lpslice.instances import (
+    PRESETS,
     STREAM_PILOT,
     CostModel,
     GenerationError,
@@ -70,6 +71,16 @@ def test_randomlp_tiny_is_well_posed():
     assert check_feasible_bounded(inst.polytope) is FeasibilityStatus.FEASIBLE_BOUNDED
     assert len(enumerate_vertices(inst.polytope)) == 14
     assert inst.provenance["seed"] == 0
+
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_randomlp_at_the_check_limit_generates(seed):
+    # d = 40 runs check_feasible_bounded; its coordinate solves used to stop
+    # on a false ray ("phase-one objective unbounded below zero") for seeds
+    # 0-5.  Each seed costs 81 LPs (about 4 s), so two of them run here.
+    params = {**PRESETS["randomlp-a"]["params"], "d": 40, "rows": 40}
+    assert gen_instance("randomlp", params, seed).polytope.A.shape == (120, 40)
 
 
 def test_preset_generation_is_deterministic():

@@ -11,7 +11,6 @@ from lpslice import (
     solve_lp,
 )
 from lpslice.learner import (
-    replay_learn_raw,
     replay_on_hard_subsequence,
     trace_from_json,
     trace_to_json,
@@ -110,7 +109,7 @@ def test_deleting_easy_samples_leaves_model_unchanged():
         mrng = np.random.default_rng(mask_seed)
         keep = [i for i in trace.processed if i in hard or mrng.random() < 0.5]
         sub = [costs[i - 1] for i in keep]
-        model2, _ = replay_learn_raw(p, x0, sub)
+        model2, _ = learn(p, x0, sub)
         assert np.array_equal(model2.U, model.U)
 
 

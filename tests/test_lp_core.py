@@ -13,6 +13,7 @@ from lpslice import (
     normalize_to_inequality_form,
     solve_lp,
 )
+from lpslice import lp_core
 from lpslice.lp_core import (
     DEFAULT_TOL,
     ToleranceSet,
@@ -231,3 +232,23 @@ def test_degenerate_and_redundant_rows_still_give_vertex(square):
     assert r.status is SolveStatus.OPTIMAL
     assert r.value == pytest.approx(-2.0)
     assert np.allclose(r.x, [1.0, 1.0], atol=1e-9)
+
+
+def test_pivot_loop_does_not_cycle_on_beale_example():
+    # Beale (1955): from the slack basis, largest-coefficient pricing with
+    # lowest-index ties cycles through six degenerate bases forever; the
+    # fallback to Bland's rule after a run of degenerate pivots breaks it
+    T = np.array(
+        [
+            [1.0, 0.0, 0.0, 1 / 4, -60.0, -1 / 25, 9.0, 0.0],
+            [0.0, 1.0, 0.0, 1 / 2, -90.0, -1 / 50, 3.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, -3 / 4, 150.0, -1 / 50, 6.0, 0.0],
+        ]
+    )
+    basis = np.array([0, 1, 2])
+    max_iter = 2000
+    it = lp_core._iterate(T, basis, 7, 1e-9, max_iter)
+    assert 0 <= it <= 2 * lp_core._DEGENERATE_RUN < max_iter
+    assert -T[-1, -1] == pytest.approx(-1 / 20, abs=1e-12)
+    assert np.all(T[-1, :-1] >= -1e-9)
