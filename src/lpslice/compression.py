@@ -8,6 +8,13 @@ lies inside the slice, and if not, produce a vertex of the face that sticks
 out.  Exactness of a slice for cost c means exactly this containment, so a
 reduced LP over the slice reproduces the full optimal value and a subset of
 its optimizers, vertices included.
+
+The test rests on complementary slackness (Goldman & Tucker, 1956): every
+row whose optimal multiplier is positive is active on the whole optimal
+face, so the face lies in x* + null(A_S) for those rows S.  Face LPs are
+needed only along the part of that null space outside the slice, which is
+empty for a single-vertex face and a few directions for the ties of integer
+costs, and they run in the face's own free coordinates.
 """
 
 from __future__ import annotations
@@ -42,6 +49,17 @@ __all__ = [
     "model_to_json",
     "model_from_json",
 ]
+
+
+# A multiplier above MULTIPLIER_TOL * (1 + max|y|) counts as strictly
+# positive: its row is active on the whole optimal face.
+MULTIPLIER_TOL = 1e-7
+
+# A free direction of the face that leaves the slice by less than
+# tau_contain / FACE_SPAN per unit of motion is not tested: the face would
+# have to be longer than FACE_SPAN * (1 + ||x0||) along it to leave the
+# slice by tau_contain.  The tolerances assume coordinates up to about 1e3.
+FACE_SPAN = 1e6
 
 
 class RankError(ValueError):
@@ -119,9 +137,15 @@ class CompressionModel:
 class ContainmentResult:
     """Outcome of a face-containment test.
 
-    When ``contained`` is False, ``witness`` is a vertex of the optimal face
-    (hence of X) outside the slice, and ``functional_index`` is the index of
-    the violated column of Qperp.
+    When ``contained`` is False, ``witness`` is a face point outside the
+    slice: a vertex of the optimal face (hence of X), or a vertex of the
+    eps_face-thickened face when a thickened-face LP found it.
+    ``functional_index`` says which test found it.  When the witness is the
+    full solve's optimizer, or comes from the all-complement route
+    (``shortcut=False``), it is the index of the violated column of Qperp.
+    When it comes from a face LP of the default route, it is the index of
+    the column of B, the basis of the face's free directions outside the
+    slice, along which that LP optimized.
     """
 
     contained: bool
@@ -167,49 +191,141 @@ def contains_optimal_face(
 ) -> ContainmentResult:
     """Does the slice contain the whole optimal face of min c.x over X?
 
-    One full solve gives the value v; then for each complement functional
-    a_j (column of Qperp, in index order) the face maximum and minimum of
-    a_j . (x - x0) must vanish to tolerance tau_contain * (1 + ||x0||); the
-    first violation returns that face vertex as witness.  When the full
-    solve's terminal basis has d rows with strictly positive multipliers the
-    face is provably the single returned vertex (strict complementarity), so
-    with ``shortcut`` enabled the functionals are evaluated on it directly,
-    skipping the auxiliary solves.  The auxiliary route works on the
-    eps_face-thickened face, so on badly conditioned geometry (an edge
-    leaving the optimum nearly orthogonal to c) it can conservatively report
-    a violation the certified-singleton route does not; a True from it
-    always implies a True from the shortcut, never the reverse.
+    One full solve gives a vertex optimizer x* and multipliers y.  A face
+    point x leaves the slice when some column a of Qperp has |a . (x - x0)|
+    above tau = tau_contain * (1 + ||x0||).  The default route tests only
+    what can leave the slice, in three steps:
+
+    1. The optimizer: if x* leaves the slice, x* is the witness.
+    2. The face's free directions.  Let S = {j : y_j > thr}, with thr =
+       MULTIPLIER_TOL * (1 + max|y|).  By complementary slackness every
+       row of S is active on the whole face, so the face is x* + N F, with
+       N an orthonormal basis of null(A_S) and F = {z : (A N) z <= b - A x*}.
+       If the d basis rows of the solve have multipliers above thr, the face
+       is the single vertex x*: no factorization, and the answer is True.
+    3. Face LPs along B, an orthonormal basis of (I - QQ^T) N, the part of
+       the free directions outside the slice.  If B is empty the answer is
+       True.  Otherwise, for each column of B in order, the maximum and then
+       the minimum over F, an LP in the k = dim null(A_S) free coordinates;
+       the first face point x* + N z that leaves the slice is the witness,
+       a vertex of the face and hence of X.
+
+    The cutoffs are one-sided, so they can only add work, never a wrong
+    True (see ``_free_face``): rank(A_S) may be under-counted, rows that
+    barely move along N are left out of F, and a direction of B is dropped
+    only when it leaves the slice by less than tau_contain / FACE_SPAN per
+    unit of motion.  If the rows kept in F do not bound it, that step's LP
+    runs over the eps_face-thickened face {x in X : c.x <= v + band}
+    instead.
+
+    With ``shortcut=False`` every column of Qperp gets a maximum and a
+    minimum over the thickened face.  This all-complement route is kept as
+    the tests' referee.  The thickened face reaches past the face by about
+    band / y_j along rows with small multipliers, so on badly conditioned
+    geometry, or on integer costs with |v| much larger than ||x0||, the
+    referee can report a violation that the default route does not.  A True
+    from the referee implies a True from the default route, since F lies
+    in the thickened face up to the cutoffs above; the reverse does not
+    hold.
     """
-    tol = model.tol
     c = np.asarray(c, dtype=float)
     if p.d != model.d:
         raise ValueError("model and polytope dimensions differ")
-    res = solve_lp(p, c, tol)
+    return _contains_given_solve(model, p, c, solve_lp(p, c, model.tol), shortcut)
+
+
+def _contains_given_solve(
+    model: CompressionModel,
+    p: Polytope,
+    c: np.ndarray,
+    res: SolveResult,
+    shortcut: bool = True,
+) -> ContainmentResult:
+    """``contains_optimal_face`` on the full solve ``res`` of (p, c)."""
     if res.status is not SolveStatus.OPTIMAL:
         raise ValueError(f"containment requires a feasible bounded LP, got {res.status.value}")
     if model.rank == model.d:
         return ContainmentResult(True)
+    tol = model.tol
     tau = tol.tau_contain * (1.0 + float(np.linalg.norm(model.x0)))
 
-    if shortcut and res.basis_id is not None and len(res.basis_id) == model.d:
-        lam = res.y[list(res.basis_id)]
-        if float(np.min(lam)) > 1e-7 * (1.0 + float(np.max(np.abs(res.y)))):
-            t = model.Qperp.T @ (res.x - model.x0)
-            bad = np.flatnonzero(np.abs(t) > tau)
-            if bad.size:
-                return ContainmentResult(False, res.x, int(bad[0]))
-            return ContainmentResult(True)
+    if not shortcut:
+        for j in range(model.Qperp.shape[1]):
+            a = model.Qperp[:, j]
+            base = float(a @ model.x0)
+            for sense in ("max", "min"):
+                fr = _thickened_face_lp(p, c, res.value, a, sense, tol)
+                if abs(fr.value - base) > tau:
+                    return ContainmentResult(False, fr.x, j)
+        return ContainmentResult(True)
 
-    for j in range(model.Qperp.shape[1]):
-        a = model.Qperp[:, j]
-        base = float(a @ model.x0)
-        for sense in ("max", "min"):
-            fr = solve_on_optimal_face(p, c, res.value, a, sense, tol)
-            if fr.status is not SolveStatus.OPTIMAL:
-                raise InternalError("optimal-face restriction reported infeasible")
-            if abs(fr.value - base) > tau:
-                return ContainmentResult(False, fr.x, j)
+    def outside(x):
+        """Columns of Qperp on which x leaves the slice by more than tau."""
+        return np.flatnonzero(np.abs(model.Qperp.T @ (x - model.x0)) > tau)
+
+    bad = outside(res.x)
+    if bad.size:
+        return ContainmentResult(False, res.x, int(bad[0]))
+    free = _free_face(model, p, res)
+    if free is None:
+        return ContainmentResult(True)
+    N, face, B = free
+    for j, b in enumerate(B.T):
+        g = N.T @ b  # b . (x* + N z) = b . x* + g . z
+        for sense, cost in (("max", -g), ("min", g)):
+            r = solve_lp(face, cost, tol) if face is not None else None
+            if r is not None and r.status is SolveStatus.OPTIMAL:
+                x = res.x + N @ r.x
+            else:  # the kept rows do not bound the face
+                x = _thickened_face_lp(p, c, res.value, b, sense, tol).x
+            if outside(x).size:
+                return ContainmentResult(False, x, j)
     return ContainmentResult(True)
+
+
+def _thickened_face_lp(p: Polytope, c: np.ndarray, v: float, a: np.ndarray, sense: str, tol: ToleranceSet):
+    fr = solve_on_optimal_face(p, c, v, a, sense, tol)
+    if fr.status is not SolveStatus.OPTIMAL:
+        raise InternalError("optimal-face restriction reported infeasible")
+    return fr
+
+
+def _free_face(model: CompressionModel, p: Polytope, res: SolveResult):
+    """The optimal face in its free coordinates, or None when none of them
+    leaves the slice.
+
+    Returns (N, F, B).  N (d x k) is an orthonormal basis of null(A_S), S
+    the rows with multipliers above thr, so the face is x* + N F with F =
+    {z : (A N) z <= b - A x*} over the rows that move along N (None when
+    none does; the rows of S do not).  B is an orthonormal basis of
+    (I - QQ^T) N.
+
+    The bases come from the Gram-Schmidt helpers of :mod:`lpslice.linalg`,
+    deterministic like the model's own.  Every cutoff can only enlarge F
+    or B: a row of A_S whose residual is below tau_rank times the largest
+    row norm counts as dependent (rank(A_S) under-counted); a row with
+    ||A_j N|| <= tau_rank ||A_j|| counts as not moving and is left out of
+    F, so rounding noise cannot cut F through x*; and a column of
+    (I - QQ^T) N is dropped from B only when its residual is below
+    tau_contain / FACE_SPAN (relative to the largest column, of norm at
+    most 1).
+    """
+    d = model.d
+    y = res.y
+    tol = model.tol
+    thr = MULTIPLIER_TOL * (1.0 + float(np.max(np.abs(y))))
+    basis = list(res.basis_id)
+    if len(basis) == d and float(np.min(y[basis])) > thr:
+        return None
+    N = linalg.complete_basis(linalg.orthonormal_columns(p.A[y > thr].T, rank_tol=tol.tau_rank))
+    B = linalg.orthonormal_columns(N - model.Q @ (model.Q.T @ N), rank_tol=tol.tau_contain / FACE_SPAN)
+    if B.shape[1] == 0:
+        return None
+    AN = p.A @ N
+    moves = np.linalg.norm(AN, axis=1) > tol.tau_rank * np.linalg.norm(p.A, axis=1)
+    slack = np.maximum(p.b - p.A @ res.x, 0.0)
+    face = Polytope(AN[moves], slack[moves]) if moves.any() else None
+    return N, face, B
 
 
 def check_exact(model: CompressionModel, p: Polytope, c: np.ndarray) -> bool:

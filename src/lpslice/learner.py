@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import CompressionModel, append_direction, contains_optimal_face
+from .compression import CompressionModel, _contains_given_solve, append_direction
 from .lp_core import DEFAULT_TOL, InternalError, Polytope, SolveStatus, ToleranceSet, solve_lp
 
 __all__ = [
@@ -100,9 +100,11 @@ def learn(
     total_appends = 0
     for pos, c in enumerate(costs, start=1):
         sid = ids[pos - 1] if ids is not None else pos
+        c = np.asarray(c, dtype=float)
+        full = solve_lp(p, c, tol)  # appends do not change the full LP: solve it once
         n_app = 0
         while True:
-            res = contains_optimal_face(model, p, c)
+            res = _contains_given_solve(model, p, c, full)
             if res.contained:
                 break
             model = append_direction(model, res.witness)

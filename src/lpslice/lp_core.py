@@ -36,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import orthonormal_columns
+
 __all__ = [
     "ToleranceSet",
     "DEFAULT_TOL",
@@ -425,18 +427,26 @@ def solve_on_optimal_face(
 def check_feasible_bounded(p: Polytope, tol: ToleranceSet = DEFAULT_TOL) -> FeasibilityStatus:
     """Classify X: infeasible, unbounded, or feasible and bounded.
 
-    One feasibility solve (zero objective), then 2d coordinate-direction
-    solves; X is unbounded iff min +-e_i . x is unbounded for some i.
+    Stiemke's theorem: a nonempty X is bounded iff its recession cone
+    {r : A r <= 0} is {0}, that is iff rank(A) = d and some y > 0 has
+    A^T y = 0.  Three steps:
+
+    - one feasibility solve with cost -A^T 1, whose dual is feasible at
+      y = 1, so the answer is Optimal or Infeasible (a zero cost would make
+      every dual pivot degenerate);
+    - rank(A) = d, counted by Gram-Schmidt over the rows of A with the
+      cutoff tau_rank relative to the largest row norm;
+    - one phase-one LP for y = 1 + u, u >= 0, A^T u = -A^T 1.
     """
-    if solve_lp(p, np.zeros(p.d), tol).status is SolveStatus.INFEASIBLE:
+    ones_cost = -p.A.sum(axis=0)
+    if solve_lp(p, ones_cost, tol).status is SolveStatus.INFEASIBLE:
         return FeasibilityStatus.INFEASIBLE
-    e = np.zeros(p.d)
-    for i in range(p.d):
-        for s in (1.0, -1.0):
-            e[i] = s
-            if solve_lp(p, e, tol).status is SolveStatus.UNBOUNDED:
-                return FeasibilityStatus.UNBOUNDED
-            e[i] = 0.0
+    if p.d == 0:
+        return FeasibilityStatus.FEASIBLE_BOUNDED
+    if orthonormal_columns(p.A.T, rank_tol=tol.tau_rank).shape[1] < p.d:
+        return FeasibilityStatus.UNBOUNDED
+    if _simplex(p.A.T, ones_cost, np.zeros(p.m))[0] != _OPTIMAL:
+        return FeasibilityStatus.UNBOUNDED
     return FeasibilityStatus.FEASIBLE_BOUNDED
 
 

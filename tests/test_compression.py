@@ -1,6 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
+import lpslice.compression as compression
+import lpslice.learner as learner
 from helpers import small_lp
 from lpslice import (
     CompressionModel,
@@ -20,7 +24,9 @@ from lpslice.compression import (
     model_to_json,
     solve_via_compression,
 )
+from lpslice.instances import make_preset, sample_costs
 from lpslice.linalg import check_orthonormal
+from lpslice.oracle import exact_check_bruteforce
 
 
 def vertical_slice() -> CompressionModel:
@@ -125,6 +131,96 @@ def test_contains_optimal_face_shortcut_vs_slow_path(square):
         n_equal += fast.contained == slow.contained
         assert fast.contained == exact_check_bruteforce(m, p, c)
     assert n_equal >= 30  # routes coincide away from tolerance boundaries
+
+
+def _count_face_lps(monkeypatch, polytope) -> list:
+    """Record the number of variables of every face LP that compression runs
+    from now on: LPs over the face in its free coordinates (``solve_lp`` on
+    anything but ``polytope``, whose solves are the full LPs) and LPs over
+    the thickened face (``solve_on_optimal_face``)."""
+    calls = []
+    real_solve, real_face = compression.solve_lp, compression.solve_on_optimal_face
+
+    def counted_solve(p, c, *args, **kwargs):
+        if p is not polytope:
+            calls.append(p.d)
+        return real_solve(p, c, *args, **kwargs)
+
+    def counted_face(p, *args, **kwargs):
+        calls.append(p.d)
+        return real_face(p, *args, **kwargs)
+
+    monkeypatch.setattr(compression, "solve_lp", counted_solve)
+    monkeypatch.setattr(compression, "solve_on_optimal_face", counted_face)
+    return calls
+
+
+def test_face_in_the_slice_needs_no_face_lp(square, monkeypatch):
+    # c = (-1, 0): the optimal face is the right edge, and null(A_S) is the
+    # x2 axis, which the vertical slice spans
+    calls = _count_face_lps(monkeypatch, square)
+    assert contains_optimal_face(vertical_slice(), square, np.array([-1.0, 0.0])).contained
+    assert calls == []
+    assert contains_optimal_face(vertical_slice(), square, np.array([-1.0, 0.0]), shortcut=False).contained
+    assert calls == [2, 2]  # the referee still tests its one complement functional
+
+
+def _cube() -> Polytope:
+    eye = np.eye(3)
+    return Polytope(np.vstack([eye, -eye]), np.ones(6))
+
+
+def test_face_lps_run_only_along_free_directions_outside_the_slice(monkeypatch):
+    # cube [-1, 1]^3, c = (-1, 0, 0): the face is the square x1 = 1, with
+    # two free coordinates; the optimizer is in the slice, which spans e2,
+    # so only e3 needs face LPs
+    cube = _cube()
+    c = np.array([-1.0, 0.0, 0.0])
+    x_star = solve_lp(cube, c).x
+    m = CompressionModel.create(x_star, np.array([[0.0], [1.0], [0.0]]))
+    calls = _count_face_lps(monkeypatch, cube)
+    res = contains_optimal_face(m, cube, c)
+    assert not res.contained and res.functional_index == 0
+    assert calls in ([2], [2, 2])
+    assert np.allclose(res.witness, [1.0, x_star[1], -x_star[2]], atol=1e-12)
+    assert not exact_check_bruteforce(m, cube, c)
+
+
+def test_unbounded_free_coordinates_fall_back_to_the_thickened_face(monkeypatch):
+    # when the kept rows do not bound the face in its free coordinates, the
+    # face LPs run over the thickened face instead and decide the same way
+    cube = _cube()
+    c = np.array([-1.0, 0.0, 0.0])
+    x_star = solve_lp(cube, c).x
+    real = compression._free_face
+
+    def unbounded_free_coordinates(*args):
+        free = real(*args)
+        return free and (free[0], None, free[2])
+
+    monkeypatch.setattr(compression, "_free_face", unbounded_free_coordinates)
+    calls = _count_face_lps(monkeypatch, cube)
+    m = CompressionModel.create(x_star, np.array([[0.0], [1.0], [0.0]]))
+    res = contains_optimal_face(m, cube, c)
+    assert not res.contained
+    assert calls in ([3], [3, 3])  # thickened-face LPs over all three coordinates
+    assert np.allclose(res.witness, [1.0, x_star[1], -x_star[2]], atol=1e-6)
+
+
+def test_integer_cost_grid_learn_runs_far_fewer_face_lps_than_the_referee(monkeypatch):
+    inst = make_preset("grid-4")
+    p = inst.polytope
+    x0 = solve_lp(p, inst.c0).x
+    costs = np.round(sample_costs(inst, 20, seed=1))
+    calls = _count_face_lps(monkeypatch, p)
+    learner.learn(p, x0, costs)
+    n_default = len(calls)
+    referee = functools.partial(compression._contains_given_solve, shortcut=False)
+    monkeypatch.setattr(learner, "_contains_given_solve", referee)
+    learner.learn(p, x0, costs)
+    n_referee = len(calls) - n_default
+    assert n_default > 0
+    assert 5 * n_default <= n_referee
 
 
 def test_contains_optimal_face_requires_bounded_problem():

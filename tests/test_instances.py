@@ -74,11 +74,11 @@ def test_randomlp_tiny_is_well_posed():
 
 
 
-@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("seed", range(6))
 def test_randomlp_at_the_check_limit_generates(seed):
     # d = 40 runs check_feasible_bounded; its coordinate solves used to stop
     # on a false ray ("phase-one objective unbounded below zero") for seeds
-    # 0-5.  Each seed costs 81 LPs (about 4 s), so two of them run here.
+    # 0-5.  The Stiemke test needs two LPs per seed, so all six run here.
     params = {**PRESETS["randomlp-a"]["params"], "d": 40, "rows": 40}
     assert gen_instance("randomlp", params, seed).polytope.A.shape == (120, 40)
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import lpslice.compression as compression
+import lpslice.learner as learner
 from helpers import small_lp
 from lpslice import (
     Polytope,
@@ -10,6 +12,7 @@ from lpslice import (
     make_anchor,
     solve_lp,
 )
+from lpslice.instances import make_preset, sample_costs
 from lpslice.learner import (
     replay_on_hard_subsequence,
     trace_from_json,
@@ -82,6 +85,28 @@ def test_learn_rank_never_exceeds_dimension():
         model, trace = learn(p, x0, costs)
         assert len(trace.hard) <= model.rank <= d
         assert sum(trace.appends_per_sample) == model.rank
+
+
+def test_learn_solves_each_full_lp_once(monkeypatch):
+    # appends do not change the full LP, so a hard sample is solved once
+    # however many directions it adds
+    inst = make_preset("grid-4")
+    p = inst.polytope
+    x0 = make_anchor(p, inst.c0)
+    costs = np.round(sample_costs(inst, 12, seed=4))  # the first sample appends three times
+    solved = []  # full LPs: solves of p itself, not of the face LPs containment runs
+    for mod in (learner, compression):
+        real = mod.solve_lp
+
+        def counted(q, c, *args, _real=real, **kwargs):
+            if q is p:
+                solved.append(np.asarray(c).tobytes())
+            return _real(q, c, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "solve_lp", counted)
+    model, trace = learn(p, x0, costs)
+    assert sum(trace.appends_per_sample) > len(trace.hard) > 0  # some sample appends twice
+    assert solved == [c.tobytes() for c in costs]
 
 
 def test_replay_on_hard_subsequence_is_bitwise(square):

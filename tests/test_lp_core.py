@@ -120,6 +120,35 @@ def test_check_feasible_bounded_trichotomy(square):
     assert check_feasible_bounded(empty) is FeasibilityStatus.INFEASIBLE
 
 
+def test_check_feasible_bounded_needs_full_rank_and_a_positive_dual():
+    # a strip contains a line (rank 1 < d); a quadrant is a pointed cone with
+    # full rank but no y > 0 with A^T y = 0
+    strip = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.ones(2))
+    assert check_feasible_bounded(strip) is FeasibilityStatus.UNBOUNDED
+    quadrant = Polytope(np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones(2))
+    assert check_feasible_bounded(quadrant) is FeasibilityStatus.UNBOUNDED
+
+
+def test_check_feasible_bounded_matches_coordinate_direction_solves():
+    # referee: X is unbounded iff min of +-e_i over X is unbounded for some i
+    rng = np.random.default_rng(17)
+    seen = set()
+    for _ in range(30):
+        d = int(rng.integers(2, 5))
+        p = small_lp(rng, d, int(rng.integers(d, 2 * d + 2)))
+        keep = rng.random(p.m) < 0.8
+        if not keep.any():
+            continue
+        q = Polytope(p.A[keep], p.b[keep])
+        unbounded = any(
+            solve_lp(q, s * np.eye(d)[i]).status is SolveStatus.UNBOUNDED for i in range(d) for s in (1.0, -1.0)
+        )
+        want = FeasibilityStatus.UNBOUNDED if unbounded else FeasibilityStatus.FEASIBLE_BOUNDED
+        assert check_feasible_bounded(q) is want
+        seen.add(want)
+    assert len(seen) == 2
+
+
 def test_normalize_sense_flip_round_trip():
     g = GeneralLP(
         sense="max",

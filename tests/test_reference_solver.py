@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import small_lp
-from lpslice import SolveStatus, solve_lp
+from lpslice import SolveStatus, check_exact, learn, make_anchor, solve_lp
 from lpslice.instances import make_preset, sample_costs
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -52,3 +52,41 @@ def test_random_bounded_lps_match_highs(d):
     for _ in range(3):
         p = small_lp(rng, d, 2 * d)
         _assert_matches_highs(p, rng.standard_normal(d))
+
+
+def _highs_face_deviation(p, c, band, model):
+    """Largest |q . (x - x0)| over columns q of Qperp and points x of
+    {x in X : c.x <= v + band}, v the HiGHS optimal value."""
+    A_face = np.vstack([p.A, c])
+    b_face = np.append(p.b, _highs_value(p, c) + band)
+    dev = 0.0
+    for q in model.Qperp.T:
+        for sign in (1.0, -1.0):
+            res = optimize.linprog(sign * q, A_ub=A_face, b_ub=b_face, bounds=(None, None), method="highs")
+            assert res.status == 0, res.message
+            dev = max(dev, abs(sign * res.fun - q @ model.x0))
+    return dev
+
+
+def test_check_exact_is_bracketed_by_highs_face_checks():
+    # learned integer-cost grid-4 model.  The face thickened by the eps_face
+    # band is what the face LPs see, and it contains the optimal face itself
+    # (band 0), so check_exact must say True when HiGHS finds the thickened
+    # face in the slice and False when HiGHS finds the face itself outside it.
+    inst = make_preset("grid-4")
+    p = inst.polytope
+    s = float(np.mean(np.abs(inst.c0)))
+    costs = np.round(inst.c0 + np.random.default_rng(5).uniform(-s, s, (20, inst.d)))
+    model, _ = learn(p, make_anchor(p, inst.c0), costs[:8])
+    tol = model.tol
+    tau = tol.tau_contain * (1.0 + float(np.linalg.norm(model.x0)))
+    verdicts = set()
+    for c in costs[8:]:
+        exact = check_exact(model, p, c)
+        band = tol.eps_face * (1.0 + abs(_highs_value(p, c)))
+        if _highs_face_deviation(p, c, band, model) <= tau:
+            assert exact
+        if _highs_face_deviation(p, c, 0.0, model) > tau:
+            assert not exact
+        verdicts.add(exact)
+    assert verdicts == {True, False}
