@@ -191,9 +191,10 @@ def contains_optimal_face(
 ) -> ContainmentResult:
     """Does the slice contain the whole optimal face of min c.x over X?
 
-    One full solve gives a vertex optimizer x* and multipliers y.  A face
-    point x leaves the slice when some column a of Qperp has |a . (x - x0)|
-    above tau = tau_contain * (1 + ||x0||).  The default route tests only
+    One full solve, started from the anchor x0, gives a vertex optimizer
+    x* and multipliers y.  A face point x leaves the slice when some column
+    a of Qperp has |a . (x - x0)| above tau = tau_contain * (1 + ||x0||).
+    The default route tests only
     what can leave the slice, in three steps:
 
     1. The optimizer: if x* leaves the slice, x* is the witness.
@@ -206,8 +207,8 @@ def contains_optimal_face(
     3. Face LPs along B, an orthonormal basis of (I - QQ^T) N, the part of
        the free directions outside the slice.  If B is empty the answer is
        True.  Otherwise, for each column of B in order, the maximum and then
-       the minimum over F, an LP in the k = dim null(A_S) free coordinates;
-       the first face point x* + N z that leaves the slice is the witness,
+       the minimum over F, an LP in the k = dim null(A_S) free coordinates
+       started from z = 0 (x*, a vertex of F); the first face point x* + N z that leaves the slice is the witness,
        a vertex of the face and hence of X.
 
     The cutoffs are one-sided, so they can only add work, never a wrong
@@ -231,7 +232,7 @@ def contains_optimal_face(
     c = np.asarray(c, dtype=float)
     if p.d != model.d:
         raise ValueError("model and polytope dimensions differ")
-    return _contains_given_solve(model, p, c, solve_lp(p, c, model.tol), shortcut)
+    return _contains_given_solve(model, p, c, solve_lp(p, c, model.tol, start=model.x0), shortcut)
 
 
 def _contains_given_solve(
@@ -270,10 +271,11 @@ def _contains_given_solve(
     if free is None:
         return ContainmentResult(True)
     N, face, B = free
+    z0 = np.zeros(N.shape[1])  # x*, a vertex of the face
     for j, b in enumerate(B.T):
         g = N.T @ b  # b . (x* + N z) = b . x* + g . z
         for sense, cost in (("max", -g), ("min", g)):
-            r = solve_lp(face, cost, tol) if face is not None else None
+            r = solve_lp(face, cost, tol, start=z0) if face is not None else None
             if r is not None and r.status is SolveStatus.OPTIMAL:
                 x = res.x + N @ r.x
             else:  # the kept rows do not bound the face
@@ -362,13 +364,15 @@ def lift(model: CompressionModel, z: np.ndarray) -> np.ndarray:
 def solve_via_compression(model: CompressionModel, p: Polytope, c: np.ndarray) -> SolveResult:
     """Solve the reduced LP and lift: value = offset + reduced value, x = x0 + U z.
 
-    The reduced problem is feasible whenever x0 is feasible (z = 0) and
-    bounded whenever X is bounded, so any other status is an internal error.
+    The reduced problem holds z = 0 (x0; ValueError when x0 is not in X)
+    and is bounded whenever X is bounded, so any other status is an
+    internal error.  z = 0 is a vertex of it when x0 is a vertex of X, and
+    the solve starts there.
     The returned multipliers are those of the reduced solve; its rows are in
     one-to-one correspondence with the rows of p.
     """
     reduced, c_red, offset = build_reduced_lp(model, p, c)
-    r = solve_lp(reduced, c_red, model.tol)
+    r = solve_lp(reduced, c_red, model.tol, start=np.zeros(model.rank))
     if r.status is not SolveStatus.OPTIMAL:
         raise InternalError(f"reduced LP reported {r.status.value} though the anchor is feasible")
     x = lift(model, r.x)

@@ -101,7 +101,7 @@ def learn(
     for pos, c in enumerate(costs, start=1):
         sid = ids[pos - 1] if ids is not None else pos
         c = np.asarray(c, dtype=float)
-        full = solve_lp(p, c, tol)  # appends do not change the full LP: solve it once
+        full = solve_lp(p, c, tol, start=x0)  # appends do not change the full LP: solve it once
         n_app = 0
         while True:
             res = _contains_given_solve(model, p, c, full)

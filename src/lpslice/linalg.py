@@ -9,6 +9,8 @@ Gram-Schmidt recursion guarantees and a fresh QR factorization does not.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Relative rank cutoff: a column whose residual after projection is below
@@ -55,6 +57,31 @@ def orthonormal_columns(V: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray
         cols.append(w / nrm)
         Q = np.column_stack(cols)
     return Q if cols else np.zeros((d, 0))
+
+
+def first_independent(V: np.ndarray, k: int, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Indices of the first k columns of V, in order, that are independent
+    of the columns picked before them: Gram-Schmidt with the cutoff of
+    ``orthonormal_columns``.  Fewer than k when V has rank below k."""
+    V = np.asarray(V, dtype=float)
+    norms = np.linalg.norm(V, axis=0)
+    cutoff = rank_tol * float(np.max(norms, initial=0.0))
+    Q = np.empty((k, V.shape[0]))  # picked directions as rows
+    kept: list[int] = []
+    for i in np.flatnonzero(norms > cutoff):
+        P = Q[: len(kept)]
+        w = V[:, i] - (P @ V[:, i]) @ P
+        if math.sqrt(w @ w) <= cutoff:  # dependent after one pass already
+            continue
+        w -= (P @ w) @ P
+        nrm = math.sqrt(w @ w)
+        if nrm <= cutoff:
+            continue
+        Q[len(kept)] = w / nrm
+        kept.append(int(i))
+        if len(kept) == k:
+            break
+    return np.array(kept, dtype=int)
 
 
 def append_orthonormal(Q: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL):

@@ -5,26 +5,41 @@ The central object is ``Polytope``: X = {x : A x <= b} with A dense (m x d).
 bounded in direction c, returns a *vertex* optimizer together with a canonical
 basis identifier, so repeated solves of the same data are bitwise identical.
 
-The solver is a two-phase dense tableau simplex applied to the dual in
-standard form:
+The solver is a dense tableau simplex applied to the dual in standard form:
 
     min b.y   s.t.  A^T y = -c,  y >= 0.
 
-Pricing is Dantzig's rule (most negative reduced cost enters, lowest index
-among ties); after a run of ``_DEGENERATE_RUN`` consecutive degenerate pivots
-it falls back to Bland's rule (lowest eligible index enters) until the next
+A dual basis is a set of d linearly independent rows of A; its primal point
+x = A_B^{-1} b_B is a vertex of X, and the reduced cost of column j is the
+slack b_j - A_j x.  So the dual optimality test is exactly primal
+feasibility.  Free primal variables therefore never need splitting, which
+keeps the vertex guarantee that a direct x = x+ - x- formulation would lose.
+
+Cold solves run two phases from the all-artificial basis.  Pricing is
+Dantzig's rule (most negative reduced cost enters, lowest index among ties);
+after a run of ``_DEGENERATE_RUN`` consecutive degenerate pivots it falls
+back to Bland's rule (lowest eligible index enters) until the next
 non-degenerate pivot.  The leaving row is the minimum ratio, lowest basic
 index among ties.  Bland's rule cannot cycle, so each degenerate run is
 finite, and the objective strictly falls between runs, so the simplex
 terminates.
 
-A terminal dual basis is a set of linearly independent rows of A; the primal
-point x = A_B^{-1} b_B is then a vertex of X, and the dual optimality test
-(reduced cost of column j equals b_j - A_j x) is exactly primal feasibility.
-Free primal variables therefore never need splitting, which keeps the vertex
-guarantee that a direct x = x+ - x- formulation would lose.  Status mapping:
-dual unbounded means the primal is infeasible; dual infeasible is split into
-primal Infeasible / Unbounded with one Farkas cone solve.
+A solve given a ``start`` that is a vertex of X skips phase one.  The rows
+active at the start form a basis whose reduced costs (the slacks) are
+nonnegative for every cost c, so the dual simplex (Lemke, 1954) runs from
+it: the most negative basic value leaves, lowest basic index among ties,
+and the minimum-ratio column enters, lowest index among ties; the same
+Bland fallback applies to the leaving row.  In primal terms every pivot
+moves along an edge of X from the start towards the optimum.  A phase-two
+pass of the cold pricing then ends the solve under the cold optimality
+test, and the terminal basis goes through the same post-processing, so
+whenever it is the cold terminal basis, x, value and basis_id are bitwise
+the cold ones.  Both paths share the thresholds below.  Neither keeps
+state between calls: every result depends only on (p, c, start).
+
+Status mapping: dual unbounded means the primal is infeasible; dual
+infeasible is split into primal Infeasible / Unbounded with one Farkas cone
+solve (or is Unbounded outright when a feasible start was given).
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import orthonormal_columns
+from .linalg import first_independent, orthonormal_columns
 
 __all__ = [
     "ToleranceSet",
@@ -185,6 +200,19 @@ class SolveResult:
 
 _OPTIMAL, _INFEASIBLE, _UNBOUNDED = "optimal", "infeasible", "unbounded"
 
+# Thresholds of the simplex, shared by the cold and the vertex-started path.
+# An entry may pivot when it exceeds _PIVOT_TOL times 1 + the largest
+# magnitude in its column (row, for the dual ratio test).  A reduced cost
+# below -_REDUCED_COST_TOL * scale prices in, and on the vertex path a basic
+# value below the same bound leaves; scale is 1 + the largest magnitude of
+# the data (see _limits).  Phase one ends feasible when its objective is at
+# most _PHASE_ONE_TOL * (1 + sum|q|).  A residual artificial is driven out
+# of the basis on an entry above _DRIVE_OUT_TOL times 1 + the largest
+# magnitude of its row.
+_PIVOT_TOL = 1e-10
+_REDUCED_COST_TOL = 1e-9
+_PHASE_ONE_TOL = 1e-8
+_DRIVE_OUT_TOL = 1e-9
 
 # Rows per block of the pivot update.  Updating in blocks keeps the rank-one
 # temporary small and in cache instead of allocating a whole tableau per pivot.
@@ -205,13 +233,16 @@ def _pivot(T: np.ndarray, r: int, j: int) -> None:
 _DEGENERATE_RUN = 50
 
 
-def _iterate(T, basis, n_priced, tol_rc, max_iter):
+def _iterate(T, basis, n_priced, tol_rc, max_iter, bounded=False):
     """Pivot until no priced column has reduced cost < -tol_rc.
 
     T has shape (p+1, ncols+1): body rows, then the reduced-cost row; last
     column is the RHS (with T[-1, -1] = -objective).  Only the first
     ``n_priced`` columns may enter.  Returns the number of iterations, or -1
     when an unbounded ray is detected; raises InternalError past max_iter.
+    With ``bounded`` (phase one, whose objective is at least 0) there is no
+    ray: a column that prices in without an eligible entry has a reduced
+    cost made of rounding, so it is set to 0 and pricing goes on.
 
     Pricing is Dantzig's rule: the most negative reduced cost enters, ties
     to the lowest index.  A pivot whose ratio-test step is 0 is degenerate;
@@ -239,9 +270,12 @@ def _iterate(T, basis, n_priced, tol_rc, max_iter):
                 return it
             j = int(cand[0])
         col = T[:p, j]
-        elig = col > 1e-10 * (1.0 + np.max(np.abs(col)))
+        elig = col > _PIVOT_TOL * (1.0 + np.max(np.abs(col)))
         if not np.any(elig):
-            return -1
+            if not bounded:
+                return -1
+            T[p, j] = 0.0
+            continue
         rows = np.flatnonzero(elig)
         ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
         rmin = ratios.min()
@@ -253,6 +287,61 @@ def _iterate(T, basis, n_priced, tol_rc, max_iter):
         it += 1
         if it > max_iter:
             raise InternalError("simplex iteration limit exceeded")
+
+
+def _dual_iterate(T, basis, tol, max_iter):
+    """Dual simplex pivots until no basic value is below -tol.
+
+    T is laid out as for ``_iterate`` (all n columns priced) and its basis
+    is dual feasible: reduced costs >= 0 up to rounding, which the ratio
+    test clips at 0.  Returns the number of iterations, or -1 when the
+    leaving row has no eligible entry, so that no w >= 0 solves M w = q.
+
+    The leaving row is the most negative basic value (Dantzig), ties to the
+    lowest basic index; after ``_DEGENERATE_RUN`` degenerate pivots in a row
+    it is the lowest basic index among the negative values (Bland) until
+    the next non-degenerate pivot.  The entering column is the minimum
+    ratio of reduced cost to -T[r, j] over entries below -_PIVOT_TOL times
+    1 + the row's largest magnitude, ties to the lowest index.  A pivot is
+    degenerate when that ratio is 0.  Termination: the dual of Bland's rule
+    cannot cycle, and each non-degenerate pivot strictly raises g.w.
+    """
+    p, n = T.shape[0] - 1, T.shape[1] - 1
+    it = 0
+    degenerate = 0
+    while True:
+        rhs = T[:p, -1]
+        r = int(rhs.argmin())
+        if rhs[r] >= -tol:
+            return it
+        ties = (rhs == rhs[r] if degenerate < _DEGENERATE_RUN else rhs < -tol).nonzero()[0]
+        r = int(ties[basis[ties].argmin()])
+        row = T[r, :n]
+        elig = (row < -_PIVOT_TOL * (1.0 + np.abs(row).max())).nonzero()[0]
+        if elig.size == 0:
+            return -1
+        ratios = np.maximum(T[p, elig], 0.0) / -row[elig]
+        k = int(ratios.argmin())  # the first minimum: lowest index
+        rmin = ratios[k]
+        j = int(elig[k])
+        _pivot(T, r, j)
+        basis[r] = j
+        degenerate = degenerate + 1 if rmin == 0.0 else 0
+        it += 1
+        if it > max_iter:
+            raise InternalError("simplex iteration limit exceeded")
+
+
+def _limits(M: np.ndarray, q: np.ndarray, g: np.ndarray):
+    """(tol_rc, max_iter) of min g.w s.t. M w = q, w >= 0, on both paths."""
+    # M (a view of A^T) is the largest input: read it without temporaries
+    # of its size, here and when it is copied into the tableau
+    scale = 1.0 + max(
+        max(float(M.max()), -float(M.min())) if M.size else 0.0,
+        float(np.max(np.abs(q))),
+        float(np.max(np.abs(g))) if g.size else 0.0,
+    )
+    return _REDUCED_COST_TOL * scale, 2000 + 60 * sum(M.shape)
 
 
 def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
@@ -274,16 +363,7 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
             return _UNBOUNDED, None, None
         return _OPTIMAL, np.zeros(n), np.zeros(0, dtype=int)
 
-    # M (a view of A^T) is the largest input: read it without temporaries
-    # of its size, here and when it is copied into the tableau
-    scale = 1.0 + max(
-        max(float(M.max()), -float(M.min())) if M.size else 0.0,
-        float(np.max(np.abs(q))),
-        float(np.max(np.abs(g))) if g.size else 0.0,
-    )
-    tol_rc = 1e-9 * scale
-    max_iter = 2000 + 60 * (n + p)
-
+    tol_rc, max_iter = _limits(M, q, g)
     sgn = np.where(q < 0.0, -1.0, 1.0)
     T = np.zeros((p + 1, n + p + 1))
     T[:p, :n] = M
@@ -296,9 +376,8 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
     T[p, -1] = -T[:p, -1].sum()
     basis = np.arange(n, n + p)
 
-    if _iterate(T, basis, n + p, tol_rc, max_iter) < 0:
-        raise InternalError("phase-one objective unbounded below zero")
-    if -T[p, -1] > 1e-8 * (1.0 + float(np.sum(np.abs(q)))):
+    _iterate(T, basis, n + p, tol_rc, max_iter, bounded=True)
+    if -T[p, -1] > _PHASE_ONE_TOL * (1.0 + float(np.sum(np.abs(q)))):
         return _INFEASIBLE, None, None
 
     # drive residual artificials out of the basis; drop redundant rows
@@ -310,7 +389,7 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
             continue
         row = np.where(in_basis[:n], 0.0, np.abs(T[r, :n]))
         jbest = int(np.argmax(row))
-        if row[jbest] > 1e-9 * (1.0 + float(np.max(np.abs(T[r, :n]), initial=0.0))):
+        if row[jbest] > _DRIVE_OUT_TOL * (1.0 + float(np.max(np.abs(T[r, :n]), initial=0.0))):
             _pivot(T, r, jbest)
             in_basis[basis[r]] = False
             in_basis[jbest] = True
@@ -321,19 +400,62 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
         keep = np.setdiff1d(np.arange(p), drop_rows)
         T = np.vstack([T[keep], T[-1:]])
         basis = basis[keep]
-        p = len(keep)
 
-    # phase 2 never prices the artificial columns, so it drops them; the
-    # cost row is rebuilt from scratch for the real objective
-    T = np.hstack([T[:, :n], T[:, -1:]])
-    T[p, :-1] = g - g[basis] @ T[:p, :-1]
-    T[p, -1] = -float(g[basis] @ T[:p, -1])
+    # phase 2 never prices the artificial columns, so it drops them
+    return _phase_two(np.hstack([T[:, :n], T[:, -1:]]), basis, g, tol_rc, max_iter)
+
+
+def _price(T: np.ndarray, g: np.ndarray, basis: np.ndarray) -> None:
+    """Fill T's cost row anew with the reduced costs of g for the basis."""
+    T[-1, :-1] = g - g[basis] @ T[:-1, :-1]
+    T[-1, -1] = -float(g[basis] @ T[:-1, -1])
+
+
+def _phase_two(T, basis, g, tol_rc, max_iter):
+    """The last phase of both paths: price g, pivot until no reduced cost
+    is below -tol_rc (``_iterate``) and read off (status, w, basis)."""
+    _price(T, g, basis)
+    n = T.shape[1] - 1
     if _iterate(T, basis, n, tol_rc, max_iter) < 0:
         return _UNBOUNDED, None, None
-
     w = np.zeros(n)
-    w[basis] = T[np.arange(p), -1]
+    w[basis] = T[:-1, -1]
     return _OPTIMAL, w, basis.copy()
+
+
+def _simplex_from_vertex(M: np.ndarray, q: np.ndarray, g: np.ndarray, slack: np.ndarray, rank_tol: float):
+    """min g.w  s.t.  M w = q, w >= 0, from the columns j with |slack_j| <= tol_rc.
+
+    M is A^T and slack = b - A x at a point x of X, so these columns are
+    the rows active at x.  They give the starting basis: all of them when
+    there are exactly p, or exactly p nonzero ones, else the first p
+    independent ones in index order (``linalg.first_independent`` with
+    ``rank_tol``).  Returns None when x is not a vertex (fewer than p
+    independent active rows, or a singular basis), else (status, w, basis)
+    as ``_simplex`` returns them, after ``_dual_iterate`` from that basis
+    and ``_phase_two``.
+    """
+    p, n = M.shape
+    tol_rc, max_iter = _limits(M, q, g)
+    basis = np.flatnonzero(np.abs(slack) <= tol_rc)
+    if basis.size > p:  # a zero row is in no basis
+        basis = basis[np.any(M[:, basis], axis=0)]
+    if basis.size > p:
+        basis = basis[first_independent(M[:, basis], p, rank_tol)]
+    if basis.size < p:
+        return None
+    try:
+        inv = np.linalg.inv(M[:, basis])
+    except np.linalg.LinAlgError:
+        return None
+    T = np.empty((p + 1, n + 1))
+    np.matmul(inv, M, out=T[:p, :n])  # written in place: no tableau-sized temporary
+    T[:p, n] = inv @ q
+    T[:p, basis] = np.eye(p)
+    _price(T, g, basis)
+    if _dual_iterate(T, basis, tol_rc, max_iter) < 0:
+        return _INFEASIBLE, None, None
+    return _phase_two(T, basis, g, tol_rc, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +463,31 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def solve_lp(p: Polytope, c: np.ndarray, tol: ToleranceSet = DEFAULT_TOL) -> SolveResult:
+def solve_lp(
+    p: Polytope,
+    c: np.ndarray,
+    tol: ToleranceSet = DEFAULT_TOL,
+    start: np.ndarray | None = None,
+) -> SolveResult:
     """Minimize c.x over X = {A x <= b}.
 
-    Deterministic: the same (p, c) always yields the same basis_id and a
-    bitwise identical x.  For feasible bounded directions the optimizer is a
-    vertex of X (guaranteed whenever X has vertices, i.e. rank(A) = d).
+    Deterministic: the same (p, c, start) always yields the same basis_id
+    and a bitwise identical x; no state is kept between calls.  For
+    feasible bounded directions the optimizer is a vertex of X (guaranteed
+    whenever X has vertices, i.e. rank(A) = d).
+
+    ``start`` is an optional point of X (ValueError when it is not, by the
+    ``Polytope.contains`` rule).  When it is a vertex, the solve skips
+    phase one: the dual simplex runs from its active rows, |b_j - A_j x| at
+    most the reduced-cost threshold (exactly d of them, or exactly d nonzero
+    ones, as they are; else the first d independent ones in index order),
+    pricing as in the module docstring, and ends under the cold path's
+    optimality test.
+    x, value and basis_id are then bitwise the cold solve's whenever the
+    terminal basis is the cold one, which it is when the optimum is a
+    vertex with d active rows and positive multipliers.  On degenerate
+    optima the two paths may stop at different optimal bases.  When
+    ``start`` is not a vertex the solve is the cold one.
     """
     A, b = p.A, p.b
     m, d = A.shape
@@ -355,13 +496,25 @@ def solve_lp(p: Polytope, c: np.ndarray, tol: ToleranceSet = DEFAULT_TOL) -> Sol
         raise ValueError(f"cost vector has shape {c.shape}, expected ({d},)")
     if not np.all(np.isfinite(c)):
         raise ValueError("cost vector must be finite")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (d,):
+            raise ValueError(f"start has shape {start.shape}, expected ({d},)")
 
     if d == 0:
         if np.all(b >= -tol.eps_feas * (1.0 + np.abs(b))):
             return SolveResult(SolveStatus.OPTIMAL, 0.0, np.zeros(0), (), np.zeros(m))
+        if start is not None:
+            raise ValueError("start is not a point of X")
         return SolveResult(SolveStatus.INFEASIBLE)
 
-    status, w, basis = _simplex(A.T, -c, b)
+    out = None
+    if start is not None:
+        slack = b - A @ start
+        if not np.all(slack >= -tol.eps_feas * (1.0 + np.abs(b))):
+            raise ValueError("start is not a point of X")
+        out = _simplex_from_vertex(A.T, -c, b, slack, tol.tau_rank)
+    status, w, basis = out if out is not None else _simplex(A.T, -c, b)
     if status == _OPTIMAL:
         rows = np.sort(basis)
         Asub, bsub = A[rows], b[rows]
@@ -381,9 +534,13 @@ def solve_lp(p: Polytope, c: np.ndarray, tol: ToleranceSet = DEFAULT_TOL) -> Sol
         )
     if status == _UNBOUNDED:
         # dual unbounded below => primal infeasible
+        if start is not None:
+            raise InternalError("dual ray although X holds the start")
         return SolveResult(SolveStatus.INFEASIBLE)
 
     # dual infeasible: primal is either infeasible or unbounded (Farkas split)
+    if start is not None:
+        return SolveResult(SolveStatus.UNBOUNDED)  # X holds start
     status0, _, _ = _simplex(A.T, np.zeros(d), b)
     if status0 == _UNBOUNDED:
         return SolveResult(SolveStatus.INFEASIBLE)

@@ -11,8 +11,10 @@ from lpslice import (
     learn,
     make_anchor,
     solve_lp,
+    solve_via_compression,
 )
-from lpslice.instances import make_preset, sample_costs
+from lpslice import lp_core
+from lpslice.instances import PRESETS, gen_instance, make_preset, sample_costs
 from lpslice.learner import (
     replay_on_hard_subsequence,
     trace_from_json,
@@ -171,3 +173,22 @@ def test_trace_json_round_trip(square):
     assert t2.appends_per_sample == trace.appends_per_sample
     assert t2.final_rank == trace.final_rank
     assert t2.anchor_provenance == "known c0"
+
+
+def test_nondegenerate_anchor_never_runs_phase_one(monkeypatch):
+    # with d active rows at the anchor, every full solve of learn and
+    # check_exact, and every reduced solve of a serve, starts from a vertex
+    inst = gen_instance("randomlp", {**PRESETS["randomlp-a"]["params"], "d": 40, "rows": 40}, 0)
+    p = inst.polytope
+    x0 = make_anchor(p, inst.c0)
+    assert np.sum(np.abs(p.b - p.A @ x0) <= 1e-9 * (1.0 + np.abs(p.b))) == p.d
+    costs = inst.c0 + 0.3 * np.mean(np.abs(inst.c0)) * np.random.default_rng(2).standard_normal((18, p.d))
+    phase_one = []
+    real = lp_core._simplex
+    monkeypatch.setattr(lp_core, "_simplex", lambda *a: phase_one.append(1) or real(*a))
+    model, trace = learn(p, x0, costs[:12])
+    assert model.rank > 0 and trace.hard
+    for c in costs[12:]:
+        check_exact(model, p, c)
+        solve_via_compression(model, p, c)
+    assert phase_one == []

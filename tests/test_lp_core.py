@@ -281,3 +281,113 @@ def test_pivot_loop_does_not_cycle_on_beale_example():
     assert 0 <= it <= 2 * lp_core._DEGENERATE_RUN < max_iter
     assert -T[-1, -1] == pytest.approx(-1 / 20, abs=1e-12)
     assert np.all(T[-1, :-1] >= -1e-9)
+
+
+def test_phase_one_reports_no_ray_when_its_objective_is_already_zero():
+    # column 1 prices in at -9e-9 (past -tol_rc) but every entry is below the
+    # pivot cutoff; phase one is bounded below by 0, so this is rounding and
+    # w = 0 is the answer (it raised "phase-one objective unbounded below zero")
+    M = np.zeros((100, 2))
+    M[:, 0] = -1.0
+    M[:, 1] = 0.9e-10
+    status, w, _ = lp_core._simplex(M, np.zeros(100), np.ones(2))
+    assert status == "optimal"
+    assert np.array_equal(w, np.zeros(2))
+
+
+def _same_result(r, s):
+    return (
+        r.status is s.status
+        and r.value == s.value
+        and r.basis_id == s.basis_id
+        and (r.x is None) == (s.x is None)
+        and (r.x is None or r.x.tobytes() == s.x.tobytes())
+    )
+
+
+def test_vertex_start_on_square(square, monkeypatch):
+    calls = []
+    real = lp_core._simplex
+    monkeypatch.setattr(lp_core, "_simplex", lambda *a: calls.append(1) or real(*a))
+    c = np.array([-1.5, 0.3])
+    for v in ([1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]):
+        r = solve_lp(square, c, start=np.array(v))
+        assert r.basis_id == (0, 3)
+        assert np.array_equal(r.x, [1.0, -1.0])
+    assert calls == []  # no phase one from a vertex
+    # an edge point or the centre is not a vertex: the cold solve, bitwise
+    cold = solve_lp(square, c)
+    assert len(calls) == 1
+    for x in ([1.0, 0.0], [0.0, 0.0]):
+        assert _same_result(solve_lp(square, c, start=np.array(x)), cold)
+    with pytest.raises(ValueError):
+        solve_lp(square, c, start=np.array([1.5, 0.0]))
+    with pytest.raises(ValueError):
+        solve_lp(square, c, start=np.zeros(3))
+
+
+def test_vertex_start_degenerate_and_singular_active_sets(square, monkeypatch):
+    # rows 0 and 1 are the same and four rows are active at (1, 1): the
+    # first two independent ones, rows 0 and 3, start the solve
+    A = np.vstack([square.A[:1], square.A, [1.0, 1.0]])
+    p = Polytope(A, np.concatenate([[1.0], square.b, [2.0]]))
+    calls = []
+    real = lp_core._simplex
+    monkeypatch.setattr(lp_core, "_simplex", lambda *a: calls.append(1) or real(*a))
+    for c in (np.array([-1.0, -2.0]), np.array([1.0, 0.5]), np.array([-1.0, 3.0])):
+        warm = solve_lp(p, c, start=np.array([1.0, 1.0]))
+        assert calls == []
+        cold = solve_lp(p, c)
+        calls.clear()
+        assert warm.value == pytest.approx(cold.value, abs=1e-12)
+        assert p.contains(warm.x)
+    # on the edge x1 = 1 only rows 0 and 1 are active, and they are not a
+    # basis: the start is not a vertex, so the solve is the cold one
+    edge = np.array([1.0, 0.0])
+    c = np.array([0.3, -1.0])
+    assert _same_result(solve_lp(p, c, start=edge), solve_lp(p, c))
+
+
+def test_vertex_start_reports_unbounded_without_the_farkas_solve(monkeypatch):
+    quadrant = Polytope(np.array([[-1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
+    monkeypatch.setattr(lp_core, "_simplex", None)  # the vertex path must not need it
+    assert solve_lp(quadrant, np.array([-1.0, 0.5]), start=np.zeros(2)).status is SolveStatus.UNBOUNDED
+    assert solve_lp(quadrant, np.array([1.0, 0.5]), start=np.zeros(2)).value == 0.0
+
+
+def test_vertex_start_on_dimension_zero():
+    p = Polytope(np.zeros((1, 0)), np.array([1.0]))
+    assert solve_lp(p, np.zeros(0), start=np.zeros(0)).status is SolveStatus.OPTIMAL
+    with pytest.raises(ValueError):
+        solve_lp(Polytope(np.zeros((1, 0)), np.array([-1.0])), np.zeros(0), start=np.zeros(0))
+
+
+@pytest.mark.parametrize("run", [lp_core._DEGENERATE_RUN, 0])
+def test_vertex_start_matches_cold_on_random_lps(run, monkeypatch):
+    # run 0 puts the dual simplex on Bland's rule from the first pivot
+    monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", run)
+    primal_pivots = []
+    real = lp_core._iterate
+
+    def counted(*args, **kwargs):
+        primal_pivots.append(real(*args, **kwargs))
+        return primal_pivots[-1]
+
+    monkeypatch.setattr(lp_core, "_iterate", counted)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        p = small_lp(rng, d, int(rng.integers(d + 1, 3 * d)))
+        x0 = solve_lp(p, rng.standard_normal(d)).x
+        for _ in range(3):
+            c = rng.standard_normal(d)
+            cold = solve_lp(p, c)
+            primal_pivots.clear()
+            warm = solve_lp(p, c, start=x0)
+            # the dual simplex ends optimal: the closing phase-two pass of
+            # the cold pricing has nothing left to do
+            assert primal_pivots == [0]
+            # generic costs: the optimum is a nondegenerate vertex, one basis
+            assert warm.basis_id == cold.basis_id
+            assert warm.x.tobytes() == cold.x.tobytes()
+            assert warm.value == cold.value

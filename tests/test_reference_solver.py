@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import small_lp
-from lpslice import SolveStatus, check_exact, learn, make_anchor, solve_lp
+from lpslice import SolveStatus, check_exact, learn, make_anchor, solve_lp, solve_via_compression
 from lpslice.instances import make_preset, sample_costs
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -90,3 +90,44 @@ def test_check_exact_is_bracketed_by_highs_face_checks():
             assert not exact
         verdicts.add(exact)
     assert verdicts == {True, False}
+
+
+def _assert_started_matches_highs(p, c, start):
+    r = solve_lp(p, c, start=start)
+    assert r.status is SolveStatus.OPTIMAL
+    assert p.contains(r.x)
+    v = _highs_value(p, c)
+    assert r.value == pytest.approx(v, abs=1e-7 * (1.0 + abs(v)))
+
+
+@pytest.mark.parametrize("preset", ["randomlp-a", "packing-360"])
+def test_vertex_started_solves_match_highs(preset):
+    inst = make_preset(preset)
+    p = inst.polytope
+    x0 = make_anchor(p, inst.c0)
+    for c in sample_costs(inst, 5, seed=11):
+        _assert_started_matches_highs(p, c, x0)
+
+
+def test_vertex_started_solves_from_a_degenerate_anchor_match_highs():
+    inst = make_preset("grid-4")
+    p = inst.polytope
+    x0 = make_anchor(p, inst.c0)
+    active = np.abs(p.b - p.A @ x0) <= 1e-9 * (1.0 + np.abs(p.b))
+    assert active.sum() > p.d  # more active rows than a basis holds
+    for c in np.round(sample_costs(inst, 8, seed=12)):
+        _assert_started_matches_highs(p, c, x0)
+
+
+def test_certified_serves_on_a_learned_grid_match_highs():
+    inst = make_preset("grid-4")
+    p = inst.polytope
+    s = float(np.mean(np.abs(inst.c0)))
+    costs = np.round(inst.c0 + np.random.default_rng(5).uniform(-s, s, (24, inst.d)))
+    model, _ = learn(p, make_anchor(p, inst.c0), costs[:8])
+    certified = [c for c in costs[8:] if check_exact(model, p, c)]
+    assert certified
+    for c in certified:
+        r = solve_via_compression(model, p, c)
+        v = _highs_value(p, c)
+        assert r.value == pytest.approx(v, abs=1e-7 * (1.0 + abs(v)))
