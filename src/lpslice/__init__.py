@@ -22,7 +22,6 @@ from .lp_core import (
     check_feasible_bounded,
     normalize_to_inequality_form,
     solve_lp,
-    solve_on_optimal_face,
 )
 from .compression import (
     CompressionModel,

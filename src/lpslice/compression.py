@@ -1,13 +1,14 @@
 """Affine slice models and the exact-containment test.
 
 A ``CompressionModel`` is an affine slice x0 + range(U) of the ambient space,
-with U's columns the directions appended so far and cached orthonormal bases
-Q (for range(U)) and Qperp (for its complement).  The central operation is
-``contains_optimal_face``: decide whether the full optimal face of (p, c)
-lies inside the slice, and if not, produce a vertex of the face that sticks
-out.  Exactness of a slice for cost c means exactly this containment, so a
-reduced LP over the slice reproduces the full optimal value and a subset of
-its optimizers, vertices included.
+with U's columns the directions appended so far and Q an orthonormal basis
+of range(U).  A point x lies in the slice when the residual of w = x - x0
+off range(U), w - Q(Q^T w), is short; no basis of the complement is kept.
+The central operation is ``contains_optimal_face``: decide whether the full
+optimal face of (p, c) lies inside the slice, and if not, produce a vertex
+of the face that sticks out.  Exactness of a slice for cost c means exactly
+this containment, so a reduced LP over the slice reproduces the full
+optimal value and a subset of its optimizers, vertices included.
 
 The test rests on complementary slackness (Goldman & Tucker, 1956): every
 row whose optimal multiplier is positive is active on the whole optimal
@@ -31,7 +32,6 @@ from .lp_core import (
     SolveStatus,
     ToleranceSet,
     solve_lp,
-    solve_on_optimal_face,
 )
 from . import linalg
 
@@ -74,19 +74,18 @@ def _ro(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CompressionModel:
-    """Affine slice x0 + range(U) with cached orthonormal complements.
+    """Affine slice x0 + range(U) with an orthonormal basis Q of range(U).
 
     Invariants: U has full column rank; Q is an orthonormal basis of
-    range(U) and Qperp of its orthogonal complement (both produced by the
-    deterministic Gram-Schmidt in :mod:`lpslice.linalg`, so equal inputs give
-    bitwise equal models).  Instances are frozen; mutation goes through
-    ``append_direction`` which returns a new model.
+    range(U), produced by the deterministic Gram-Schmidt in
+    :mod:`lpslice.linalg`, so equal inputs give bitwise equal models.
+    Instances are frozen; mutation goes through ``append_direction`` which
+    returns a new model.
     """
 
     x0: np.ndarray
     U: np.ndarray
     Q: np.ndarray
-    Qperp: np.ndarray
     tol: ToleranceSet = DEFAULT_TOL
     provenance: dict = field(default_factory=dict)
 
@@ -94,14 +93,13 @@ class CompressionModel:
         object.__setattr__(self, "x0", _ro(self.x0))
         object.__setattr__(self, "U", _ro(self.U))
         object.__setattr__(self, "Q", _ro(self.Q))
-        object.__setattr__(self, "Qperp", _ro(self.Qperp))
         d = self.x0.shape[0]
         if self.U.ndim != 2 or self.U.shape[0] != d:
             raise ValueError("U must be d x r")
-        if self.Q.shape != self.U.shape or self.Qperp.shape != (d, d - self.U.shape[1]):
-            raise ValueError("cached bases have inconsistent shapes")
-        if not (linalg.check_orthonormal(self.Q) and linalg.check_orthonormal(self.Qperp)):
-            raise ValueError("cached bases are not orthonormal")
+        if self.Q.shape != self.U.shape:
+            raise ValueError("Q must have the shape of U")
+        if not linalg.check_orthonormal(self.Q):
+            raise ValueError("Q is not orthonormal")
 
     @property
     def d(self) -> int:
@@ -117,11 +115,11 @@ class CompressionModel:
         x0 = np.asarray(x0, dtype=float)
         d = x0.shape[0]
         U = np.zeros((d, 0))
-        return cls(x0, U, np.zeros((d, 0)), np.eye(d), tol, provenance or {})
+        return cls(x0, U, np.zeros((d, 0)), tol, provenance or {})
 
     @classmethod
     def create(cls, x0: np.ndarray, U: np.ndarray, tol: ToleranceSet = DEFAULT_TOL, provenance: dict | None = None):
-        """Build a model from raw directions, recomputing the cached bases.
+        """Build a model from raw directions, recomputing Q.
 
         Raises ValueError if U is column-rank-deficient at tolerance tau_rank.
         """
@@ -130,37 +128,32 @@ class CompressionModel:
         Q = linalg.orthonormal_columns(U, rank_tol=tol.tau_rank)
         if Q.shape[1] != U.shape[1]:
             raise ValueError("U does not have full column rank")
-        return cls(x0, U, Q, linalg.complete_basis(Q), tol, provenance or {})
+        return cls(x0, U, Q, tol, provenance or {})
 
 
 @dataclass(frozen=True)
 class ContainmentResult:
     """Outcome of a face-containment test.
 
-    When ``contained`` is False, ``witness`` is a face point outside the
-    slice: a vertex of the optimal face (hence of X), or a vertex of the
-    eps_face-thickened face when a thickened-face LP found it.
-    ``functional_index`` says which test found it.  When the witness is the
-    full solve's optimizer, or comes from the all-complement route
-    (``shortcut=False``), it is the index of the violated column of Qperp.
-    When it comes from a face LP of the default route, it is the index of
-    the column of B, the basis of the face's free directions outside the
-    slice, along which that LP optimized.
+    When ``contained`` is False, ``witness`` is a vertex of the optimal face
+    (hence of X) outside the slice.
     """
 
     contained: bool
     witness: np.ndarray | None = None
-    functional_index: int | None = None
+
+
+def _residual(model: CompressionModel, w: np.ndarray) -> np.ndarray:
+    """The part of w off range(U): w - Q (Q^T w), column by column for a matrix."""
+    return w - model.Q @ (model.Q.T @ w)
 
 
 def in_range(model: CompressionModel, w: np.ndarray) -> bool:
-    """Is w in range(U)?  ||Qperp^T w|| <= tau_range * (1 + ||w||)."""
+    """Is w in range(U)?  ||w - Q Q^T w|| <= tau_range * (1 + ||w||)."""
     w = np.asarray(w, dtype=float)
     if w.shape != (model.d,):
         raise ValueError("direction has wrong dimension")
-    if model.rank == model.d:
-        return True
-    resid = float(np.linalg.norm(model.Qperp.T @ w))
+    resid = float(np.linalg.norm(_residual(model, w)))
     return resid <= model.tol.tau_range * (1.0 + float(np.linalg.norm(w)))
 
 
@@ -180,22 +173,17 @@ def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel
     except ValueError as e:  # between tau_rank and tau_range: treat as rank failure
         raise RankError(str(e)) from e
     U = np.column_stack([model.U, w])
-    return CompressionModel(model.x0, U, Q, linalg.complete_basis(Q), model.tol, dict(model.provenance))
+    return CompressionModel(model.x0, U, Q, model.tol, dict(model.provenance))
 
 
-def contains_optimal_face(
-    model: CompressionModel,
-    p: Polytope,
-    c: np.ndarray,
-    shortcut: bool = True,
-) -> ContainmentResult:
+def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -> ContainmentResult:
     """Does the slice contain the whole optimal face of min c.x over X?
 
     One full solve, started from the anchor x0, gives a vertex optimizer
-    x* and multipliers y.  A face point x leaves the slice when some column
-    a of Qperp has |a . (x - x0)| above tau = tau_contain * (1 + ||x0||).
-    The default route tests only
-    what can leave the slice, in three steps:
+    x* and multipliers y.  A face point x leaves the slice when the
+    residual of x - x0 off range(U) is longer than tau = tau_contain *
+    (1 + ||x0||).  The test looks only at what can leave the slice, in
+    three steps:
 
     1. The optimizer: if x* leaves the slice, x* is the witness.
     2. The face's free directions.  Let S = {j : y_j > thr}, with thr =
@@ -208,40 +196,24 @@ def contains_optimal_face(
        the free directions outside the slice.  If B is empty the answer is
        True.  Otherwise, for each column of B in order, the maximum and then
        the minimum over F, an LP in the k = dim null(A_S) free coordinates
-       started from z = 0 (x*, a vertex of F); the first face point x* + N z that leaves the slice is the witness,
-       a vertex of the face and hence of X.
+       started from z = 0 (x*, a vertex of F); the first face point
+       x* + N z that leaves the slice is the witness, a vertex of the face
+       and hence of X.
 
     The cutoffs are one-sided, so they can only add work, never a wrong
     True (see ``_free_face``): rank(A_S) may be under-counted, rows that
     barely move along N are left out of F, and a direction of B is dropped
     only when it leaves the slice by less than tau_contain / FACE_SPAN per
-    unit of motion.  If the rows kept in F do not bound it, that step's LP
-    runs over the eps_face-thickened face {x in X : c.x <= v + band}
-    instead.
-
-    With ``shortcut=False`` every column of Qperp gets a maximum and a
-    minimum over the thickened face.  This all-complement route is kept as
-    the tests' referee.  The thickened face reaches past the face by about
-    band / y_j along rows with small multipliers, so on badly conditioned
-    geometry, or on integer costs with |v| much larger than ||x0||, the
-    referee can report a violation that the default route does not.  A True
-    from the referee implies a True from the default route, since F lies
-    in the thickened face up to the cutoffs above; the reverse does not
-    hold.
+    unit of motion.  Leaving out rows only enlarges F, and X is bounded, so
+    an F with no rows or an unbounded face LP raises InternalError.
     """
     c = np.asarray(c, dtype=float)
     if p.d != model.d:
         raise ValueError("model and polytope dimensions differ")
-    return _contains_given_solve(model, p, c, solve_lp(p, c, model.tol, start=model.x0), shortcut)
+    return _contains_given_solve(model, p, c, solve_lp(p, c, model.tol, start=model.x0))
 
 
-def _contains_given_solve(
-    model: CompressionModel,
-    p: Polytope,
-    c: np.ndarray,
-    res: SolveResult,
-    shortcut: bool = True,
-) -> ContainmentResult:
+def _contains_given_solve(model: CompressionModel, p: Polytope, c: np.ndarray, res: SolveResult) -> ContainmentResult:
     """``contains_optimal_face`` on the full solve ``res`` of (p, c)."""
     if res.status is not SolveStatus.OPTIMAL:
         raise ValueError(f"containment requires a feasible bounded LP, got {res.status.value}")
@@ -250,46 +222,26 @@ def _contains_given_solve(
     tol = model.tol
     tau = tol.tau_contain * (1.0 + float(np.linalg.norm(model.x0)))
 
-    if not shortcut:
-        for j in range(model.Qperp.shape[1]):
-            a = model.Qperp[:, j]
-            base = float(a @ model.x0)
-            for sense in ("max", "min"):
-                fr = _thickened_face_lp(p, c, res.value, a, sense, tol)
-                if abs(fr.value - base) > tau:
-                    return ContainmentResult(False, fr.x, j)
-        return ContainmentResult(True)
-
     def outside(x):
-        """Columns of Qperp on which x leaves the slice by more than tau."""
-        return np.flatnonzero(np.abs(model.Qperp.T @ (x - model.x0)) > tau)
+        return float(np.linalg.norm(_residual(model, x - model.x0))) > tau
 
-    bad = outside(res.x)
-    if bad.size:
-        return ContainmentResult(False, res.x, int(bad[0]))
+    if outside(res.x):
+        return ContainmentResult(False, res.x)
     free = _free_face(model, p, res)
     if free is None:
         return ContainmentResult(True)
     N, face, B = free
     z0 = np.zeros(N.shape[1])  # x*, a vertex of the face
-    for j, b in enumerate(B.T):
+    for b in B.T:
         g = N.T @ b  # b . (x* + N z) = b . x* + g . z
-        for sense, cost in (("max", -g), ("min", g)):
-            r = solve_lp(face, cost, tol, start=z0) if face is not None else None
-            if r is not None and r.status is SolveStatus.OPTIMAL:
-                x = res.x + N @ r.x
-            else:  # the kept rows do not bound the face
-                x = _thickened_face_lp(p, c, res.value, b, sense, tol).x
-            if outside(x).size:
-                return ContainmentResult(False, x, j)
+        for cost in (-g, g):
+            r = solve_lp(face, cost, tol, start=z0)
+            if r.status is not SolveStatus.OPTIMAL:
+                raise InternalError(f"face LP in the free coordinates is {r.status.value}, though X is bounded")
+            x = res.x + N @ r.x
+            if outside(x):
+                return ContainmentResult(False, x)
     return ContainmentResult(True)
-
-
-def _thickened_face_lp(p: Polytope, c: np.ndarray, v: float, a: np.ndarray, sense: str, tol: ToleranceSet):
-    fr = solve_on_optimal_face(p, c, v, a, sense, tol)
-    if fr.status is not SolveStatus.OPTIMAL:
-        raise InternalError("optimal-face restriction reported infeasible")
-    return fr
 
 
 def _free_face(model: CompressionModel, p: Polytope, res: SolveResult):
@@ -298,9 +250,9 @@ def _free_face(model: CompressionModel, p: Polytope, res: SolveResult):
 
     Returns (N, F, B).  N (d x k) is an orthonormal basis of null(A_S), S
     the rows with multipliers above thr, so the face is x* + N F with F =
-    {z : (A N) z <= b - A x*} over the rows that move along N (None when
-    none does; the rows of S do not).  B is an orthonormal basis of
-    (I - QQ^T) N.
+    {z : (A N) z <= b - A x*} over the rows that move along N (the rows of
+    S do not; InternalError when none does, since X is bounded).  B is an
+    orthonormal basis of (I - QQ^T) N.
 
     The bases come from the Gram-Schmidt helpers of :mod:`lpslice.linalg`,
     deterministic like the model's own.  Every cutoff can only enlarge F
@@ -320,14 +272,15 @@ def _free_face(model: CompressionModel, p: Polytope, res: SolveResult):
     if len(basis) == d and float(np.min(y[basis])) > thr:
         return None
     N = linalg.complete_basis(linalg.orthonormal_columns(p.A[y > thr].T, rank_tol=tol.tau_rank))
-    B = linalg.orthonormal_columns(N - model.Q @ (model.Q.T @ N), rank_tol=tol.tau_contain / FACE_SPAN)
+    B = linalg.orthonormal_columns(_residual(model, N), rank_tol=tol.tau_contain / FACE_SPAN)
     if B.shape[1] == 0:
         return None
     AN = p.A @ N
     moves = np.linalg.norm(AN, axis=1) > tol.tau_rank * np.linalg.norm(p.A, axis=1)
+    if not moves.any():
+        raise InternalError("no row of X moves along the optimal face's free directions, though X is bounded")
     slack = np.maximum(p.b - p.A @ res.x, 0.0)
-    face = Polytope(AN[moves], slack[moves]) if moves.any() else None
-    return N, face, B
+    return N, Polytope(AN[moves], slack[moves]), B
 
 
 def check_exact(model: CompressionModel, p: Polytope, c: np.ndarray) -> bool:

@@ -65,7 +65,6 @@ __all__ = [
     "InternalError",
     "RejectedInstance",
     "solve_lp",
-    "solve_on_optimal_face",
     "check_feasible_bounded",
     "normalize_to_inequality_form",
     "polytope_to_json",
@@ -88,12 +87,15 @@ class ToleranceSet:
     """Numerical tolerances shared across the package.
 
     eps_feas    relative feasibility slack: A x <= b + eps_feas * (1 + |b|).
-    eps_face    half-width factor of the optimal-value band used to restrict
-                to an optimal face: |c.x - v| <= eps_face * (1 + |v|).
+    eps_face    half-width factor of an optimal-value band |c.x - v| <=
+                eps_face * (1 + |v|).  The library no longer reads it; the
+                tests' thickened-face referee does, and model files carry it.
     tau_rank    rank cutoff for orthonormalization, relative to the largest
                 column norm of the matrix being factored.
-    tau_range   subspace membership: ||Qperp^T w|| <= tau_range * (1 + ||w||).
-    tau_contain face containment: |a_j . (x - x0)| <= tau_contain * (1 + ||x0||).
+    tau_range   subspace membership: the residual of w off range(U) has
+                ||w - Q Q^T w|| <= tau_range * (1 + ||w||).
+    tau_contain face containment: a face point x stays in the slice when
+                ||r|| <= tau_contain * (1 + ||x0||), r the residual of x - x0.
     """
 
     eps_feas: float = 1e-7
@@ -488,6 +490,14 @@ def solve_lp(
     vertex with d active rows and positive multipliers.  On degenerate
     optima the two paths may stop at different optimal bases.  When
     ``start`` is not a vertex the solve is the cold one.
+
+    A cold solve of c = 0 (also from a start that is not a vertex) returns,
+    with value 0.0 and y = 0, the vertex that minimizes -A^T w with
+    w = (m, m - 1, ..., 1).  Every point of X is optimal for c = 0 and
+    every basis of its dual is degenerate, so the simplex would search for
+    a vertex with no objective to guide it.  The weighted cost is bounded
+    (y = w is dual feasible), and unequal weights keep opposite rows, such
+    as the two halves of an equality, from cancelling.
     """
     A, b = p.A, p.b
     m, d = A.shape
@@ -514,6 +524,13 @@ def solve_lp(
         if not np.all(slack >= -tol.eps_feas * (1.0 + np.abs(b))):
             raise ValueError("start is not a point of X")
         out = _simplex_from_vertex(A.T, -c, b, slack, tol.tau_rank)
+    if out is None and not c.any():
+        proxy = -(np.arange(m, 0, -1.0) @ A)
+        if proxy.any():
+            r = solve_lp(p, proxy, tol)
+            if r.status is not SolveStatus.OPTIMAL:
+                return r  # Infeasible: the proxy is never unbounded
+            return SolveResult(SolveStatus.OPTIMAL, 0.0, r.x, r.basis_id, np.zeros(m))
     status, w, basis = out if out is not None else _simplex(A.T, -c, b)
     if status == _OPTIMAL:
         rows = np.sort(basis)
@@ -545,40 +562,6 @@ def solve_lp(
     if status0 == _UNBOUNDED:
         return SolveResult(SolveStatus.INFEASIBLE)
     return SolveResult(SolveStatus.UNBOUNDED)
-
-
-def solve_on_optimal_face(
-    p: Polytope,
-    c: np.ndarray,
-    v: float,
-    a: np.ndarray,
-    sense: str = "max",
-    tol: ToleranceSet = DEFAULT_TOL,
-) -> SolveResult:
-    """Optimize a.x over the optimal face {x in X : c.x = v}.
-
-    The face is represented by the inequality pair c.x <= v + band and
-    -c.x <= band - v with band = eps_face * (1 + |v|), so the feasible set is
-    a thin slab around the true face and the returned point is a vertex of
-    that slab.  status INFEASIBLE signals that v is not the optimal value of
-    (p, c) within tolerance, which is a caller bug.  ``value`` is a.x under
-    either sense.
-    """
-    if sense not in ("max", "min"):
-        raise ValueError("sense must be 'max' or 'min'")
-    c = np.asarray(c, dtype=float)
-    a = np.asarray(a, dtype=float)
-    v = float(v)
-    band = tol.eps_face * (1.0 + abs(v))
-    A2 = np.vstack([p.A, c[None, :], -c[None, :]])
-    b2 = np.concatenate([p.b, [v + band, band - v]])
-    face = Polytope(A2, b2, meta={"face_of": p.meta.get("name", "")})
-    r = solve_lp(face, -a if sense == "max" else a, tol)
-    if r.status is SolveStatus.UNBOUNDED:
-        raise InternalError("optimal-face solve reported unbounded; X is not bounded")
-    if r.status is SolveStatus.INFEASIBLE:
-        return SolveResult(SolveStatus.INFEASIBLE)
-    return SolveResult(SolveStatus.OPTIMAL, float(a @ r.x), r.x, r.basis_id, r.y)
 
 
 def check_feasible_bounded(p: Polytope, tol: ToleranceSet = DEFAULT_TOL) -> FeasibilityStatus:

@@ -1,7 +1,7 @@
-"""Shared test utilities: a small random LP builder and independent
-binomial oracles computed by direct summation (math.comb + fsum), so the
-package's log-space tail code is checked against arithmetic it does not
-share."""
+"""Shared test utilities: a small random LP builder, the all-complement
+containment referee, and independent binomial oracles computed by direct
+summation (math.comb + fsum), so the package's log-space tail code is
+checked against arithmetic it does not share."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from lpslice import Polytope
+from lpslice import DEFAULT_TOL, ContainmentResult, InternalError, Polytope, SolveResult, SolveStatus, solve_lp
+from lpslice.linalg import complete_basis
 
 
 def small_lp(rng: np.random.Generator, d: int, m_struct: int) -> Polytope:
@@ -23,6 +24,64 @@ def small_lp(rng: np.random.Generator, d: int, m_struct: int) -> Polytope:
     eye = np.eye(d)
     box_rows = np.vstack([r for j in range(d) for r in (eye[j : j + 1], -eye[j : j + 1])])
     return Polytope(np.vstack([A, box_rows]), np.concatenate([b, np.full(2 * d, L)]))
+
+
+def solve_on_optimal_face(p: Polytope, c, v: float, a, sense: str = "max", tol=DEFAULT_TOL) -> SolveResult:
+    """Optimize a.x over the optimal face {x in X : c.x = v}, thickened.
+
+    The face is represented by the inequality pair c.x <= v + band and
+    -c.x <= band - v with band = eps_face * (1 + |v|), so the feasible set is
+    a thin slab around the true face and the returned point is a vertex of
+    that slab.  status INFEASIBLE signals that v is not the optimal value of
+    (p, c) within tolerance.  ``value`` is a.x under either sense.
+    """
+    if sense not in ("max", "min"):
+        raise ValueError("sense must be 'max' or 'min'")
+    c = np.asarray(c, dtype=float)
+    a = np.asarray(a, dtype=float)
+    v = float(v)
+    band = tol.eps_face * (1.0 + abs(v))
+    face = Polytope(np.vstack([p.A, c[None, :], -c[None, :]]), np.concatenate([p.b, [v + band, band - v]]))
+    r = solve_lp(face, -a if sense == "max" else a, tol)
+    if r.status is SolveStatus.UNBOUNDED:
+        raise InternalError("optimal-face solve reported unbounded; X is not bounded")
+    if r.status is SolveStatus.INFEASIBLE:
+        return SolveResult(SolveStatus.INFEASIBLE)
+    return SolveResult(SolveStatus.OPTIMAL, float(a @ r.x), r.x, r.basis_id, r.y)
+
+
+def referee(model, p: Polytope, c, res: SolveResult | None = None) -> ContainmentResult:
+    """All-complement containment referee, sharing no route with the library's.
+
+    Every column a of ``complete_basis(model.Q)``, a basis of the complement
+    of range(U), gets a maximum and a minimum of a.x over the thickened
+    optimal face; the first one farther than tau = tau_contain * (1 + ||x0||)
+    from a.x0 is the witness.  ``res`` is the full solve of (p, c) when the
+    caller has it (the signature of ``compression._contains_given_solve``).
+
+    The thickened face reaches past the face by about band / y_j along rows
+    with small multipliers, so on badly conditioned geometry, or on integer
+    costs with |v| much larger than ||x0||, the referee can report a
+    violation that the library does not.  A True from the referee implies a
+    True from the library; the reverse does not hold.
+    """
+    c = np.asarray(c, dtype=float)
+    if res is None:
+        res = solve_lp(p, c, model.tol, start=model.x0)
+    if res.status is not SolveStatus.OPTIMAL:
+        raise ValueError(f"containment requires a feasible bounded LP, got {res.status.value}")
+    if model.rank == model.d:
+        return ContainmentResult(True)
+    tau = model.tol.tau_contain * (1.0 + float(np.linalg.norm(model.x0)))
+    for a in complete_basis(model.Q).T:
+        base = float(a @ model.x0)
+        for sense in ("max", "min"):
+            fr = solve_on_optimal_face(p, c, res.value, a, sense, model.tol)
+            if fr.status is not SolveStatus.OPTIMAL:
+                raise InternalError("optimal-face restriction reported infeasible")
+            if abs(fr.value - base) > tau:
+                return ContainmentResult(False, fr.x)
+    return ContainmentResult(True)
 
 
 def binom_tail(m: int, q: float, k: int) -> float:

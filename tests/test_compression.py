@@ -1,13 +1,14 @@
-import functools
-
 import numpy as np
 import pytest
 
+import helpers
 import lpslice.compression as compression
 import lpslice.learner as learner
-from helpers import small_lp
+from helpers import referee, small_lp
 from lpslice import (
+    DEFAULT_TOL,
     CompressionModel,
+    InternalError,
     Polytope,
     RankError,
     SolveStatus,
@@ -72,13 +73,6 @@ def test_append_direction_growth_and_refusal():
         append_direction(m2, np.array([5.0, 5.0]))
 
 
-def test_complement_basis_invariant():
-    m = vertical_slice()
-    assert m.Qperp.shape == (2, 1)
-    assert np.max(np.abs(m.Q.T @ m.Qperp)) < 1e-12
-    assert check_orthonormal(np.column_stack([m.Q, m.Qperp]))
-
-
 def test_contains_optimal_face_on_square(square):
     m = vertical_slice()
     res = contains_optimal_face(m, square, np.array([-1.0, 0.5]))
@@ -86,7 +80,6 @@ def test_contains_optimal_face_on_square(square):
     res2 = contains_optimal_face(m, square, np.array([0.5, -1.0]))
     assert not res2.contained
     assert np.allclose(res2.witness, [-1.0, 1.0], atol=1e-7)
-    assert res2.functional_index == 0
     assert square.contains(res2.witness)
 
 
@@ -107,9 +100,9 @@ def test_contains_optimal_face_rank_zero_unique_optimizer(square):
 
 
 def test_contains_optimal_face_shortcut_vs_slow_path(square):
-    # the auxiliary-LP route is conservative on ill-conditioned geometry, so
-    # slow True must imply fast True; the default route must match the
-    # enumeration oracle outright
+    # the referee's thickened-face route is conservative on ill-conditioned
+    # geometry, so slow True must imply fast True; the library's route must
+    # match the enumeration oracle outright
     from lpslice.oracle import exact_check_bruteforce
 
     rng = np.random.default_rng(7)
@@ -124,8 +117,8 @@ def test_contains_optimal_face_shortcut_vs_slow_path(square):
             if not in_range(m, x - x0):
                 m = append_direction(m, x)
         c = p.A[int(rng.integers(0, p.m))] if rng.random() < 0.3 else rng.standard_normal(d)
-        fast = contains_optimal_face(m, p, c, shortcut=True)
-        slow = contains_optimal_face(m, p, c, shortcut=False)
+        fast = contains_optimal_face(m, p, c)
+        slow = referee(m, p, c)
         if slow.contained:
             assert fast.contained
         n_equal += fast.contained == slow.contained
@@ -136,10 +129,10 @@ def test_contains_optimal_face_shortcut_vs_slow_path(square):
 def _count_face_lps(monkeypatch, polytope) -> list:
     """Record the number of variables of every face LP that compression runs
     from now on: LPs over the face in its free coordinates (``solve_lp`` on
-    anything but ``polytope``, whose solves are the full LPs) and LPs over
-    the thickened face (``solve_on_optimal_face``)."""
+    anything but ``polytope``, whose solves are the full LPs) and the
+    referee's LPs over the thickened face (``helpers.solve_on_optimal_face``)."""
     calls = []
-    real_solve, real_face = compression.solve_lp, compression.solve_on_optimal_face
+    real_solve, real_face = compression.solve_lp, helpers.solve_on_optimal_face
 
     def counted_solve(p, c, *args, **kwargs):
         if p is not polytope:
@@ -151,7 +144,7 @@ def _count_face_lps(monkeypatch, polytope) -> list:
         return real_face(p, *args, **kwargs)
 
     monkeypatch.setattr(compression, "solve_lp", counted_solve)
-    monkeypatch.setattr(compression, "solve_on_optimal_face", counted_face)
+    monkeypatch.setattr(helpers, "solve_on_optimal_face", counted_face)
     return calls
 
 
@@ -161,7 +154,7 @@ def test_face_in_the_slice_needs_no_face_lp(square, monkeypatch):
     calls = _count_face_lps(monkeypatch, square)
     assert contains_optimal_face(vertical_slice(), square, np.array([-1.0, 0.0])).contained
     assert calls == []
-    assert contains_optimal_face(vertical_slice(), square, np.array([-1.0, 0.0]), shortcut=False).contained
+    assert referee(vertical_slice(), square, np.array([-1.0, 0.0])).contained
     assert calls == [2, 2]  # the referee still tests its one complement functional
 
 
@@ -180,31 +173,47 @@ def test_face_lps_run_only_along_free_directions_outside_the_slice(monkeypatch):
     m = CompressionModel.create(x_star, np.array([[0.0], [1.0], [0.0]]))
     calls = _count_face_lps(monkeypatch, cube)
     res = contains_optimal_face(m, cube, c)
-    assert not res.contained and res.functional_index == 0
+    assert not res.contained
     assert calls in ([2], [2, 2])
     assert np.allclose(res.witness, [1.0, x_star[1], -x_star[2]], atol=1e-12)
     assert not exact_check_bruteforce(m, cube, c)
 
 
-def test_unbounded_free_coordinates_fall_back_to_the_thickened_face(monkeypatch):
-    # when the kept rows do not bound the face in its free coordinates, the
-    # face LPs run over the thickened face instead and decide the same way
+def test_unbounded_free_coordinates_raise_internal_error(monkeypatch):
+    # X is bounded and the rows left out of the face only barely move along
+    # its free directions, so free coordinates that the kept rows do not
+    # bound mean a broken invariant, not a reason to try another route
     cube = _cube()
     c = np.array([-1.0, 0.0, 0.0])
     x_star = solve_lp(cube, c).x
     real = compression._free_face
 
     def unbounded_free_coordinates(*args):
-        free = real(*args)
-        return free and (free[0], None, free[2])
+        N, face, B = real(*args)
+        return N, Polytope(face.A[:1], face.b[:1]), B  # one row in two free coordinates
 
     monkeypatch.setattr(compression, "_free_face", unbounded_free_coordinates)
-    calls = _count_face_lps(monkeypatch, cube)
     m = CompressionModel.create(x_star, np.array([[0.0], [1.0], [0.0]]))
-    res = contains_optimal_face(m, cube, c)
-    assert not res.contained
-    assert calls in ([3], [3, 3])  # thickened-face LPs over all three coordinates
-    assert np.allclose(res.witness, [1.0, x_star[1], -x_star[2]], atol=1e-6)
+    with pytest.raises(InternalError, match="unbounded"):
+        contains_optimal_face(m, cube, c)
+
+
+@pytest.mark.parametrize(("offset", "contained"), [(0.8, False), (0.9 / np.sqrt(2.0), True)], ids=["outside", "inside"])
+def test_a_point_leaves_the_slice_by_its_distance_not_by_a_coordinate(offset, contained):
+    # slice 0 + span(e1) in R^3; the optimal vertex sits offset * tau off the
+    # slice along both e2 and e3, so its distance is sqrt(2) * offset * tau:
+    # 1.13 tau (outside, though no coordinate exceeds tau) or 0.9 tau (inside)
+    tau = DEFAULT_TOL.tau_contain
+    h = offset * tau
+    eye = np.eye(3)
+    box = Polytope(np.vstack([eye, -eye]), np.array([1.0, h, h, 1.0, 1.0, 1.0]))
+    c = -np.ones(3)
+    assert np.array_equal(solve_lp(box, c).x, [1.0, h, h])
+    m = CompressionModel.create(np.zeros(3), eye[:, :1])
+    res = contains_optimal_face(m, box, c)
+    assert res.contained is contained
+    if not contained:
+        assert np.array_equal(res.witness, [1.0, h, h])
 
 
 def test_integer_cost_grid_learn_runs_far_fewer_face_lps_than_the_referee(monkeypatch):
@@ -215,7 +224,6 @@ def test_integer_cost_grid_learn_runs_far_fewer_face_lps_than_the_referee(monkey
     calls = _count_face_lps(monkeypatch, p)
     learner.learn(p, x0, costs)
     n_default = len(calls)
-    referee = functools.partial(compression._contains_given_solve, shortcut=False)
     monkeypatch.setattr(learner, "_contains_given_solve", referee)
     learner.learn(p, x0, costs)
     n_referee = len(calls) - n_default

@@ -120,7 +120,6 @@ def test_replay_on_hard_subsequence_is_bitwise(square):
     replayed = replay_on_hard_subsequence(square, x0, trace, costs)
     assert np.array_equal(replayed.U, model.U)
     assert np.array_equal(replayed.Q, model.Q)
-    assert np.array_equal(replayed.Qperp, model.Qperp)
 
 
 def test_deleting_easy_samples_leaves_model_unchanged():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import small_lp
+from helpers import small_lp, solve_on_optimal_face
 from lpslice import (
     FeasibilityStatus,
     GeneralLP,
@@ -21,8 +21,9 @@ from lpslice.lp_core import (
     load_json,
     polytope_from_json,
     polytope_to_json,
-    solve_on_optimal_face,
 )
+from lpslice.instances import make_preset
+from lpslice.learner import make_anchor
 from lpslice.oracle import enumerate_vertices
 
 
@@ -54,6 +55,23 @@ def test_solve_zero_cost_returns_a_vertex(square):
     assert r.value == 0.0
     assert np.allclose(r.x, [1.0, 1.0])
     assert r.basis_id == (0, 2)
+
+
+def test_zero_cost_on_randomlp_returns_a_vertex_without_wandering():
+    # every point is optimal for c = 0; the cold dual simplex used to pivot
+    # through degenerate bases until its iteration limit at d = 140
+    p = make_preset("randomlp-a").polytope
+    r = solve_lp(p, np.zeros(p.d))
+    assert r.status is SolveStatus.OPTIMAL
+    assert r.value == 0.0 and not r.y.any() and r.y.shape == (p.m,)
+    assert p.contains(r.x)
+    active = np.abs(p.b - p.A @ r.x) <= 1e-9 * (1.0 + np.abs(p.b))
+    assert np.linalg.matrix_rank(p.A[active]) == p.d  # a vertex: d independent active rows
+    assert set(r.basis_id) <= set(np.flatnonzero(active))
+    anchor = make_anchor(p, np.zeros(p.d))
+    assert anchor.tobytes() == r.x.tobytes()
+    empty = Polytope(np.array([[1.0], [-1.0]]), np.array([-1.0, -2.0]))
+    assert solve_lp(empty, np.zeros(1)).status is SolveStatus.INFEASIBLE
 
 
 def test_solve_unbounded_half_space():

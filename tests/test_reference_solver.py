@@ -9,6 +9,7 @@ import pytest
 from helpers import small_lp
 from lpslice import SolveStatus, check_exact, learn, make_anchor, solve_lp, solve_via_compression
 from lpslice.instances import make_preset, sample_costs
+from lpslice.linalg import complete_basis
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -55,12 +56,13 @@ def test_random_bounded_lps_match_highs(d):
 
 
 def _highs_face_deviation(p, c, band, model):
-    """Largest |q . (x - x0)| over columns q of Qperp and points x of
-    {x in X : c.x <= v + band}, v the HiGHS optimal value."""
+    """Largest |q . (x - x0)| over columns q of complete_basis(Q), a basis of
+    the complement of the slice, and points x of {x in X : c.x <= v + band},
+    v the HiGHS optimal value."""
     A_face = np.vstack([p.A, c])
     b_face = np.append(p.b, _highs_value(p, c) + band)
     dev = 0.0
-    for q in model.Qperp.T:
+    for q in complete_basis(model.Q).T:
         for sign in (1.0, -1.0):
             res = optimize.linprog(sign * q, A_ub=A_face, b_ub=b_face, bounds=(None, None), method="highs")
             assert res.status == 0, res.message
@@ -70,9 +72,10 @@ def _highs_face_deviation(p, c, band, model):
 
 def test_check_exact_is_bracketed_by_highs_face_checks():
     # learned integer-cost grid-4 model.  The face thickened by the eps_face
-    # band is what the face LPs see, and it contains the optimal face itself
-    # (band 0), so check_exact must say True when HiGHS finds the thickened
-    # face in the slice and False when HiGHS finds the face itself outside it.
+    # band is what the tests' referee sees, and it contains the optimal face
+    # itself (band 0), so check_exact must say True when HiGHS finds the
+    # thickened face in the slice and False when HiGHS finds the face itself
+    # outside it.
     inst = make_preset("grid-4")
     p = inst.polytope
     s = float(np.mean(np.abs(inst.c0)))
