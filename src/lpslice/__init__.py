@@ -17,8 +17,6 @@ from .lp_core import (
     RejectedInstance,
     SolveResult,
     SolveStatus,
-    ToleranceSet,
-    VariableMap,
     check_feasible_bounded,
     normalize_to_inequality_form,
     solve_lp,
@@ -27,44 +25,21 @@ from .compression import (
     CompressionModel,
     ContainmentResult,
     RankError,
-    append_direction,
-    build_reduced_lp,
     check_exact,
     contains_optimal_face,
-    in_range,
-    lift,
     solve_via_compression,
 )
-from .learner import Certificate, LearnTrace, certificate_bound, learn, make_anchor, replay_on_hard_subsequence
+from .learner import certificate_bound, learn, make_anchor
 from .prior import (
-    EstimatedPrior,
-    Exhausted,
-    ScoreParams,
     anchor_cost,
     binomial_cutoff,
     binomial_cutoff_size_bound,
     calibrate,
     composite_certificate,
     fit_score,
-    member,
     retain_stream,
-    score,
 )
-from .instances import (
-    CostMode,
-    CostModel,
-    GenerationError,
-    Instance,
-    ParseError,
-    UnsupportedFeature,
-    cost_stream,
-    gen_instance,
-    load_instance,
-    make_preset,
-    parse_mps,
-    sample_costs,
-)
-from .baselines import ProjectionModel, pca_projection, random_projection, solve_projected
-from .oracle import PriorSpec, ScaleError, VertexSet, dir_star, enumerate_vertices, exact_check_bruteforce, reachable_vertices
+from .instances import CostMode, ParseError, UnsupportedFeature, gen_instance, load_instance, make_preset, sample_costs
+from .oracle import dir_star, exact_check_bruteforce
 
 __version__ = "0.1.0"

@@ -10,7 +10,7 @@ manifest; wall-clock columns are excluded from the stable content hash.
 from __future__ import annotations
 
 import argparse
-import copy
+import functools
 import hashlib
 import json
 import math
@@ -33,7 +33,6 @@ from .instances import (
     Instance,
     cost_stream,
     gen_instance,
-    instance_from_json,
     instance_to_json,
     load_instance,
     make_preset,
@@ -145,14 +144,24 @@ def _pilot_samples(inst: Instance, cfg: dict) -> tuple[np.ndarray, np.ndarray]:
     return X[:m_fit], X[m_fit:]
 
 
-def _estimated_pipeline(inst: Instance, cfg: dict, rho: float | None = None):
-    """pilot -> fit -> calibrate -> anchor -> retain n1. Returns a dict of parts."""
-    fit_X, cal_X = _pilot_samples(inst, cfg)
-    params = fit_score(fit_X)
-    prior = calibrate(params, cal_X, float(rho if rho is not None else cfg["rho"]), float(cfg["delta0"]))
-    x0 = make_anchor(inst.polytope, anchor_cost(prior))
+def _retain(inst: Instance, cfg: dict, params, cal_X: np.ndarray, rho) -> dict:
+    """calibrate the fitted score at rho -> retain n1 from the training stream."""
+    prior = calibrate(params, cal_X, float(rho), float(cfg["delta0"]))
     retained, skipped = retain_stream(prior, cost_stream(inst, int(cfg["seed"])), int(cfg["n1"]))
-    return {"prior": prior, "x0": x0, "retained": retained, "skipped": skipped}
+    return {"prior": prior, "retained": retained, "skipped": skipped}
+
+
+def _estimated_pipeline(inst: Instance, cfg: dict):
+    """pilot -> fit -> calibrate -> anchor -> retain n1. Returns a dict of parts.
+
+    The anchor is the fitted mean, which no rho changes; ``parts["retain"]``
+    re-calibrates the same fit at another rho and retains its stream.
+    """
+    fit_X, cal_X = _pilot_samples(inst, cfg)
+    parts = _retain(inst, cfg, fit_score(fit_X), cal_X, cfg["rho"])
+    parts["x0"] = make_anchor(inst.polytope, anchor_cost(parts["prior"]))
+    parts["retain"] = functools.partial(_retain, inst, cfg, parts["prior"].params, cal_X)
+    return parts
 
 
 def _known_pipeline(inst: Instance, cfg: dict):
@@ -292,13 +301,13 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ratio_stats(values: list, full_values: list, statuses: list) -> tuple[float, str, int]:
-    """Mean objective ratio over solved cells; absolute gap when the full
-    value sits at zero. Returns (mean, flag, infeasible_count)."""
+def _ratio_stats(values: list, full_values: list) -> tuple[float, str]:
+    """Mean objective ratio over solved cells (NaN marks an unsolved one);
+    absolute gap when the full value sits at zero. Returns (mean, flag)."""
     ratios, gaps = [], []
     n_inf = 0
-    for v, vf, st in zip(values, full_values, statuses):
-        if st != "optimal":
+    for v, vf in zip(values, full_values):
+        if math.isnan(v):
             n_inf += 1
             continue
         if abs(vf) <= RATIO_DENOM_FLOOR:
@@ -317,48 +326,30 @@ def _ratio_stats(values: list, full_values: list, statuses: list) -> tuple[float
         mean = math.nan
     if n_inf:
         flag_parts.append(f"infeasible={n_inf}")
-    return mean, ";".join(flag_parts), n_inf
+    return mean, ";".join(flag_parts)
 
 
-def _eval_ours(model, inst_doc: dict, test_costs, full_values) -> dict:
-    inst = instance_from_json(inst_doc)
+def _eval_ours(model, p, test_costs, full_values) -> dict:
     t0 = time.perf_counter()
-    vals, stats, exact = [], [], []
+    vals, exact = [], []
     for c in test_costs:
-        r = solve_via_compression(model, inst.polytope, np.asarray(c))
-        vals.append(r.value)
-        stats.append("optimal")
-        exact.append(check_exact(model, inst.polytope, np.asarray(c)))
+        vals.append(solve_via_compression(model, p, c).value)
+        exact.append(check_exact(model, p, c))
     wall = (time.perf_counter() - t0) * 1e3
-    ratio, flag, _ = _ratio_stats(vals, full_values, stats)
+    ratio, flag = _ratio_stats(vals, full_values)
     return {"obj_ratio": ratio, "exact": float(np.mean(exact)) if exact else math.nan, "wall_ms": wall, "flag": flag}
 
 
-def _eval_projection(pm, inst_doc: dict, test_costs, full_values) -> dict:
-    inst = instance_from_json(inst_doc)
+def _eval_projection(pm, p, test_costs, full_values) -> dict:
     t0 = time.perf_counter()
-    vals, stats = [], []
+    vals = []
     for c in test_costs:
-        r = solve_projected(inst.polytope, np.asarray(c), pm)
-        if r.status is SolveStatus.OPTIMAL:
-            vals.append(r.value)
-            stats.append("optimal")
-        else:
-            vals.append(math.nan)
-            stats.append(r.status.value)
+        r = solve_projected(p, c, pm)
+        vals.append(r.value if r.status is SolveStatus.OPTIMAL else math.nan)
     wall = (time.perf_counter() - t0) * 1e3
-    ratio, flag, _ = _ratio_stats(vals, full_values, stats)
-    exact = [
-        abs(v - vf) <= 1e-6 * (1.0 + abs(vf))
-        for v, vf, st in zip(vals, full_values, stats)
-        if st == "optimal"
-    ]
-    return {
-        "obj_ratio": ratio,
-        "exact": float(np.mean(exact)) if exact else 0.0,
-        "wall_ms": wall,
-        "flag": flag,
-    }
+    ratio, flag = _ratio_stats(vals, full_values)
+    exact = [abs(v - vf) <= 1e-6 * (1.0 + abs(vf)) for v, vf in zip(vals, full_values) if not math.isnan(v)]
+    return {"obj_ratio": ratio, "exact": float(np.mean(exact)) if exact else 0.0, "wall_ms": wall, "flag": flag}
 
 
 def _row(instance, method, k, seed, cell: dict, cert_lb="", hard="", skipped="") -> dict:
@@ -393,188 +384,129 @@ def _rows_to_csv(rows: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stable_csv_hash(csv_text: str) -> str:
-    """Content hash with the wall_ms column masked (timing is run-dependent)."""
-    cols = CSV_HEADER.split(",")
-    wall_idx = cols.index("wall_ms")
-    out_lines = []
-    for i, line in enumerate(csv_text.strip().split("\n")):
-        if i == 0:
-            out_lines.append(line)
-            continue
-        parts = line.split(",")
-        parts[wall_idx] = "x"
-        out_lines.append(",".join(parts))
-    return hashlib.sha256("\n".join(out_lines).encode()).hexdigest()
+def _stable_csv_hash(rows: list) -> str:
+    """Content hash of the csv with the wall_ms column masked (timing is run-dependent)."""
+    return hashlib.sha256(_rows_to_csv([{**r, "wall_ms": "x"} for r in rows]).rstrip("\n").encode()).hexdigest()
 
 
-def _bench_cell(payload: dict) -> dict:
-    """One sweep cell: build the model for the cell and evaluate all methods.
+def _bench_cell(shared: dict, cell: dict) -> list:
+    """One sweep cell's rows: every method, evaluated on the shared test set.
 
-    Runs in a worker process; everything in the payload is JSON-safe, and
-    the result depends only on the payload, so any scheduling order yields
-    identical rows.
+    ``shared`` holds the polytope, the test costs with their full values and
+    timing, the seed and the methods; ``cell`` holds a model learned in the
+    parent with its label, learn time, certificate, counts, K and training
+    optima.  Both are plain picklable objects and the rows depend on nothing
+    else, so every worker and scheduling order yields identical rows.
     """
-    inst = instance_from_json(payload["instance"])
-    cfg = payload["cfg"]
-    seed = int(cfg["seed"])
-    test_costs = [np.array(c) for c in payload["test_costs"]]
-    full_values = payload["full_values"]
-    x0 = np.array(payload["x0"])
-    train = [np.array(c) for c in payload["train_costs"]]
-    skipped = payload["skipped"]
-
-    t0 = time.perf_counter()
-    model, trace = learn(inst.polytope, x0, train)
-    learn_ms = (time.perf_counter() - t0) * 1e3
-    n1, t = len(train), len(trace.hard)
-    if payload["mode"] == "estimated":
-        cert = composite_certificate(float(payload["rho"]), n1, t, float(cfg["delta1"])) if n1 else 0.0
-    else:
-        cert = certificate_bound(n1, t, float(cfg["delta1"])).lower_bound
-    K = int(payload.get("K") or max(1, model.rank))
-
+    p, test_costs, full_values, seed = shared["polytope"], shared["test_costs"], shared["full_values"], shared["seed"]
+    model, label, K = cell["model"], cell["label"], cell["K"]
     rows = []
-    label = payload["label"]
-    methods = cfg["methods"]
-    if "ours" in methods:
-        cell = _eval_ours(model, payload["instance"], test_costs, full_values)
-        cell["wall_ms"] += learn_ms
-        rows.append(_row(label, "ours", model.rank, seed, cell, cert_lb=f"{cert:.6f}", hard=t, skipped=skipped))
-    if "random" in methods:
-        pm = random_projection(inst.d, K, seed)
-        rows.append(_row(label, "random", K, seed, _eval_projection(pm, payload["instance"], test_costs, full_values)))
-    if "pca" in methods:
+    if "ours" in shared["methods"]:
+        res = _eval_ours(model, p, test_costs, full_values)
+        res["wall_ms"] += cell["learn_ms"]
+        rows.append(_row(label, "ours", model.rank, seed, res, f"{cell['cert']:.6f}", cell["hard"], cell["skipped"]))
+    if "random" in shared["methods"]:
+        pm = random_projection(p.d, K, seed)
+        rows.append(_row(label, "random", K, seed, _eval_projection(pm, p, test_costs, full_values)))
+    if "pca" in shared["methods"]:
         # with no training solves yet, the anchor is the one observed optimizer
-        opts = payload["train_opts"] if payload["train_opts"] else [payload["x0"]]
-        pm = pca_projection(np.array(opts, dtype=float), K)
-        rows.append(_row(label, "pca", K, seed, _eval_projection(pm, payload["instance"], test_costs, full_values)))
-    if "full" in methods:
-        cell = {"obj_ratio": 1.0, "exact": 1.0, "wall_ms": payload["full_wall_ms"], "flag": ""}
-        rows.append(_row(label, "full", inst.d, seed, cell))
-    return {
-        "cell_id": payload["cell_id"],
-        "rows": rows,
-        "d_rho": model.rank,
-        "rank_growth": [int(v) for v in np.cumsum(trace.appends_per_sample)],
-        "hard": t,
-    }
+        pm = pca_projection(np.array(cell["optima"] or [model.x0], dtype=float), K)
+        rows.append(_row(label, "pca", K, seed, _eval_projection(pm, p, test_costs, full_values)))
+    if "full" in shared["methods"]:
+        res = {"obj_ratio": 1.0, "exact": 1.0, "wall_ms": shared["full_wall_ms"], "flag": ""}
+        rows.append(_row(label, "full", p.d, seed, res))
+    return rows
 
 
 def cmd_bench(args) -> int:
+    """Learn each distinct training stream once in this process, then evaluate the cells.
+
+    The ``full`` row times the cold solves of the test costs.  The prior is
+    fitted and the anchor solved once; the main stream, each rho of
+    ``rho_grid`` other than ``cfg["rho"]`` (an equal rho reuses the main
+    model) and each n1 prefix are learned once, and PCA reads the optima of
+    those learns.  The cells run on --jobs worker processes when it is above 1.
+    """
     cfg = _build_config(args)
     inst = _resolve_instance(cfg)
     out = _out_dir(cfg)
-    seed = int(cfg["seed"])
+    p = inst.polytope
+    seed, delta1 = int(cfg["seed"]), float(cfg["delta1"])
     mode = "known" if cfg["known_prior"] else "estimated"
-    inst_doc = instance_to_json(inst)
 
     # shared test set and full-LP reference values
     test_costs = sample_costs(inst, int(cfg["n_test"]), seed, stream=STREAM_TEST)
     t0 = time.perf_counter()
     full_values = []
     for c in test_costs:
-        r = solve_lp(inst.polytope, c)
+        r = solve_lp(p, c)
         if r.status is not SolveStatus.OPTIMAL:
             raise SystemExit(f"full LP not optimal on a test cost: {r.status.value}")
         full_values.append(r.value)
     full_wall_ms = (time.perf_counter() - t0) * 1e3
 
-    # one shared training pipeline at the configured rho (stage a and c)
     parts = _run_pipeline(inst, cfg)
-    train_costs = parts["retained"]
-    train_opts = [solve_lp(inst.polytope, c).x.tolist() for c in train_costs]
+    train = parts["retained"]
 
-    base_payload = {
-        "instance": inst_doc,
-        "cfg": cfg,
-        "mode": mode,
-        "test_costs": [c.tolist() for c in test_costs],
-        "full_values": full_values,
-        "full_wall_ms": full_wall_ms,
-        "x0": parts["x0"].tolist(),
-        "rho": cfg["rho"],
-    }
-
-    payloads = []
-
-    def add_payload(label, train, opts, skipped, K=None, rho=None, x0=None):
-        p = copy.deepcopy(base_payload)
-        p["label"] = label
-        p["train_costs"] = [np.asarray(c).tolist() for c in train]
-        p["train_opts"] = list(opts)
-        p["skipped"] = skipped
-        p["K"] = K
-        if rho is not None:
-            p["rho"] = rho
-        if x0 is not None:
-            p["x0"] = x0.tolist()
-        p["cell_id"] = len(payloads)
-        payloads.append(p)
+    def learned(label, costs, skipped, rho=cfg["rho"], K=None) -> dict:
+        t0 = time.perf_counter()
+        model, trace = learn(p, parts["x0"], costs)
+        learn_ms = (time.perf_counter() - t0) * 1e3
+        n1, t = len(costs), len(trace.hard)
+        if mode == "estimated":
+            cert = composite_certificate(float(rho), n1, t, delta1) if n1 else 0.0
+        else:
+            cert = certificate_bound(n1, t, delta1).lower_bound
+        return {
+            "label": label, "model": model, "learn_ms": learn_ms, "cert": cert, "hard": t, "skipped": skipped,
+            "K": K or max(1, model.rank), "optima": trace.optima,
+            "rank_growth": [int(v) for v in np.cumsum(trace.appends_per_sample)],
+        }
 
     # stage a + full-budget cell: the whole retained stream
-    add_payload(inst.name, train_costs, train_opts, parts["skipped"])
+    cells = [learned(inst.name, train, parts["skipped"])]
+    rho_sweep, sample_sweep = [], []
 
     # stage b: rho sweep (estimated mode only; the prior is what rho changes)
-    rho_infos = []
     if mode == "estimated":
         for rho in cfg["rho_grid"]:
-            sub = _estimated_pipeline(inst, cfg, rho=rho)
-            sub_opts = [solve_lp(inst.polytope, c).x.tolist() for c in sub["retained"]]
-            rho_infos.append({"rho": float(rho), "cell_id": len(payloads)})
-            add_payload(
-                f"{inst.name}@rho={rho:g}",
-                sub["retained"],
-                sub_opts,
-                sub["skipped"],
-                rho=rho,
-                x0=sub["x0"],
-            )
+            label = f"{inst.name}@rho={rho:g}"
+            if float(rho) == float(cfg["rho"]):
+                cell = {**cells[0], "label": label}
+            else:
+                sub = parts["retain"](rho)
+                cell = learned(label, sub["retained"], sub["skipped"], rho=rho)
+            cells.append(cell)
+            rho_sweep.append({"rho": float(rho), "d_rho": cell["model"].rank, "K": cell["K"]})
 
     # stage c: sample sweep at fixed K (the full-budget learned rank)
-    probe_model, _ = learn(inst.polytope, parts["x0"], train_costs)
-    K_fixed = max(1, probe_model.rank)
-    sample_infos = []
-    for n in cfg["n1_grid"]:
-        n = int(n)
-        if n > len(train_costs):
-            continue
-        sample_infos.append({"n1": n, "cell_id": len(payloads)})
-        add_payload(
-            f"{inst.name}@n1={n}",
-            train_costs[:n],
-            train_opts[:n],
-            parts["skipped"],
-            K=K_fixed,
-        )
+    K_fixed = cells[0]["K"]
+    for n in map(int, cfg["n1_grid"]):
+        if n <= len(train):
+            cells.append(learned(f"{inst.name}@n1={n}", train[:n], parts["skipped"], K=K_fixed))
+            sample_sweep.append({"n1": n, "rank": cells[-1]["model"].rank, "K": K_fixed})
 
+    shared = {"polytope": p, "test_costs": test_costs, "full_values": full_values, "full_wall_ms": full_wall_ms,
+              "seed": seed, "methods": cfg["methods"]}
+    evaluate = functools.partial(_bench_cell, shared)
     jobs = int(cfg["jobs"])
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_bench_cell, payloads))
+            results = list(ex.map(evaluate, cells))
     else:
-        results = [_bench_cell(p) for p in payloads]
-    results.sort(key=lambda r: r["cell_id"])
-
-    rows = [row for res in results for row in res["rows"]]
+        results = [evaluate(c) for c in cells]
+    rows = [row for res in results for row in res]
     csv_text = _rows_to_csv(rows)
     (out / "metrics.csv").write_text(csv_text)
 
-    by_id = {res["cell_id"]: res for res in results}
     summary = {
         "schema": 1,
         "instance": inst.name,
         "mode": mode,
-        "rank_growth": by_id[0]["rank_growth"],
-        "rho_sweep": [
-            {"rho": info["rho"], "d_rho": by_id[info["cell_id"]]["d_rho"], "K": max(1, by_id[info["cell_id"]]["d_rho"])}
-            for info in rho_infos
-        ],
-        "sample_sweep": [
-            {"n1": info["n1"], "rank": by_id[info["cell_id"]]["d_rho"], "K": K_fixed}
-            for info in sample_infos
-        ],
-        "csv_sha256_stable": _stable_csv_hash(csv_text),
+        "rank_growth": cells[0]["rank_growth"],
+        "rho_sweep": rho_sweep,
+        "sample_sweep": sample_sweep,
+        "csv_sha256_stable": _stable_csv_hash(rows),
         "notes": {"fcnn": "neural cost-only baseline omitted; out of scope for this artifact"},
     }
     dump_json(summary, out / "summary.json")

@@ -41,6 +41,9 @@ class LearnTrace:
     appends_per_sample   append count aligned with ``processed``
     final_rank           rank of the returned model
     anchor_provenance    free-form note on how the anchor point was obtained
+    optima               x of each sample's full solve, aligned with
+                         ``processed``; in memory only, trace_to_json
+                         does not write it
     """
 
     processed: list = field(default_factory=list)
@@ -48,6 +51,7 @@ class LearnTrace:
     appends_per_sample: list = field(default_factory=list)
     final_rank: int = 0
     anchor_provenance: str = ""
+    optima: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,7 @@ def learn(
                 raise InternalError("append count exceeded the ambient dimension")
         trace.processed.append(sid)
         trace.appends_per_sample.append(n_app)
+        trace.optima.append(full.x)
         if n_app:
             trace.hard.append(sid)
     trace.final_rank = model.rank

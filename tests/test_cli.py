@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lpslice.cli as cli
+import lpslice.instances as instances
 from lpslice.cli import CSV_HEADER, main
 from lpslice.learner import certificate_bound
 from lpslice.lp_core import load_json
@@ -202,3 +204,41 @@ def test_bench_config_file_can_set_known_prior(tmp_path):
     rc = main(["bench", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     assert read_json(out / "summary.json")["mode"] == "known"
+
+
+# csv_sha256_stable of `bench --preset example1` with the default config
+EXAMPLE1_DEFAULT_HASH = "d6fd4f7b07c1e8a7a7e622b471a5050b6dc505be20d188c848f6c65b20b92c59"
+
+
+def test_bench_learns_each_stream_once(tmp_path, monkeypatch):
+    # the default config: 150 test costs, the main stream, a rho grid that
+    # holds the configured rho, and four n1 prefixes
+    calls = {"cold_solve": 0, "learn": 0, "make_anchor": 0, "instance_from_json": 0}
+
+    def count(mod, name, key, cold_only=False):
+        real = getattr(mod, name, None)
+
+        def counted(*args, **kwargs):
+            if not (cold_only and kwargs.get("start") is not None):
+                calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted, raising=False)
+
+    count(cli, "solve_lp", "cold_solve", cold_only=True)
+    count(cli, "learn", "learn")
+    count(cli, "make_anchor", "make_anchor")
+    for mod in (cli, instances):
+        count(mod, "instance_from_json", "instance_from_json")
+    out = tmp_path / "run"
+    assert main(["bench", "--preset", "example1", "--jobs", "1", "--out", str(out)]) == 0
+    # cold solves of the test costs only: PCA reads learn's own optima
+    # one anchor; the main stream, rho = 0.05 and 0.3, and four prefixes
+    assert calls == {"cold_solve": 150, "learn": 7, "make_anchor": 1, "instance_from_json": 0}
+    assert read_json(out / "summary.json")["csv_sha256_stable"] == EXAMPLE1_DEFAULT_HASH
+
+
+def test_bench_example1_default_hash_at_two_jobs(tmp_path):
+    out = tmp_path / "run"
+    assert main(["bench", "--preset", "example1", "--jobs", "2", "--out", str(out)]) == 0
+    assert read_json(out / "summary.json")["csv_sha256_stable"] == EXAMPLE1_DEFAULT_HASH

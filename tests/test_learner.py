@@ -164,8 +164,14 @@ def test_certificate_bound_validation():
 
 def test_trace_json_round_trip(square):
     costs = [np.array([-1.1, 0.3]), np.array([-1.05, -0.7])]
-    _, trace = learn(square, np.array([1.0, 0.0]), costs, anchor_provenance="known c0")
+    x0 = np.array([1.0, 0.0])
+    _, trace = learn(square, x0, costs, anchor_provenance="known c0")
+    # the optima of learn's full solves stay in memory, out of trace.json
+    assert len(trace.optima) == len(trace.processed)
+    for c, x in zip(costs, trace.optima):
+        assert x.tobytes() == solve_lp(square, c, start=x0).x.tobytes()
     doc = trace_to_json(trace)
+    assert set(doc) == {"processed", "hard", "appends_per_sample", "final_rank", "anchor_provenance"}
     t2 = trace_from_json(doc)
     assert t2.processed == trace.processed
     assert t2.hard == trace.hard
