@@ -9,7 +9,6 @@ against projection baselines.
 """
 
 from .lp_core import (
-    DEFAULT_TOL,
     FeasibilityStatus,
     GeneralLP,
     InternalError,

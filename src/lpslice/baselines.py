@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, complete_basis, orthonormal_columns
-from .lp_core import Polytope, SolveResult, SolveStatus, solve_lp, DEFAULT_TOL, ToleranceSet
+from .linalg import complete_basis, orthonormal_columns
+from .lp_core import Polytope, SolveResult, SolveStatus, solve_lp
+from .tolerances import TAU_RANK
 
 __all__ = [
     "ProjectionModel",
@@ -40,7 +41,7 @@ class ProjectionModel:
         if self.kind not in ("random", "pca"):
             raise ValueError("kind must be 'random' or 'pca'")
         s = np.linalg.svd(P, compute_uv=False)
-        if s[-1] <= RANK_TOL * s[0]:
+        if s[-1] <= TAU_RANK * s[0]:
             raise ValueError("columns of P are numerically dependent")
         P = P.copy()
         P.flags.writeable = False
@@ -81,7 +82,7 @@ def pca_projection(training_solutions, k: int, center: bool = False) -> Projecti
     if center:
         X = X - X.mean(axis=0)
     _, svals, Vt = np.linalg.svd(X, full_matrices=False)
-    rank = int(np.sum(svals > RANK_TOL * (svals[0] if svals.size else 0.0)))
+    rank = int(np.sum(svals > TAU_RANK * (svals[0] if svals.size else 0.0)))
     take = min(k, rank)
     cols = Vt[:take].T.copy()
     for j in range(take):
@@ -94,7 +95,7 @@ def pca_projection(training_solutions, k: int, center: bool = False) -> Projecti
     return ProjectionModel(P=cols, kind="pca", k=k)
 
 
-def solve_projected(p: Polytope, c: np.ndarray, pm: ProjectionModel, tol: ToleranceSet = DEFAULT_TOL) -> SolveResult:
+def solve_projected(p: Polytope, c: np.ndarray, pm: ProjectionModel) -> SolveResult:
     """Solve the slice-restricted LP min (P^T c) . y over {A P y <= b}; lift x = P y.
 
     An infeasible slice is reported as such, never repaired: the caller
@@ -104,7 +105,7 @@ def solve_projected(p: Polytope, c: np.ndarray, pm: ProjectionModel, tol: Tolera
     if pm.d != p.d or c.shape != (p.d,):
         raise ValueError("projection/cost dimensions do not match the polytope")
     reduced = Polytope(p.A @ pm.P, p.b, meta={"projected_from": p.meta.get("name", ""), "k": pm.k})
-    r = solve_lp(reduced, pm.P.T @ c, tol)
+    r = solve_lp(reduced, pm.P.T @ c)
     if r.status is not SolveStatus.OPTIMAL:
         return r
     x = pm.P @ r.x

@@ -49,6 +49,7 @@ from .prior import (
     prior_to_json,
     retain_stream,
 )
+from .tolerances import VALUE_TOL
 
 CSV_HEADER = "instance,method,k,seed,obj_ratio,exact,cert_lb,hard,skipped,wall_ms,flag"
 
@@ -348,7 +349,7 @@ def _eval_projection(pm, p, test_costs, full_values) -> dict:
         vals.append(r.value if r.status is SolveStatus.OPTIMAL else math.nan)
     wall = (time.perf_counter() - t0) * 1e3
     ratio, flag = _ratio_stats(vals, full_values)
-    exact = [abs(v - vf) <= 1e-6 * (1.0 + abs(vf)) for v, vf in zip(vals, full_values) if not math.isnan(v)]
+    exact = [abs(v - vf) <= VALUE_TOL * (1.0 + abs(vf)) for v, vf in zip(vals, full_values) if not math.isnan(v)]
     return {"obj_ratio": ratio, "exact": float(np.mean(exact)) if exact else 0.0, "wall_ms": wall, "flag": flag}
 
 

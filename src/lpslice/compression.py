@@ -24,15 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_core import (
-    DEFAULT_TOL,
-    InternalError,
-    Polytope,
-    SolveResult,
-    SolveStatus,
-    ToleranceSet,
-    solve_lp,
-)
+from .lp_core import InternalError, Polytope, SolveResult, SolveStatus, solve_lp
+from .tolerances import EPS_FEAS, FACE_SPAN, MULTIPLIER_TOL, TAU_CONTAIN, TAU_RANGE, TAU_RANK
 from . import linalg
 
 __all__ = [
@@ -51,15 +44,10 @@ __all__ = [
 ]
 
 
-# A multiplier above MULTIPLIER_TOL * (1 + max|y|) counts as strictly
-# positive: its row is active on the whole optimal face.
-MULTIPLIER_TOL = 1e-7
-
-# A free direction of the face that leaves the slice by less than
-# tau_contain / FACE_SPAN per unit of motion is not tested: the face would
-# have to be longer than FACE_SPAN * (1 + ||x0||) along it to leave the
-# slice by tau_contain.  The tolerances assume coordinates up to about 1e3.
-FACE_SPAN = 1e6
+# Model files of earlier versions carry a "tol" block with these values,
+# the only ones the CLI could write.  A file with other values would be
+# served under thresholds it did not ask for, so it is refused.
+_FILE_TOL = {"eps_feas": EPS_FEAS, "eps_face": 1e-7, "tau_rank": TAU_RANK, "tau_range": TAU_RANGE, "tau_contain": TAU_CONTAIN}
 
 
 class RankError(ValueError):
@@ -86,7 +74,6 @@ class CompressionModel:
     x0: np.ndarray
     U: np.ndarray
     Q: np.ndarray
-    tol: ToleranceSet = DEFAULT_TOL
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -110,25 +97,25 @@ class CompressionModel:
         return self.U.shape[1]
 
     @classmethod
-    def empty(cls, x0: np.ndarray, tol: ToleranceSet = DEFAULT_TOL, provenance: dict | None = None):
+    def empty(cls, x0: np.ndarray, provenance: dict | None = None):
         """Rank-0 model anchored at x0 (the slice is the single point x0)."""
         x0 = np.asarray(x0, dtype=float)
         d = x0.shape[0]
         U = np.zeros((d, 0))
-        return cls(x0, U, np.zeros((d, 0)), tol, provenance or {})
+        return cls(x0, U, np.zeros((d, 0)), provenance or {})
 
     @classmethod
-    def create(cls, x0: np.ndarray, U: np.ndarray, tol: ToleranceSet = DEFAULT_TOL, provenance: dict | None = None):
+    def create(cls, x0: np.ndarray, U: np.ndarray, provenance: dict | None = None):
         """Build a model from raw directions, recomputing Q.
 
-        Raises ValueError if U is column-rank-deficient at tolerance tau_rank.
+        Raises ValueError if U is column-rank-deficient at tolerance TAU_RANK.
         """
         x0 = np.asarray(x0, dtype=float)
         U = np.asarray(U, dtype=float)
-        Q = linalg.orthonormal_columns(U, rank_tol=tol.tau_rank)
+        Q = linalg.orthonormal_columns(U)
         if Q.shape[1] != U.shape[1]:
             raise ValueError("U does not have full column rank")
-        return cls(x0, U, Q, tol, provenance or {})
+        return cls(x0, U, Q, provenance or {})
 
 
 @dataclass(frozen=True)
@@ -149,12 +136,12 @@ def _residual(model: CompressionModel, w: np.ndarray) -> np.ndarray:
 
 
 def in_range(model: CompressionModel, w: np.ndarray) -> bool:
-    """Is w in range(U)?  ||w - Q Q^T w|| <= tau_range * (1 + ||w||)."""
+    """Is w in range(U)?  ||w - Q Q^T w|| <= TAU_RANGE * (1 + ||w||)."""
     w = np.asarray(w, dtype=float)
     if w.shape != (model.d,):
         raise ValueError("direction has wrong dimension")
     resid = float(np.linalg.norm(_residual(model, w)))
-    return resid <= model.tol.tau_range * (1.0 + float(np.linalg.norm(w)))
+    return resid <= TAU_RANGE * (1.0 + float(np.linalg.norm(w)))
 
 
 def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel:
@@ -169,11 +156,11 @@ def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel
     if in_range(model, w):
         raise RankError("direction already lies in the slice")
     try:
-        Q = linalg.append_orthonormal(model.Q, w, rank_tol=model.tol.tau_rank)
-    except ValueError as e:  # between tau_rank and tau_range: treat as rank failure
+        Q = linalg.append_orthonormal(model.Q, w)
+    except ValueError as e:  # between TAU_RANK and TAU_RANGE: treat as rank failure
         raise RankError(str(e)) from e
     U = np.column_stack([model.U, w])
-    return CompressionModel(model.x0, U, Q, model.tol, dict(model.provenance))
+    return CompressionModel(model.x0, U, Q, dict(model.provenance))
 
 
 def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -> ContainmentResult:
@@ -181,7 +168,7 @@ def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -
 
     One full solve, started from the anchor x0, gives a vertex optimizer
     x* and multipliers y.  A face point x leaves the slice when the
-    residual of x - x0 off range(U) is longer than tau = tau_contain *
+    residual of x - x0 off range(U) is longer than tau = TAU_CONTAIN *
     (1 + ||x0||).  The test looks only at what can leave the slice, in
     three steps:
 
@@ -203,14 +190,15 @@ def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -
     The cutoffs are one-sided, so they can only add work, never a wrong
     True (see ``_free_face``): rank(A_S) may be under-counted, rows that
     barely move along N are left out of F, and a direction of B is dropped
-    only when it leaves the slice by less than tau_contain / FACE_SPAN per
-    unit of motion.  Leaving out rows only enlarges F, and X is bounded, so
-    an F with no rows or an unbounded face LP raises InternalError.
+    only when it leaves the slice by less than TAU_CONTAIN / FACE_SPAN per
+    unit of motion (all constants of ``tolerances``).  Leaving out rows
+    only enlarges F, and X is bounded, so an F with no rows or an unbounded
+    face LP raises InternalError.
     """
     c = np.asarray(c, dtype=float)
     if p.d != model.d:
         raise ValueError("model and polytope dimensions differ")
-    return _contains_given_solve(model, p, c, solve_lp(p, c, model.tol, start=model.x0))
+    return _contains_given_solve(model, p, c, solve_lp(p, c, start=model.x0))
 
 
 def _contains_given_solve(model: CompressionModel, p: Polytope, c: np.ndarray, res: SolveResult) -> ContainmentResult:
@@ -219,8 +207,7 @@ def _contains_given_solve(model: CompressionModel, p: Polytope, c: np.ndarray, r
         raise ValueError(f"containment requires a feasible bounded LP, got {res.status.value}")
     if model.rank == model.d:
         return ContainmentResult(True)
-    tol = model.tol
-    tau = tol.tau_contain * (1.0 + float(np.linalg.norm(model.x0)))
+    tau = TAU_CONTAIN * (1.0 + float(np.linalg.norm(model.x0)))
 
     def outside(x):
         return float(np.linalg.norm(_residual(model, x - model.x0))) > tau
@@ -235,7 +222,7 @@ def _contains_given_solve(model: CompressionModel, p: Polytope, c: np.ndarray, r
     for b in B.T:
         g = N.T @ b  # b . (x* + N z) = b . x* + g . z
         for cost in (-g, g):
-            r = solve_lp(face, cost, tol, start=z0)
+            r = solve_lp(face, cost, start=z0)
             if r.status is not SolveStatus.OPTIMAL:
                 raise InternalError(f"face LP in the free coordinates is {r.status.value}, though X is bounded")
             x = res.x + N @ r.x
@@ -256,27 +243,26 @@ def _free_face(model: CompressionModel, p: Polytope, res: SolveResult):
 
     The bases come from the Gram-Schmidt helpers of :mod:`lpslice.linalg`,
     deterministic like the model's own.  Every cutoff can only enlarge F
-    or B: a row of A_S whose residual is below tau_rank times the largest
+    or B: a row of A_S whose residual is below TAU_RANK times the largest
     row norm counts as dependent (rank(A_S) under-counted); a row with
-    ||A_j N|| <= tau_rank ||A_j|| counts as not moving and is left out of
+    ||A_j N|| <= TAU_RANK ||A_j|| counts as not moving and is left out of
     F, so rounding noise cannot cut F through x*; and a column of
     (I - QQ^T) N is dropped from B only when its residual is below
-    tau_contain / FACE_SPAN (relative to the largest column, of norm at
+    TAU_CONTAIN / FACE_SPAN (relative to the largest column, of norm at
     most 1).
     """
     d = model.d
     y = res.y
-    tol = model.tol
     thr = MULTIPLIER_TOL * (1.0 + float(np.max(np.abs(y))))
     basis = list(res.basis_id)
     if len(basis) == d and float(np.min(y[basis])) > thr:
         return None
-    N = linalg.complete_basis(linalg.orthonormal_columns(p.A[y > thr].T, rank_tol=tol.tau_rank))
-    B = linalg.orthonormal_columns(_residual(model, N), rank_tol=tol.tau_contain / FACE_SPAN)
+    N = linalg.complete_basis(linalg.orthonormal_columns(p.A[y > thr].T))
+    B = linalg.orthonormal_columns(_residual(model, N), rank_tol=TAU_CONTAIN / FACE_SPAN)
     if B.shape[1] == 0:
         return None
     AN = p.A @ N
-    moves = np.linalg.norm(AN, axis=1) > tol.tau_rank * np.linalg.norm(p.A, axis=1)
+    moves = np.linalg.norm(AN, axis=1) > TAU_RANK * np.linalg.norm(p.A, axis=1)
     if not moves.any():
         raise InternalError("no row of X moves along the optimal face's free directions, though X is bounded")
     slack = np.maximum(p.b - p.A @ res.x, 0.0)
@@ -325,7 +311,7 @@ def solve_via_compression(model: CompressionModel, p: Polytope, c: np.ndarray) -
     one-to-one correspondence with the rows of p.
     """
     reduced, c_red, offset = build_reduced_lp(model, p, c)
-    r = solve_lp(reduced, c_red, model.tol, start=np.zeros(model.rank))
+    r = solve_lp(reduced, c_red, start=np.zeros(model.rank))
     if r.status is not SolveStatus.OPTIMAL:
         raise InternalError(f"reduced LP reported {r.status.value} though the anchor is feasible")
     x = lift(model, r.x)
@@ -342,14 +328,15 @@ def model_to_json(model: CompressionModel) -> dict:
     return {
         "x0": [float(v) for v in model.x0],
         "U": [[float(v) for v in model.U[:, k]] for k in range(model.rank)],
-        "tol": model.tol.to_dict(),
         "provenance": model.provenance,
     }
 
 
 def model_from_json(doc: dict) -> CompressionModel:
+    """Inverse of ``model_to_json``; refuses a "tol" block other than _FILE_TOL."""
+    if doc.get("tol", _FILE_TOL) != _FILE_TOL:
+        raise ValueError(f"model file asks for tolerances {doc['tol']}; this version applies {_FILE_TOL}")
     x0 = np.array(doc["x0"], dtype=float)
     cols = doc.get("U", [])
     U = np.array(cols, dtype=float).T if cols else np.zeros((x0.shape[0], 0))
-    tol = ToleranceSet.from_dict(doc["tol"]) if "tol" in doc else DEFAULT_TOL
-    return CompressionModel.create(x0, U, tol, dict(doc.get("provenance", {})))
+    return CompressionModel.create(x0, U, dict(doc.get("provenance", {})))

@@ -31,6 +31,7 @@ from .lp_core import (
     polytope_from_json,
     polytope_to_json,
 )
+from .tolerances import FACTOR_ORTHO_TOL, NORM_TOL
 
 __all__ = [
     "CostMode",
@@ -122,7 +123,7 @@ class CostModel:
             s = np.asarray(self.sigmas, dtype=float)
             if U.ndim != 2 or U.shape[1] > U.shape[0]:
                 raise ValueError("U_c must be d x r_c with r_c <= d")
-            if not check_orthonormal(U, tol=1e-8):
+            if not check_orthonormal(U, tol=FACTOR_ORTHO_TOL):
                 raise ValueError("U_c columns must be orthonormal")
             if s.shape != (U.shape[1],) or np.any(s < 0) or not np.all(np.isfinite(s)):
                 raise ValueError("sigmas must be nonnegative, one per factor")
@@ -211,7 +212,7 @@ def _sample_c0(rng: np.random.Generator, d: int, lo: float, hi: float, target: f
     s = (-bb + math.sqrt(disc)) / (2.0 * cc)
     s = min(1.0, max(0.0, s))
     c0 = a + s * v
-    if abs(float(np.linalg.norm(c0)) - target) > 1e-9 * (1.0 + target):
+    if abs(float(np.linalg.norm(c0)) - target) > NORM_TOL * (1.0 + target):
         raise GenerationError("norm steering failed to converge")
     return c0
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compression import CompressionModel, _contains_given_solve, append_direction
-from .lp_core import DEFAULT_TOL, InternalError, Polytope, SolveStatus, ToleranceSet, solve_lp
+from .lp_core import InternalError, Polytope, SolveStatus, solve_lp
 
 __all__ = [
     "LearnTrace",
@@ -69,9 +69,9 @@ class Certificate:
     lower_bound: float
 
 
-def make_anchor(p: Polytope, c0: np.ndarray, tol: ToleranceSet = DEFAULT_TOL) -> np.ndarray:
+def make_anchor(p: Polytope, c0: np.ndarray) -> np.ndarray:
     """Vertex optimizer for the anchor cost; the slice is anchored here."""
-    r = solve_lp(p, np.asarray(c0, dtype=float), tol)
+    r = solve_lp(p, np.asarray(c0, dtype=float))
     if r.status is not SolveStatus.OPTIMAL:
         raise ValueError(f"anchor solve is {r.status.value}; need a feasible bounded LP")
     return r.x
@@ -81,7 +81,6 @@ def learn(
     p: Polytope,
     x0: np.ndarray,
     costs,
-    tol: ToleranceSet = DEFAULT_TOL,
     ids=None,
     provenance: dict | None = None,
     anchor_provenance: str = "",
@@ -92,20 +91,20 @@ def learn(
     relabels samples (default 1-based positions).  Appends across the whole
     run are capped at d; exceeding the cap means the containment test and
     the range test disagree, which is reported as InternalError rather than
-    looping.  Tolerances are calibrated for desk-scale data (coordinates up
-    to roughly 1e3).
+    looping.  Every threshold of the run is a constant of
+    :mod:`lpslice.tolerances`.
     """
     x0 = np.asarray(x0, dtype=float)
-    if not p.contains(x0, tol):
+    if not p.contains(x0):
         raise ValueError("anchor point is not feasible")
-    model = CompressionModel.empty(x0, tol, dict(provenance or {}))
+    model = CompressionModel.empty(x0, dict(provenance or {}))
     trace = LearnTrace(anchor_provenance=anchor_provenance)
     d = p.d
     total_appends = 0
     for pos, c in enumerate(costs, start=1):
         sid = ids[pos - 1] if ids is not None else pos
         c = np.asarray(c, dtype=float)
-        full = solve_lp(p, c, tol, start=x0)  # appends do not change the full LP: solve it once
+        full = solve_lp(p, c, start=x0)  # appends do not change the full LP: solve it once
         n_app = 0
         while True:
             res = _contains_given_solve(model, p, c, full)
@@ -131,11 +130,13 @@ def replay_on_hard_subsequence(p: Polytope, x0: np.ndarray, trace: LearnTrace, c
 
     ``costs`` must be the full indexable sequence the original run saw, with
     positions matching ``trace.processed``.  The result reproduces the
-    original model bitwise (sample compression property).
+    original model bitwise (sample compression property), and the replayed
+    samples keep their ids, so ``provenance["hard_indices"]`` is the
+    original's too.
     """
     pos_of = {sid: k for k, sid in enumerate(trace.processed)}
     sub = [costs[pos_of[sid]] for sid in trace.hard]
-    model, _ = learn(p, x0, sub)
+    model, _ = learn(p, x0, sub, ids=list(trace.hard))
     return model
 
 

@@ -13,12 +13,7 @@ import math
 
 import numpy as np
 
-# Relative rank cutoff: a column whose residual after projection is below
-# RANK_TOL times the largest original column norm is treated as dependent.
-RANK_TOL = 1e-8
-
-# Orthonormality slack accepted by validation helpers.
-ORTHO_TOL = 1e-10
+from .tolerances import COMPLETE_TOL, ORTHO_TOL, TAU_RANK
 
 
 def _project_out(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -30,7 +25,7 @@ def _project_out(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def orthonormal_columns(V: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def orthonormal_columns(V: np.ndarray, rank_tol: float = TAU_RANK) -> np.ndarray:
     """Orthonormal basis for the column span of V.
 
     Columns are processed left to right; near-dependent columns (residual
@@ -59,13 +54,13 @@ def orthonormal_columns(V: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray
     return Q if cols else np.zeros((d, 0))
 
 
-def first_independent(V: np.ndarray, k: int, rank_tol: float = RANK_TOL) -> np.ndarray:
+def first_independent(V: np.ndarray, k: int) -> np.ndarray:
     """Indices of the first k columns of V, in order, that are independent
-    of the columns picked before them: Gram-Schmidt with the cutoff of
-    ``orthonormal_columns``.  Fewer than k when V has rank below k."""
+    of the columns picked before them: Gram-Schmidt with the default cutoff
+    of ``orthonormal_columns``.  Fewer than k when V has rank below k."""
     V = np.asarray(V, dtype=float)
     norms = np.linalg.norm(V, axis=0)
-    cutoff = rank_tol * float(np.max(norms, initial=0.0))
+    cutoff = TAU_RANK * float(np.max(norms, initial=0.0))
     Q = np.empty((k, V.shape[0]))  # picked directions as rows
     kept: list[int] = []
     for i in np.flatnonzero(norms > cutoff):
@@ -84,25 +79,26 @@ def first_independent(V: np.ndarray, k: int, rank_tol: float = RANK_TOL) -> np.n
     return np.array(kept, dtype=int)
 
 
-def append_orthonormal(Q: np.ndarray, v: np.ndarray, rank_tol: float = RANK_TOL):
+def append_orthonormal(Q: np.ndarray, v: np.ndarray):
     """Extend orthonormal Q by one column spanning v's residual direction.
 
     Returns the extended basis; raises ValueError if v is numerically inside
-    span(Q) (residual below ``rank_tol`` times ||v||).
+    span(Q) (residual below TAU_RANK times max(1, ||v||)).
     """
     v = np.asarray(v, dtype=float)
     w = _project_out(Q, v.copy())
     nrm = float(np.linalg.norm(w))
-    if nrm <= rank_tol * max(1.0, float(np.linalg.norm(v))):
+    if nrm <= TAU_RANK * max(1.0, float(np.linalg.norm(v))):
         raise ValueError("direction is numerically dependent on current span")
     return np.column_stack([Q, w / nrm])
 
 
-def complete_basis(Q: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def complete_basis(Q: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(Q) in R^d.
 
     Candidate directions are the standard basis vectors e_0, e_1, ... taken
-    in index order; near-dependent candidates are skipped.  Deterministic.
+    in index order; a candidate whose residual norm is at most COMPLETE_TOL
+    is skipped.  Deterministic.
     """
     Q = np.asarray(Q, dtype=float)
     d = Q.shape[0]
@@ -116,7 +112,7 @@ def complete_basis(Q: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
         e[i] = 1.0
         w = _project_out(cur, e)
         nrm = float(np.linalg.norm(w))
-        if nrm <= max(rank_tol, 1e-7):
+        if nrm <= COMPLETE_TOL:
             continue
         cols.append(w / nrm)
         cur = np.column_stack([Q] + cols)

@@ -34,8 +34,9 @@ moves along an edge of X from the start towards the optimum.  A phase-two
 pass of the cold pricing then ends the solve under the cold optimality
 test, and the terminal basis goes through the same post-processing, so
 whenever it is the cold terminal basis, x, value and basis_id are bitwise
-the cold ones.  Both paths share the thresholds below.  Neither keeps
-state between calls: every result depends only on (p, c, start).
+the cold ones.  Both paths share the thresholds of ``tolerances``.
+Neither keeps state between calls: every result depends only on
+(p, c, start).
 
 Status mapping: dual unbounded means the primal is infeasible; dual
 infeasible is split into primal Infeasible / Unbounded with one Farkas cone
@@ -52,10 +53,9 @@ from pathlib import Path
 import numpy as np
 
 from .linalg import first_independent, orthonormal_columns
+from .tolerances import DRIVE_OUT_TOL, EPS_FEAS, PHASE_ONE_TOL, PIVOT_TOL, REDUCED_COST_TOL
 
 __all__ = [
-    "ToleranceSet",
-    "DEFAULT_TOL",
     "Polytope",
     "SolveStatus",
     "FeasibilityStatus",
@@ -80,45 +80,6 @@ class InternalError(RuntimeError):
 
 class RejectedInstance(ValueError):
     """The general-form problem cannot be normalized (e.g. doubly free variable)."""
-
-
-@dataclass(frozen=True)
-class ToleranceSet:
-    """Numerical tolerances shared across the package.
-
-    eps_feas    relative feasibility slack: A x <= b + eps_feas * (1 + |b|).
-    eps_face    half-width factor of an optimal-value band |c.x - v| <=
-                eps_face * (1 + |v|).  The library no longer reads it; the
-                tests' thickened-face referee does, and model files carry it.
-    tau_rank    rank cutoff for orthonormalization, relative to the largest
-                column norm of the matrix being factored.
-    tau_range   subspace membership: the residual of w off range(U) has
-                ||w - Q Q^T w|| <= tau_range * (1 + ||w||).
-    tau_contain face containment: a face point x stays in the slice when
-                ||r|| <= tau_contain * (1 + ||x0||), r the residual of x - x0.
-    """
-
-    eps_feas: float = 1e-7
-    eps_face: float = 1e-7
-    tau_rank: float = 1e-8
-    tau_range: float = 1e-7
-    tau_contain: float = 1e-6
-
-    def to_dict(self) -> dict:
-        return {
-            "eps_feas": self.eps_feas,
-            "eps_face": self.eps_face,
-            "tau_rank": self.tau_rank,
-            "tau_range": self.tau_range,
-            "tau_contain": self.tau_contain,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ToleranceSet":
-        return cls(**d)
-
-
-DEFAULT_TOL = ToleranceSet()
 
 
 @dataclass(frozen=True)
@@ -158,12 +119,12 @@ class Polytope:
     def d(self) -> int:
         return self.A.shape[1]
 
-    def contains(self, x: np.ndarray, tol: ToleranceSet = DEFAULT_TOL) -> bool:
-        """Componentwise feasibility with relative slack eps_feas * (1 + |b|)."""
+    def contains(self, x: np.ndarray) -> bool:
+        """Componentwise feasibility with relative slack EPS_FEAS * (1 + |b|)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError("point has wrong dimension")
-        return bool(np.all(self.A @ x <= self.b + tol.eps_feas * (1.0 + np.abs(self.b))))
+        return bool(np.all(self.A @ x <= self.b + EPS_FEAS * (1.0 + np.abs(self.b))))
 
 
 class SolveStatus(enum.Enum):
@@ -201,20 +162,6 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 _OPTIMAL, _INFEASIBLE, _UNBOUNDED = "optimal", "infeasible", "unbounded"
-
-# Thresholds of the simplex, shared by the cold and the vertex-started path.
-# An entry may pivot when it exceeds _PIVOT_TOL times 1 + the largest
-# magnitude in its column (row, for the dual ratio test).  A reduced cost
-# below -_REDUCED_COST_TOL * scale prices in, and on the vertex path a basic
-# value below the same bound leaves; scale is 1 + the largest magnitude of
-# the data (see _limits).  Phase one ends feasible when its objective is at
-# most _PHASE_ONE_TOL * (1 + sum|q|).  A residual artificial is driven out
-# of the basis on an entry above _DRIVE_OUT_TOL times 1 + the largest
-# magnitude of its row.
-_PIVOT_TOL = 1e-10
-_REDUCED_COST_TOL = 1e-9
-_PHASE_ONE_TOL = 1e-8
-_DRIVE_OUT_TOL = 1e-9
 
 # Rows per block of the pivot update.  Updating in blocks keeps the rank-one
 # temporary small and in cache instead of allocating a whole tableau per pivot.
@@ -272,7 +219,7 @@ def _iterate(T, basis, n_priced, tol_rc, max_iter, bounded=False):
                 return it
             j = int(cand[0])
         col = T[:p, j]
-        elig = col > _PIVOT_TOL * (1.0 + np.max(np.abs(col)))
+        elig = col > PIVOT_TOL * (1.0 + np.max(np.abs(col)))
         if not np.any(elig):
             if not bounded:
                 return -1
@@ -303,7 +250,7 @@ def _dual_iterate(T, basis, tol, max_iter):
     lowest basic index; after ``_DEGENERATE_RUN`` degenerate pivots in a row
     it is the lowest basic index among the negative values (Bland) until
     the next non-degenerate pivot.  The entering column is the minimum
-    ratio of reduced cost to -T[r, j] over entries below -_PIVOT_TOL times
+    ratio of reduced cost to -T[r, j] over entries below -PIVOT_TOL times
     1 + the row's largest magnitude, ties to the lowest index.  A pivot is
     degenerate when that ratio is 0.  Termination: the dual of Bland's rule
     cannot cycle, and each non-degenerate pivot strictly raises g.w.
@@ -319,7 +266,7 @@ def _dual_iterate(T, basis, tol, max_iter):
         ties = (rhs == rhs[r] if degenerate < _DEGENERATE_RUN else rhs < -tol).nonzero()[0]
         r = int(ties[basis[ties].argmin()])
         row = T[r, :n]
-        elig = (row < -_PIVOT_TOL * (1.0 + np.abs(row).max())).nonzero()[0]
+        elig = (row < -PIVOT_TOL * (1.0 + np.abs(row).max())).nonzero()[0]
         if elig.size == 0:
             return -1
         ratios = np.maximum(T[p, elig], 0.0) / -row[elig]
@@ -343,7 +290,7 @@ def _limits(M: np.ndarray, q: np.ndarray, g: np.ndarray):
         float(np.max(np.abs(q))),
         float(np.max(np.abs(g))) if g.size else 0.0,
     )
-    return _REDUCED_COST_TOL * scale, 2000 + 60 * sum(M.shape)
+    return REDUCED_COST_TOL * scale, 2000 + 60 * sum(M.shape)
 
 
 def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
@@ -379,7 +326,7 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
     basis = np.arange(n, n + p)
 
     _iterate(T, basis, n + p, tol_rc, max_iter, bounded=True)
-    if -T[p, -1] > _PHASE_ONE_TOL * (1.0 + float(np.sum(np.abs(q)))):
+    if -T[p, -1] > PHASE_ONE_TOL * (1.0 + float(np.sum(np.abs(q)))):
         return _INFEASIBLE, None, None
 
     # drive residual artificials out of the basis; drop redundant rows
@@ -391,7 +338,7 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
             continue
         row = np.where(in_basis[:n], 0.0, np.abs(T[r, :n]))
         jbest = int(np.argmax(row))
-        if row[jbest] > _DRIVE_OUT_TOL * (1.0 + float(np.max(np.abs(T[r, :n]), initial=0.0))):
+        if row[jbest] > DRIVE_OUT_TOL * (1.0 + float(np.max(np.abs(T[r, :n]), initial=0.0))):
             _pivot(T, r, jbest)
             in_basis[basis[r]] = False
             in_basis[jbest] = True
@@ -425,17 +372,16 @@ def _phase_two(T, basis, g, tol_rc, max_iter):
     return _OPTIMAL, w, basis.copy()
 
 
-def _simplex_from_vertex(M: np.ndarray, q: np.ndarray, g: np.ndarray, slack: np.ndarray, rank_tol: float):
+def _simplex_from_vertex(M: np.ndarray, q: np.ndarray, g: np.ndarray, slack: np.ndarray):
     """min g.w  s.t.  M w = q, w >= 0, from the columns j with |slack_j| <= tol_rc.
 
     M is A^T and slack = b - A x at a point x of X, so these columns are
     the rows active at x.  They give the starting basis: all of them when
     there are exactly p, or exactly p nonzero ones, else the first p
-    independent ones in index order (``linalg.first_independent`` with
-    ``rank_tol``).  Returns None when x is not a vertex (fewer than p
-    independent active rows, or a singular basis), else (status, w, basis)
-    as ``_simplex`` returns them, after ``_dual_iterate`` from that basis
-    and ``_phase_two``.
+    independent ones in index order (``linalg.first_independent``).
+    Returns None when x is not a vertex (fewer than p independent active
+    rows, or a singular basis), else (status, w, basis) as ``_simplex``
+    returns them, after ``_dual_iterate`` from that basis and ``_phase_two``.
     """
     p, n = M.shape
     tol_rc, max_iter = _limits(M, q, g)
@@ -443,7 +389,7 @@ def _simplex_from_vertex(M: np.ndarray, q: np.ndarray, g: np.ndarray, slack: np.
     if basis.size > p:  # a zero row is in no basis
         basis = basis[np.any(M[:, basis], axis=0)]
     if basis.size > p:
-        basis = basis[first_independent(M[:, basis], p, rank_tol)]
+        basis = basis[first_independent(M[:, basis], p)]
     if basis.size < p:
         return None
     try:
@@ -465,18 +411,16 @@ def _simplex_from_vertex(M: np.ndarray, q: np.ndarray, g: np.ndarray, slack: np.
 # ---------------------------------------------------------------------------
 
 
-def solve_lp(
-    p: Polytope,
-    c: np.ndarray,
-    tol: ToleranceSet = DEFAULT_TOL,
-    start: np.ndarray | None = None,
-) -> SolveResult:
+def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | None = None) -> SolveResult:
     """Minimize c.x over X = {A x <= b}.
 
     Deterministic: the same (p, c, start) always yields the same basis_id
     and a bitwise identical x; no state is kept between calls.  For
     feasible bounded directions the optimizer is a vertex of X (guaranteed
     whenever X has vertices, i.e. rank(A) = d).
+
+    Its thresholds (EPS_FEAS for the start and the returned x, TAU_RANK
+    for active rows, the simplex's) are constants of ``tolerances``.
 
     ``start`` is an optional point of X (ValueError when it is not, by the
     ``Polytope.contains`` rule).  When it is a vertex, the solve skips
@@ -512,7 +456,7 @@ def solve_lp(
             raise ValueError(f"start has shape {start.shape}, expected ({d},)")
 
     if d == 0:
-        if np.all(b >= -tol.eps_feas * (1.0 + np.abs(b))):
+        if np.all(b >= -EPS_FEAS * (1.0 + np.abs(b))):
             return SolveResult(SolveStatus.OPTIMAL, 0.0, np.zeros(0), (), np.zeros(m))
         if start is not None:
             raise ValueError("start is not a point of X")
@@ -521,13 +465,13 @@ def solve_lp(
     out = None
     if start is not None:
         slack = b - A @ start
-        if not np.all(slack >= -tol.eps_feas * (1.0 + np.abs(b))):
+        if not np.all(slack >= -EPS_FEAS * (1.0 + np.abs(b))):
             raise ValueError("start is not a point of X")
-        out = _simplex_from_vertex(A.T, -c, b, slack, tol.tau_rank)
+        out = _simplex_from_vertex(A.T, -c, b, slack)
     if out is None and not c.any():
         proxy = -(np.arange(m, 0, -1.0) @ A)
         if proxy.any():
-            r = solve_lp(p, proxy, tol)
+            r = solve_lp(p, proxy)
             if r.status is not SolveStatus.OPTIMAL:
                 return r  # Infeasible: the proxy is never unbounded
             return SolveResult(SolveStatus.OPTIMAL, 0.0, r.x, r.basis_id, np.zeros(m))
@@ -540,7 +484,7 @@ def solve_lp(
         else:
             x = np.linalg.lstsq(Asub, bsub, rcond=None)[0]
         slack = A @ x - b
-        if np.any(slack > tol.eps_feas * (1.0 + np.abs(b))):
+        if np.any(slack > EPS_FEAS * (1.0 + np.abs(b))):
             raise InternalError("terminal basis produced an infeasible point")
         return SolveResult(
             SolveStatus.OPTIMAL,
@@ -564,7 +508,7 @@ def solve_lp(
     return SolveResult(SolveStatus.UNBOUNDED)
 
 
-def check_feasible_bounded(p: Polytope, tol: ToleranceSet = DEFAULT_TOL) -> FeasibilityStatus:
+def check_feasible_bounded(p: Polytope) -> FeasibilityStatus:
     """Classify X: infeasible, unbounded, or feasible and bounded.
 
     Stiemke's theorem: a nonempty X is bounded iff its recession cone
@@ -575,15 +519,15 @@ def check_feasible_bounded(p: Polytope, tol: ToleranceSet = DEFAULT_TOL) -> Feas
       y = 1, so the answer is Optimal or Infeasible (a zero cost would make
       every dual pivot degenerate);
     - rank(A) = d, counted by Gram-Schmidt over the rows of A with the
-      cutoff tau_rank relative to the largest row norm;
+      cutoff TAU_RANK relative to the largest row norm;
     - one phase-one LP for y = 1 + u, u >= 0, A^T u = -A^T 1.
     """
     ones_cost = -p.A.sum(axis=0)
-    if solve_lp(p, ones_cost, tol).status is SolveStatus.INFEASIBLE:
+    if solve_lp(p, ones_cost).status is SolveStatus.INFEASIBLE:
         return FeasibilityStatus.INFEASIBLE
     if p.d == 0:
         return FeasibilityStatus.FEASIBLE_BOUNDED
-    if orthonormal_columns(p.A.T, rank_tol=tol.tau_rank).shape[1] < p.d:
+    if orthonormal_columns(p.A.T).shape[1] < p.d:
         return FeasibilityStatus.UNBOUNDED
     if _simplex(p.A.T, ones_cost, np.zeros(p.m))[0] != _OPTIMAL:
         return FeasibilityStatus.UNBOUNDED

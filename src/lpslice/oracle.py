@@ -14,8 +14,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .lp_core import DEFAULT_TOL, Polytope, SolveStatus, ToleranceSet, solve_lp
+from .lp_core import Polytope, SolveStatus, solve_lp
 from .linalg import orthonormal_columns
+from .tolerances import EPS_FEAS
 
 __all__ = [
     "ScaleError",
@@ -36,6 +37,15 @@ EPS_OPEN = 1e-6
 
 # pairwise distance under which two enumerated vertices are the same point
 DEDUPE_TOL = 1e-7
+
+# a d-row subset is a vertex candidate when its smallest singular value
+# exceeds SINGULAR_TOL * max(1, largest singular value)
+SINGULAR_TOL = 1e-10
+
+# rows with |A_j x - b_j| <= ACTIVE_TOL * (1 + |b_j|) are active at vertex x,
+# and vertices within FACE_VALUE_TOL * (1 + |v|) of the minimum v are optimal
+ACTIVE_TOL = 1e-7
+FACE_VALUE_TOL = 1e-7
 
 
 class ScaleError(ValueError):
@@ -107,11 +117,11 @@ def _guard(p: Polytope) -> None:
         )
 
 
-def enumerate_vertices(p: Polytope, tol: ToleranceSet = DEFAULT_TOL) -> VertexSet:
+def enumerate_vertices(p: Polytope) -> VertexSet:
     """All vertices of X by exhausting d-row subsets with invertible submatrix.
 
-    Candidates are kept when feasible to eps_feas * (1 + |b|) and deduplicated
-    at pairwise distance 1e-7.  Order is deterministic (subset lexicographic,
+    Candidates are kept when feasible to EPS_FEAS * (1 + |b|), the rule of
+    ``Polytope.contains``, and deduplicated at pairwise distance DEDUPE_TOL.  Order is deterministic (subset lexicographic,
     first representative wins).
     """
     _guard(p)
@@ -122,13 +132,13 @@ def enumerate_vertices(p: Polytope, tol: ToleranceSet = DEFAULT_TOL) -> VertexSe
     idx = np.array(list(combinations(range(m), d)), dtype=int)
     Asub = A[idx]  # (K, d, d)
     svals = np.linalg.svd(Asub, compute_uv=False)
-    ok = svals[:, -1] > 1e-10 * np.maximum(svals[:, 0], 1.0)
+    ok = svals[:, -1] > SINGULAR_TOL * np.maximum(svals[:, 0], 1.0)
     idx = idx[ok]
     if idx.shape[0] == 0:
         return VertexSet(np.zeros((0, d)), ())
     # trailing singleton axis: batched solve needs an explicit vector stack
     xs = np.linalg.solve(A[idx], b[idx][:, :, None])[:, :, 0]
-    slack_lim = tol.eps_feas * (1.0 + np.abs(b))
+    slack_lim = EPS_FEAS * (1.0 + np.abs(b))
     feas = np.all(xs @ A.T <= b[None, :] + slack_lim[None, :], axis=1)
     xs = xs[feas]
 
@@ -143,7 +153,7 @@ def enumerate_vertices(p: Polytope, tol: ToleranceSet = DEFAULT_TOL) -> VertexSe
     active = []
     for x in V:
         resid = np.abs(A @ x - b)
-        active.append(tuple(int(i) for i in np.flatnonzero(resid <= 1e-7 * (1.0 + np.abs(b)))))
+        active.append(tuple(int(i) for i in np.flatnonzero(resid <= ACTIVE_TOL * (1.0 + np.abs(b)))))
     return VertexSet(V, tuple(active))
 
 
@@ -159,7 +169,7 @@ def _box_unit_directions(d: int, n_dirs: int = 64) -> np.ndarray:
     return G / np.linalg.norm(G, axis=1, keepdims=True)
 
 
-def _reachable_one(A_act: np.ndarray, prior: PriorSpec, tol: ToleranceSet) -> bool:
+def _reachable_one(A_act: np.ndarray, prior: PriorSpec) -> bool:
     """Is there a cost in the (slightly shrunk) prior whose negation lies in
     the normal cone spanned by the active rows?  Decided by one feasibility LP."""
     k, d = A_act.shape
@@ -172,7 +182,7 @@ def _reachable_one(A_act: np.ndarray, prior: PriorSpec, tol: ToleranceSet) -> bo
         G = A_act.T  # (d, k); c = -G lam
         rows = np.vstack([-G, G, -np.eye(k)])
         rhs = np.concatenate([hi, -lo, np.zeros(k)])
-        r = solve_lp(Polytope(rows, rhs), np.zeros(k), tol)
+        r = solve_lp(Polytope(rows, rhs), np.zeros(k))
         return r.status is SolveStatus.OPTIMAL
     # ball: c constrained to the convex hull of deterministic sphere points
     W = _box_unit_directions(d)  # (n, d)
@@ -184,11 +194,11 @@ def _reachable_one(A_act: np.ndarray, prior: PriorSpec, tol: ToleranceSet) -> bo
     ones_w = np.concatenate([np.zeros(k), np.ones(n)])
     rows = np.vstack([G, -G, ones_w[None, :], -ones_w[None, :], -np.eye(k + n)])
     rhs = np.concatenate([-prior.center, prior.center, [1.0], [-1.0], np.zeros(k + n)])
-    r = solve_lp(Polytope(rows, rhs), np.zeros(k + n), tol)
+    r = solve_lp(Polytope(rows, rhs), np.zeros(k + n))
     return r.status is SolveStatus.OPTIMAL
 
 
-def reachable_vertices(p: Polytope, prior: PriorSpec, tol: ToleranceSet = DEFAULT_TOL) -> VertexSet:
+def reachable_vertices(p: Polytope, prior: PriorSpec) -> VertexSet:
     """Vertices optimal for at least one cost in the open prior.
 
     A vertex v is reachable iff some c in the shrunk prior satisfies
@@ -196,45 +206,45 @@ def reachable_vertices(p: Polytope, prior: PriorSpec, tol: ToleranceSet = DEFAUL
     LP (exact for box priors; ball priors use a 64-point inner hull, so tests
     should keep a reachability margin well above the approximation error).
     """
-    vs = enumerate_vertices(p, tol)
+    vs = enumerate_vertices(p)
     if prior.d != p.d:
         raise ValueError("prior dimension does not match polytope")
     keep = [
         i
         for i in range(len(vs))
-        if _reachable_one(p.A[list(vs.active_sets[i])], prior, tol)
+        if _reachable_one(p.A[list(vs.active_sets[i])], prior)
     ]
     return VertexSet(vs.vertices[keep], tuple(vs.active_sets[i] for i in keep))
 
 
-def dir_star(p: Polytope, prior: PriorSpec, tol: ToleranceSet = DEFAULT_TOL):
+def dir_star(p: Polytope, prior: PriorSpec):
     """Span of optimizer differences over the prior, from reachable vertices.
 
     Returns (orthonormal basis (d x k), k).  Differences are taken against the
     first reachable vertex in enumeration order and orthonormalized with the
-    rank cutoff tau_rank relative to the largest difference norm.
+    rank cutoff TAU_RANK relative to the largest difference norm.
     """
-    vs = reachable_vertices(p, prior, tol)
+    vs = reachable_vertices(p, prior)
     if len(vs) <= 1:
         return np.zeros((p.d, 0)), 0
     diffs = (vs.vertices[1:] - vs.vertices[0]).T  # (d, k-1)
-    B = orthonormal_columns(diffs, rank_tol=tol.tau_rank)
+    B = orthonormal_columns(diffs)
     return B, B.shape[1]
 
 
-def exact_check_bruteforce(model, p: Polytope, c: np.ndarray, tol: ToleranceSet = DEFAULT_TOL) -> bool:
+def exact_check_bruteforce(model, p: Polytope, c: np.ndarray) -> bool:
     """Ground-truth exactness: every optimal-face vertex lies on the model slice.
 
     The optimal face's vertex set is every enumerated vertex whose value is
-    within 1e-7 * (1 + |v|) of the enumerated minimum; containment of the
+    within FACE_VALUE_TOL * (1 + |v|) of the enumerated minimum; containment of the
     face follows by convexity.  Membership reuses the model's in_range test.
     """
     from .compression import in_range
 
-    vs = enumerate_vertices(p, tol)
+    vs = enumerate_vertices(p)
     if len(vs) == 0:
         raise ValueError("polytope has no vertices to enumerate")
     vals = vs.vertices @ np.asarray(c, dtype=float)
     v = float(vals.min())
-    on_face = np.flatnonzero(vals <= v + 1e-7 * (1.0 + abs(v)))
+    on_face = np.flatnonzero(vals <= v + FACE_VALUE_TOL * (1.0 + abs(v)))
     return all(in_range(model, vs.vertices[i] - model.x0) for i in on_face)

@@ -9,8 +9,12 @@ import math
 
 import numpy as np
 
-from lpslice import DEFAULT_TOL, ContainmentResult, InternalError, Polytope, SolveResult, SolveStatus, solve_lp
+from lpslice import ContainmentResult, InternalError, Polytope, SolveResult, SolveStatus, solve_lp
 from lpslice.linalg import complete_basis
+from lpslice.tolerances import TAU_CONTAIN
+
+# Half-width factor of the thickened optimal face: |c.x - v| <= EPS_FACE * (1 + |v|).
+EPS_FACE = 1e-7
 
 
 def small_lp(rng: np.random.Generator, d: int, m_struct: int) -> Polytope:
@@ -26,11 +30,11 @@ def small_lp(rng: np.random.Generator, d: int, m_struct: int) -> Polytope:
     return Polytope(np.vstack([A, box_rows]), np.concatenate([b, np.full(2 * d, L)]))
 
 
-def solve_on_optimal_face(p: Polytope, c, v: float, a, sense: str = "max", tol=DEFAULT_TOL) -> SolveResult:
+def solve_on_optimal_face(p: Polytope, c, v: float, a, sense: str = "max") -> SolveResult:
     """Optimize a.x over the optimal face {x in X : c.x = v}, thickened.
 
     The face is represented by the inequality pair c.x <= v + band and
-    -c.x <= band - v with band = eps_face * (1 + |v|), so the feasible set is
+    -c.x <= band - v with band = EPS_FACE * (1 + |v|), so the feasible set is
     a thin slab around the true face and the returned point is a vertex of
     that slab.  status INFEASIBLE signals that v is not the optimal value of
     (p, c) within tolerance.  ``value`` is a.x under either sense.
@@ -40,9 +44,9 @@ def solve_on_optimal_face(p: Polytope, c, v: float, a, sense: str = "max", tol=D
     c = np.asarray(c, dtype=float)
     a = np.asarray(a, dtype=float)
     v = float(v)
-    band = tol.eps_face * (1.0 + abs(v))
+    band = EPS_FACE * (1.0 + abs(v))
     face = Polytope(np.vstack([p.A, c[None, :], -c[None, :]]), np.concatenate([p.b, [v + band, band - v]]))
-    r = solve_lp(face, -a if sense == "max" else a, tol)
+    r = solve_lp(face, -a if sense == "max" else a)
     if r.status is SolveStatus.UNBOUNDED:
         raise InternalError("optimal-face solve reported unbounded; X is not bounded")
     if r.status is SolveStatus.INFEASIBLE:
@@ -55,7 +59,7 @@ def referee(model, p: Polytope, c, res: SolveResult | None = None) -> Containmen
 
     Every column a of ``complete_basis(model.Q)``, a basis of the complement
     of range(U), gets a maximum and a minimum of a.x over the thickened
-    optimal face; the first one farther than tau = tau_contain * (1 + ||x0||)
+    optimal face; the first one farther than tau = TAU_CONTAIN * (1 + ||x0||)
     from a.x0 is the witness.  ``res`` is the full solve of (p, c) when the
     caller has it (the signature of ``compression._contains_given_solve``).
 
@@ -67,16 +71,16 @@ def referee(model, p: Polytope, c, res: SolveResult | None = None) -> Containmen
     """
     c = np.asarray(c, dtype=float)
     if res is None:
-        res = solve_lp(p, c, model.tol, start=model.x0)
+        res = solve_lp(p, c, start=model.x0)
     if res.status is not SolveStatus.OPTIMAL:
         raise ValueError(f"containment requires a feasible bounded LP, got {res.status.value}")
     if model.rank == model.d:
         return ContainmentResult(True)
-    tau = model.tol.tau_contain * (1.0 + float(np.linalg.norm(model.x0)))
+    tau = TAU_CONTAIN * (1.0 + float(np.linalg.norm(model.x0)))
     for a in complete_basis(model.Q).T:
         base = float(a @ model.x0)
         for sense in ("max", "min"):
-            fr = solve_on_optimal_face(p, c, res.value, a, sense, model.tol)
+            fr = solve_on_optimal_face(p, c, res.value, a, sense)
             if fr.status is not SolveStatus.OPTIMAL:
                 raise InternalError("optimal-face restriction reported infeasible")
             if abs(fr.value - base) > tau:

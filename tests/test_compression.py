@@ -6,7 +6,6 @@ import lpslice.compression as compression
 import lpslice.learner as learner
 from helpers import referee, small_lp
 from lpslice import (
-    DEFAULT_TOL,
     CompressionModel,
     InternalError,
     Polytope,
@@ -28,6 +27,7 @@ from lpslice.compression import (
 from lpslice.instances import make_preset, sample_costs
 from lpslice.linalg import check_orthonormal
 from lpslice.oracle import exact_check_bruteforce
+from lpslice.tolerances import TAU_CONTAIN
 
 
 def vertical_slice() -> CompressionModel:
@@ -203,7 +203,7 @@ def test_a_point_leaves_the_slice_by_its_distance_not_by_a_coordinate(offset, co
     # slice 0 + span(e1) in R^3; the optimal vertex sits offset * tau off the
     # slice along both e2 and e3, so its distance is sqrt(2) * offset * tau:
     # 1.13 tau (outside, though no coordinate exceeds tau) or 0.9 tau (inside)
-    tau = DEFAULT_TOL.tau_contain
+    tau = TAU_CONTAIN
     h = offset * tau
     eye = np.eye(3)
     box = Polytope(np.vstack([eye, -eye]), np.array([1.0, h, h, 1.0, 1.0, 1.0]))
@@ -309,3 +309,10 @@ def test_model_json_round_trip(square):
     assert np.allclose(m2.x0, m.x0)
     assert m2.rank == m.rank
     assert model_to_json(m2) == doc
+    assert "tol" not in doc
+    # files written while tolerances were a model field carry the default block
+    old = {"eps_feas": 1e-7, "eps_face": 1e-7, "tau_rank": 1e-8, "tau_range": 1e-7, "tau_contain": 1e-6}
+    m3 = model_from_json({**doc, "tol": old})
+    assert np.array_equal(m3.U, m.U) and np.array_equal(m3.Q, m.Q)
+    with pytest.raises(ValueError, match="tolerances"):
+        model_from_json({**doc, "tol": {**old, "tau_contain": 1e-3}})

@@ -115,11 +115,14 @@ def test_replay_on_hard_subsequence_is_bitwise(square):
     rng = np.random.default_rng(3)
     c0 = np.array([-1.0, 0.05])
     x0 = make_anchor(square, c0)
-    costs = [c0 + rng.uniform(-0.5, 0.5, 2) for _ in range(15)]
+    # c0 itself comes first and is easy, so the hard ids do not start at 1
+    costs = [c0] + [c0 + rng.uniform(-0.5, 0.5, 2) for _ in range(15)]
     model, trace = learn(square, x0, costs)
+    assert trace.hard[0] > 1
     replayed = replay_on_hard_subsequence(square, x0, trace, costs)
     assert np.array_equal(replayed.U, model.U)
     assert np.array_equal(replayed.Q, model.Q)
+    assert replayed.provenance == model.provenance
 
 
 def test_deleting_easy_samples_leaves_model_unchanged():

@@ -15,8 +15,6 @@ from lpslice import (
 )
 from lpslice import lp_core
 from lpslice.lp_core import (
-    DEFAULT_TOL,
-    ToleranceSet,
     dump_json,
     load_json,
     polytope_from_json,
@@ -261,13 +259,6 @@ def test_json_round_trip_is_stable(tmp_path, square):
     assert np.array_equal(p2.A, square.A) and np.array_equal(p2.b, square.b)
     dump_json(polytope_to_json(p2), path)
     assert path.read_text() == text1
-
-
-def test_tolerance_set_round_trip():
-    t = ToleranceSet(eps_feas=1e-6)
-    t2 = ToleranceSet.from_dict(t.to_dict())
-    assert t2 == t
-    assert DEFAULT_TOL.eps_feas == 1e-7
 
 
 def test_degenerate_and_redundant_rows_still_give_vertex(square):

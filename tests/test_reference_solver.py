@@ -6,10 +6,11 @@ scipy is a test-only dependency: without it this module is skipped.
 import numpy as np
 import pytest
 
-from helpers import small_lp
+from helpers import EPS_FACE, small_lp
 from lpslice import SolveStatus, check_exact, learn, make_anchor, solve_lp, solve_via_compression
 from lpslice.instances import make_preset, sample_costs
 from lpslice.linalg import complete_basis
+from lpslice.tolerances import TAU_CONTAIN
 
 optimize = pytest.importorskip("scipy.optimize")
 
@@ -71,7 +72,7 @@ def _highs_face_deviation(p, c, band, model):
 
 
 def test_check_exact_is_bracketed_by_highs_face_checks():
-    # learned integer-cost grid-4 model.  The face thickened by the eps_face
+    # learned integer-cost grid-4 model.  The face thickened by the EPS_FACE
     # band is what the tests' referee sees, and it contains the optimal face
     # itself (band 0), so check_exact must say True when HiGHS finds the
     # thickened face in the slice and False when HiGHS finds the face itself
@@ -81,12 +82,11 @@ def test_check_exact_is_bracketed_by_highs_face_checks():
     s = float(np.mean(np.abs(inst.c0)))
     costs = np.round(inst.c0 + np.random.default_rng(5).uniform(-s, s, (20, inst.d)))
     model, _ = learn(p, make_anchor(p, inst.c0), costs[:8])
-    tol = model.tol
-    tau = tol.tau_contain * (1.0 + float(np.linalg.norm(model.x0)))
+    tau = TAU_CONTAIN * (1.0 + float(np.linalg.norm(model.x0)))
     verdicts = set()
     for c in costs[8:]:
         exact = check_exact(model, p, c)
-        band = tol.eps_face * (1.0 + abs(_highs_value(p, c)))
+        band = EPS_FACE * (1.0 + abs(_highs_value(p, c)))
         if _highs_face_deviation(p, c, band, model) <= tau:
             assert exact
         if _highs_face_deviation(p, c, 0.0, model) > tau:

@@ -10,8 +10,8 @@ import pytest
 
 from lpslice import Polytope, SolveStatus, solve_lp
 from lpslice import lp_core
-from lpslice.compression import MULTIPLIER_TOL
 from lpslice.oracle import enumerate_vertices
+from lpslice.tolerances import MULTIPLIER_TOL
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
