@@ -1,14 +1,13 @@
 """Homogeneous projection baselines sharing the core solver.
 
 Both baselines substitute x = P y, restricting the feasible set to a linear
-slice through the origin.  They carry no anchor point, which is the
-structural difference the affine compression model exploits; the square
+slice through the origin.  P is a plain d x k array with orthonormal
+columns, as both producers build it.  They carry no anchor point, which is
+the structural difference the affine compression model exploits; the square
 example's right edge cannot sit inside any 1-D homogeneous slice.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,44 +15,11 @@ from .linalg import complete_basis, orthonormal_columns
 from .lp_core import Polytope, SolveResult, SolveStatus, solve_lp
 from .tolerances import TAU_RANK
 
-__all__ = [
-    "ProjectionModel",
-    "random_projection",
-    "pca_projection",
-    "solve_projected",
-    "projection_to_json",
-    "projection_from_json",
-]
+__all__ = ["random_projection", "pca_projection", "solve_projected"]
 
 
-@dataclass(frozen=True)
-class ProjectionModel:
-    """A d x k substitution matrix with independent columns."""
-
-    P: np.ndarray
-    kind: str
-    k: int
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        if P.ndim != 2 or P.shape[1] != self.k or not (1 <= self.k <= P.shape[0]):
-            raise ValueError("P must be d x k with 1 <= k <= d")
-        if self.kind not in ("random", "pca"):
-            raise ValueError("kind must be 'random' or 'pca'")
-        s = np.linalg.svd(P, compute_uv=False)
-        if s[-1] <= TAU_RANK * s[0]:
-            raise ValueError("columns of P are numerically dependent")
-        P = P.copy()
-        P.flags.writeable = False
-        object.__setattr__(self, "P", P)
-
-    @property
-    def d(self) -> int:
-        return self.P.shape[0]
-
-
-def random_projection(d: int, k: int, seed: int) -> ProjectionModel:
-    """Gaussian N(0, 1/k) matrix, column-orthonormalized; deterministic in seed."""
+def random_projection(d: int, k: int, seed: int) -> np.ndarray:
+    """Gaussian N(0, 1/k) d x k matrix, column-orthonormalized; deterministic in seed."""
     if not (1 <= k <= d):
         raise ValueError("need 1 <= k <= d")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), 0x7A11))))
@@ -61,17 +27,17 @@ def random_projection(d: int, k: int, seed: int) -> ProjectionModel:
     P = orthonormal_columns(G)
     if P.shape[1] != k:
         raise ValueError("random matrix came out rank-deficient")
-    return ProjectionModel(P=P, kind="random", k=k)
+    return P
 
 
-def pca_projection(training_solutions, k: int, center: bool = False) -> ProjectionModel:
-    """Top-k right singular directions of the observed-solution matrix.
+def pca_projection(training_solutions, k: int) -> np.ndarray:
+    """Top-k right singular directions of the observed-solution matrix, as a d x k array.
 
-    Uncentered by default: the slice must contain the solutions themselves,
-    not their deviations from a mean the substitution cannot represent.
-    Signs are fixed by making each direction's largest-magnitude entry
-    positive; if k exceeds the numerical rank, the remaining columns are
-    deterministic orthonormal completions.
+    Uncentered: the slice must contain the solutions themselves, not their
+    deviations from a mean the substitution cannot represent.  Signs are
+    fixed by making each direction's largest-magnitude entry positive; if k
+    exceeds the numerical rank, the remaining columns are deterministic
+    orthonormal completions.
     """
     X = np.asarray(training_solutions, dtype=float)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -79,8 +45,6 @@ def pca_projection(training_solutions, k: int, center: bool = False) -> Projecti
     d = X.shape[1]
     if not (1 <= k <= d):
         raise ValueError("need 1 <= k <= d")
-    if center:
-        X = X - X.mean(axis=0)
     _, svals, Vt = np.linalg.svd(X, full_matrices=False)
     rank = int(np.sum(svals > TAU_RANK * (svals[0] if svals.size else 0.0)))
     take = min(k, rank)
@@ -92,29 +56,21 @@ def pca_projection(training_solutions, k: int, center: bool = False) -> Projecti
     if take < k:
         full = complete_basis(cols if take else np.zeros((d, 0)))
         cols = np.hstack([cols, full[:, : k - take]])
-    return ProjectionModel(P=cols, kind="pca", k=k)
+    return cols
 
 
-def solve_projected(p: Polytope, c: np.ndarray, pm: ProjectionModel) -> SolveResult:
+def solve_projected(p: Polytope, c: np.ndarray, P: np.ndarray) -> SolveResult:
     """Solve the slice-restricted LP min (P^T c) . y over {A P y <= b}; lift x = P y.
 
     An infeasible slice is reported as such, never repaired: the caller
     decides how to record a baseline that misses the feasible set.
     """
     c = np.asarray(c, dtype=float)
-    if pm.d != p.d or c.shape != (p.d,):
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 2 or P.shape[0] != p.d or c.shape != (p.d,):
         raise ValueError("projection/cost dimensions do not match the polytope")
-    reduced = Polytope(p.A @ pm.P, p.b, meta={"projected_from": p.meta.get("name", ""), "k": pm.k})
-    r = solve_lp(reduced, pm.P.T @ c)
+    r = solve_lp(Polytope(p.A @ P, p.b), P.T @ c)
     if r.status is not SolveStatus.OPTIMAL:
         return r
-    x = pm.P @ r.x
+    x = P @ r.x
     return SolveResult(status=SolveStatus.OPTIMAL, value=float(c @ x), x=x, basis_id=r.basis_id, y=r.y)
-
-
-def projection_to_json(pm: ProjectionModel) -> dict:
-    return {"P": [[float(v) for v in row] for row in pm.P], "kind": pm.kind, "k": pm.k}
-
-
-def projection_from_json(doc: dict) -> ProjectionModel:
-    return ProjectionModel(P=np.array(doc["P"], dtype=float), kind=doc["kind"], k=int(doc["k"]))

@@ -213,13 +213,9 @@ def cmd_learn(args) -> int:
     inst = _resolve_instance(cfg)
     out = _out_dir(cfg)
     parts = _run_pipeline(inst, cfg)
-    model, trace = learn(
-        inst.polytope,
-        parts["x0"],
-        parts["retained"],
-        provenance={"instance": inst.name, "seed": int(cfg["seed"])},
-        anchor_provenance="known c0" if cfg["known_prior"] else "estimated prior mean",
-    )
+    model, trace = learn(inst.polytope, parts["x0"], parts["retained"])
+    model.provenance.update(instance=inst.name, seed=int(cfg["seed"]))
+    trace.anchor_provenance = "known c0" if cfg["known_prior"] else "estimated prior mean"
     n1, t = len(parts["retained"]), len(trace.hard)
     cert = certificate_bound(n1, t, float(cfg["delta1"]))
     cert_doc = {
@@ -341,11 +337,11 @@ def _eval_ours(model, p, test_costs, full_values) -> dict:
     return {"obj_ratio": ratio, "exact": float(np.mean(exact)) if exact else math.nan, "wall_ms": wall, "flag": flag}
 
 
-def _eval_projection(pm, p, test_costs, full_values) -> dict:
+def _eval_projection(P, p, test_costs, full_values) -> dict:
     t0 = time.perf_counter()
     vals = []
     for c in test_costs:
-        r = solve_projected(p, c, pm)
+        r = solve_projected(p, c, P)
         vals.append(r.value if r.status is SolveStatus.OPTIMAL else math.nan)
     wall = (time.perf_counter() - t0) * 1e3
     ratio, flag = _ratio_stats(vals, full_values)
@@ -407,12 +403,12 @@ def _bench_cell(shared: dict, cell: dict) -> list:
         res["wall_ms"] += cell["learn_ms"]
         rows.append(_row(label, "ours", model.rank, seed, res, f"{cell['cert']:.6f}", cell["hard"], cell["skipped"]))
     if "random" in shared["methods"]:
-        pm = random_projection(p.d, K, seed)
-        rows.append(_row(label, "random", K, seed, _eval_projection(pm, p, test_costs, full_values)))
+        P = random_projection(p.d, K, seed)
+        rows.append(_row(label, "random", K, seed, _eval_projection(P, p, test_costs, full_values)))
     if "pca" in shared["methods"]:
         # with no training solves yet, the anchor is the one observed optimizer
-        pm = pca_projection(np.array(cell["optima"] or [model.x0], dtype=float), K)
-        rows.append(_row(label, "pca", K, seed, _eval_projection(pm, p, test_costs, full_values)))
+        P = pca_projection(np.array(cell["optima"] or [model.x0], dtype=float), K)
+        rows.append(_row(label, "pca", K, seed, _eval_projection(P, p, test_costs, full_values)))
     if "full" in shared["methods"]:
         res = {"obj_ratio": 1.0, "exact": 1.0, "wall_ms": shared["full_wall_ms"], "flag": ""}
         rows.append(_row(label, "full", p.d, seed, res))

@@ -40,7 +40,8 @@ class LearnTrace:
     hard                 ordered ids of samples that triggered >= 1 append
     appends_per_sample   append count aligned with ``processed``
     final_rank           rank of the returned model
-    anchor_provenance    free-form note on how the anchor point was obtained
+    anchor_provenance    free-form note on how the anchor point was obtained;
+                         learn leaves it empty for the caller to fill
     optima               x of each sample's full solve, aligned with
                          ``processed``; in memory only, trace_to_json
                          does not write it
@@ -77,14 +78,7 @@ def make_anchor(p: Polytope, c0: np.ndarray) -> np.ndarray:
     return r.x
 
 
-def learn(
-    p: Polytope,
-    x0: np.ndarray,
-    costs,
-    ids=None,
-    provenance: dict | None = None,
-    anchor_provenance: str = "",
-):
+def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
     """Run the cumulative learner over an iterable of costs.
 
     Returns (model, trace).  ``costs`` is consumed lazily; ``ids`` optionally
@@ -92,13 +86,16 @@ def learn(
     run are capped at d; exceeding the cap means the containment test and
     the range test disagree, which is reported as InternalError rather than
     looping.  Every threshold of the run is a constant of
-    :mod:`lpslice.tolerances`.
+    :mod:`lpslice.tolerances`.  The model's provenance holds only
+    ``hard_indices`` and the trace's ``anchor_provenance`` is empty, so a
+    replay returns an equal model; labels such as the instance name are the
+    caller's to add.
     """
     x0 = np.asarray(x0, dtype=float)
     if not p.contains(x0):
         raise ValueError("anchor point is not feasible")
-    model = CompressionModel.empty(x0, dict(provenance or {}))
-    trace = LearnTrace(anchor_provenance=anchor_provenance)
+    model = CompressionModel.empty(x0)
+    trace = LearnTrace()
     d = p.d
     total_appends = 0
     for pos, c in enumerate(costs, start=1):
@@ -121,7 +118,7 @@ def learn(
         if n_app:
             trace.hard.append(sid)
     trace.final_rank = model.rank
-    model.provenance.setdefault("hard_indices", list(trace.hard))
+    model.provenance["hard_indices"] = list(trace.hard)
     return model, trace
 
 
@@ -131,8 +128,8 @@ def replay_on_hard_subsequence(p: Polytope, x0: np.ndarray, trace: LearnTrace, c
     ``costs`` must be the full indexable sequence the original run saw, with
     positions matching ``trace.processed``.  The result reproduces the
     original model bitwise (sample compression property), and the replayed
-    samples keep their ids, so ``provenance["hard_indices"]`` is the
-    original's too.
+    samples keep their ids, so its provenance, ``{"hard_indices": ...}``, is
+    that of ``learn``'s model too.
     """
     pos_of = {sid: k for k, sid in enumerate(trace.processed)}
     sub = [costs[pos_of[sid]] for sid in trace.hard]

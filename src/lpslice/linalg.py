@@ -25,39 +25,55 @@ def _project_out(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _extend(Q: np.ndarray, V: np.ndarray, cutoff: float, limit: int) -> np.ndarray:
+    """Q with up to ``limit`` more orthonormal columns, grown from V's columns.
+
+    The one Gram-Schmidt loop behind the public helpers: V's columns are
+    taken left to right, each made orthogonal to Q and to the columns kept
+    before it, and kept unless its residual norm is at most ``cutoff`` (or
+    zero).  The span is rebuilt with ``np.column_stack`` after each kept
+    column.  Filling a preallocated array instead changes the rounding of
+    the next projections, hence the bits of every basis and model, so the
+    copy stays.  Returns Q itself when no column is kept.
+    """
+    span = Q
+    kept: list[np.ndarray] = []
+    for k in range(V.shape[1]):
+        if len(kept) == limit:
+            break
+        w = _project_out(span, V[:, k].copy())
+        nrm = float(np.linalg.norm(w))
+        if nrm <= cutoff or nrm == 0.0:
+            continue
+        kept.append(w / nrm)
+        span = np.column_stack([Q] + kept)
+    return span
+
+
 def orthonormal_columns(V: np.ndarray, rank_tol: float = TAU_RANK) -> np.ndarray:
     """Orthonormal basis for the column span of V.
 
-    Columns are processed left to right; near-dependent columns (residual
-    norm below ``rank_tol`` times the largest column norm of V) are dropped.
-    Deterministic: identical input yields a bitwise identical basis, and the
-    basis for V[:, :k] is a bitwise prefix of the basis for V whenever no
-    column of the extension is dropped.
+    ``_extend`` from an empty basis: columns are processed left to right;
+    near-dependent columns (residual norm at most ``rank_tol`` times the
+    largest column norm of V) are dropped.  Deterministic: identical input
+    yields a bitwise identical basis, and the basis for V[:, :k] is a
+    bitwise prefix of the basis for V whenever no column of the extension
+    is dropped.
     """
     V = np.asarray(V, dtype=float)
     if V.ndim != 2:
         raise ValueError("expected a 2-d array of columns")
-    d = V.shape[0]
-    if V.shape[1] == 0:
-        return np.zeros((d, 0))
-    scale = max(float(np.max(np.linalg.norm(V, axis=0))), 0.0)
-    cutoff = rank_tol * scale
-    cols: list[np.ndarray] = []
-    Q = np.zeros((d, 0))
-    for k in range(V.shape[1]):
-        w = _project_out(Q, V[:, k].copy())
-        nrm = float(np.linalg.norm(w))
-        if nrm <= cutoff or nrm == 0.0:
-            continue
-        cols.append(w / nrm)
-        Q = np.column_stack(cols)
-    return Q if cols else np.zeros((d, 0))
+    cutoff = rank_tol * float(np.max(np.linalg.norm(V, axis=0), initial=0.0))
+    return _extend(np.zeros((V.shape[0], 0)), V, cutoff, V.shape[1])
 
 
 def first_independent(V: np.ndarray, k: int) -> np.ndarray:
     """Indices of the first k columns of V, in order, that are independent
     of the columns picked before them: Gram-Schmidt with the default cutoff
-    of ``orthonormal_columns``.  Fewer than k when V has rank below k."""
+    of ``orthonormal_columns``.  Fewer than k when V has rank below k.
+
+    Kept apart from ``_extend``: it works on rows, skips a column after one
+    pass, and runs on every started solve."""
     V = np.asarray(V, dtype=float)
     norms = np.linalg.norm(V, axis=0)
     cutoff = TAU_RANK * float(np.max(norms, initial=0.0))
@@ -82,43 +98,31 @@ def first_independent(V: np.ndarray, k: int) -> np.ndarray:
 def append_orthonormal(Q: np.ndarray, v: np.ndarray):
     """Extend orthonormal Q by one column spanning v's residual direction.
 
-    Returns the extended basis; raises ValueError if v is numerically inside
-    span(Q) (residual below TAU_RANK times max(1, ||v||)).
+    ``_extend`` by one column.  Returns the extended basis, whose first
+    columns are Q bitwise; raises ValueError if v is numerically inside
+    span(Q) (residual at most TAU_RANK times max(1, ||v||)).
     """
     v = np.asarray(v, dtype=float)
-    w = _project_out(Q, v.copy())
-    nrm = float(np.linalg.norm(w))
-    if nrm <= TAU_RANK * max(1.0, float(np.linalg.norm(v))):
+    out = _extend(Q, v[:, None], TAU_RANK * max(1.0, float(np.linalg.norm(v))), 1)
+    if out.shape[1] == Q.shape[1]:
         raise ValueError("direction is numerically dependent on current span")
-    return np.column_stack([Q, w / nrm])
+    return out
 
 
 def complete_basis(Q: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(Q) in R^d.
 
-    Candidate directions are the standard basis vectors e_0, e_1, ... taken
-    in index order; a candidate whose residual norm is at most COMPLETE_TOL
-    is skipped.  Deterministic.
+    ``_extend`` of Q over the standard basis vectors e_0, e_1, ... in index
+    order, up to d columns in all; a candidate whose residual norm is at
+    most COMPLETE_TOL is skipped.  Deterministic; only the new columns are
+    returned.
     """
     Q = np.asarray(Q, dtype=float)
-    d = Q.shape[0]
-    want = d - Q.shape[1]
-    cols: list[np.ndarray] = []
-    cur = Q
-    for i in range(d):
-        if len(cols) == want:
-            break
-        e = np.zeros(d)
-        e[i] = 1.0
-        w = _project_out(cur, e)
-        nrm = float(np.linalg.norm(w))
-        if nrm <= COMPLETE_TOL:
-            continue
-        cols.append(w / nrm)
-        cur = np.column_stack([Q] + cols)
-    if len(cols) != want:
+    d, r = Q.shape
+    full = _extend(Q, np.eye(d), COMPLETE_TOL, d - r)
+    if full.shape[1] != d:
         raise ValueError("failed to complete orthonormal basis")
-    return np.column_stack(cols) if cols else np.zeros((d, 0))
+    return np.ascontiguousarray(full[:, r:])  # C order: products with a strided view may round differently
 
 
 def check_orthonormal(Q: np.ndarray, tol: float = ORTHO_TOL) -> bool:

@@ -37,6 +37,9 @@ def test_learn_known_prior_writes_model_and_certificate(tmp_path):
     assert len(model["U"]) == 1  # stored column-major: rank one
     assert len(model["U"][0]) == 2
     trace = read_json(out / "trace.json")
+    # the labels come from the command, not from learn
+    assert model["provenance"] == {"hard_indices": trace["hard"], "instance": "example1-s0", "seed": 0}
+    assert trace["anchor_provenance"] == "known c0"
     cert = read_json(out / "certificate.json")
     assert cert["mode"] == "known"
     assert cert["n1"] == 50
@@ -76,6 +79,9 @@ def test_learn_estimated_mode_writes_prior_and_composite(tmp_path):
     )
     assert rc == 0
     assert (out / "prior.json").exists()
+    trace = read_json(out / "trace.json")
+    assert trace["anchor_provenance"] == "estimated prior mean"
+    assert read_json(out / "model.json")["provenance"] == {"hard_indices": trace["hard"], "instance": "example1-s0", "seed": 0}
     cert = read_json(out / "certificate.json")
     assert cert["mode"] == "estimated"
     assert 0.0 <= cert["composite"] <= cert["bound"]

@@ -123,6 +123,7 @@ def test_replay_on_hard_subsequence_is_bitwise(square):
     assert np.array_equal(replayed.U, model.U)
     assert np.array_equal(replayed.Q, model.Q)
     assert replayed.provenance == model.provenance
+    assert compression.model_to_json(replayed) == compression.model_to_json(model)
 
 
 def test_deleting_easy_samples_leaves_model_unchanged():
@@ -168,7 +169,9 @@ def test_certificate_bound_validation():
 def test_trace_json_round_trip(square):
     costs = [np.array([-1.1, 0.3]), np.array([-1.05, -0.7])]
     x0 = np.array([1.0, 0.0])
-    _, trace = learn(square, x0, costs, anchor_provenance="known c0")
+    _, trace = learn(square, x0, costs)
+    assert trace.anchor_provenance == ""
+    trace.anchor_provenance = "known c0"  # the CLI's label
     # the optima of learn's full solves stay in memory, out of trace.json
     assert len(trace.optima) == len(trace.processed)
     for c, x in zip(costs, trace.optima):
