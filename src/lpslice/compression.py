@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_core import InternalError, Polytope, SolveResult, SolveStatus, solve_lp
+from .lp_core import InternalError, Polytope, SolveResult, SolveStatus, VertexStart, solve_lp
 from .tolerances import EPS_FEAS, FACE_SPAN, MULTIPLIER_TOL, TAU_CONTAIN, TAU_RANGE, TAU_RANK
 from . import linalg
 
@@ -77,12 +77,21 @@ class CompressionModel:
     reduced-LP pivots over 100 serves at benchmark seed 0: 445 against 410
     on packing-360, 698 against 686 on grid5-int.  Q gives the residuals
     w - Q(Q^T w) that ``in_range`` and the containment test measure.
+
+    ``start`` is the ``VertexStart`` that ``learn`` built at x0 on its
+    polytope, or None (x0 is not a vertex, or the model was made otherwise).
+    ``contains_optimal_face`` solves from it whenever it fits the polytope
+    at hand, so the basis at x0 is factored once per model instead of once
+    per check; every other route starts at x0 itself, with the same result.
+    It is derived data: ``model_to_json`` does not write it and
+    ``model_from_json`` leaves it None.
     """
 
     x0: np.ndarray
     U: np.ndarray
     Q: np.ndarray
     provenance: dict = field(default_factory=dict)
+    start: VertexStart | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x0", _ro(self.x0))
@@ -105,12 +114,12 @@ class CompressionModel:
         return self.U.shape[1]
 
     @classmethod
-    def empty(cls, x0: np.ndarray):
+    def empty(cls, x0: np.ndarray, start: VertexStart | None = None):
         """Rank-0 model anchored at x0 (the slice is the single point x0),
         with an empty provenance."""
         x0 = np.asarray(x0, dtype=float)
         d = x0.shape[0]
-        return cls(x0, np.zeros((d, 0)), np.zeros((d, 0)))
+        return cls(x0, np.zeros((d, 0)), np.zeros((d, 0)), start=start)
 
     @classmethod
     def create(cls, x0: np.ndarray, U: np.ndarray, provenance: dict | None = None):
@@ -168,13 +177,14 @@ def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel
     except ValueError as e:  # between TAU_RANK and TAU_RANGE: treat as rank failure
         raise RankError(str(e)) from e
     U = np.column_stack([model.U, w])
-    return CompressionModel(model.x0, U, Q, dict(model.provenance))
+    return CompressionModel(model.x0, U, Q, dict(model.provenance), model.start)
 
 
 def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -> ContainmentResult:
     """Does the slice contain the whole optimal face of min c.x over X?
 
-    One full solve, started from the anchor x0, gives a vertex optimizer
+    One full solve, started from the anchor x0 (``model.start`` when it
+    fits p, else x0 itself), gives a vertex optimizer
     x* and multipliers y.  A face point x leaves the slice when the
     residual of x - x0 off range(U) is longer than tau = TAU_CONTAIN *
     (1 + ||x0||).  The test looks only at what can leave the slice, in
@@ -206,7 +216,8 @@ def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -
     c = np.asarray(c, dtype=float)
     if p.d != model.d:
         raise ValueError("model and polytope dimensions differ")
-    return _contains_given_solve(model, p, c, solve_lp(p, c, start=model.x0))
+    start = model.start if model.start is not None and model.start.fits(p) else model.x0
+    return _contains_given_solve(model, p, c, solve_lp(p, c, start=start))
 
 
 def _contains_given_solve(model: CompressionModel, p: Polytope, c: np.ndarray, res: SolveResult) -> ContainmentResult:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compression import CompressionModel, _contains_given_solve, append_direction
-from .lp_core import InternalError, Polytope, SolveStatus, solve_lp
+from .lp_core import InternalError, Polytope, SolveStatus, VertexStart, solve_lp
 
 __all__ = [
     "LearnTrace",
@@ -89,19 +89,24 @@ def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
     :mod:`lpslice.tolerances`.  The model's provenance holds only
     ``hard_indices`` and the trace's ``anchor_provenance`` is empty, so a
     replay returns an equal model; labels such as the instance name are the
-    caller's to add.
+    caller's to add.  Every full solve starts from one ``VertexStart`` built
+    at x0 (or from x0 itself when it is not a vertex), which the model keeps
+    as ``start``.
     """
     x0 = np.asarray(x0, dtype=float)
     if not p.contains(x0):
         raise ValueError("anchor point is not feasible")
-    model = CompressionModel.empty(x0)
+    start = VertexStart.at(p, x0)
+    model = CompressionModel.empty(x0, start)
+    if start is None:  # x0 is not a vertex: every solve starts at the point
+        start = x0
     trace = LearnTrace()
     d = p.d
     total_appends = 0
     for pos, c in enumerate(costs, start=1):
         sid = ids[pos - 1] if ids is not None else pos
         c = np.asarray(c, dtype=float)
-        full = solve_lp(p, c, start=x0)  # appends do not change the full LP: solve it once
+        full = solve_lp(p, c, start=start)  # appends do not change the full LP: solve it once
         n_app = 0
         while True:
             res = _contains_given_solve(model, p, c, full)

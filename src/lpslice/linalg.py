@@ -72,8 +72,10 @@ def first_independent(V: np.ndarray, k: int) -> np.ndarray:
     of the columns picked before them: Gram-Schmidt with the default cutoff
     of ``orthonormal_columns``.  Fewer than k when V has rank below k.
 
-    Kept apart from ``_extend``: it works on rows, skips a column after one
-    pass, and runs on every started solve."""
+    Kept apart from ``_extend``: it works on rows and skips a column after
+    one pass.  It picks the basis at a degenerate vertex when a started
+    solve factors one there (``lp_core._factor``): once per
+    ``VertexStart``, or once per solve from a point."""
     V = np.asarray(V, dtype=float)
     norms = np.linalg.norm(V, axis=0)
     cutoff = TAU_RANK * float(np.max(norms, initial=0.0))

@@ -24,19 +24,28 @@ index among ties.  Bland's rule cannot cycle, so each degenerate run is
 finite, and the objective strictly falls between runs, so the simplex
 terminates.
 
-A solve given a ``start`` that is a vertex of X skips phase one.  The rows
-active at the start form a basis whose reduced costs (the slacks) are
-nonnegative for every cost c, so the dual simplex (Lemke, 1954) runs from
-it: the most negative basic value leaves, lowest basic index among ties,
-and the minimum-ratio column enters, lowest index among ties; the same
-Bland fallback applies to the leaving row.  In primal terms every pivot
-moves along an edge of X from the start towards the optimum.  A phase-two
-pass of the cold pricing then ends the solve under the cold optimality
-test, and the terminal basis goes through the same post-processing, so
-whenever it is the cold terminal basis, x, value and basis_id are bitwise
-the cold ones.  Both paths share the thresholds of ``tolerances``.
-Neither keeps state between calls: every result depends only on
-(p, c, start).
+A started solve skips phase one.  Its start is a ``VertexStart``: a vertex
+of X with d of its active rows as the dual basis and the inverse of that
+basis, factored once per (polytope, vertex) and reused by every solve from
+it (a point start builds a one-shot one).  The active rows' reduced costs
+are the slacks, nonnegative for every cost c, so the dual simplex (Lemke,
+1954) runs from the start in revised form (Bartels & Golub, 1969), in two
+stages.  Stage one is one d x d product: when the basic values
+y_B = -A_B^{-T} c are nonnegative and the start's slacks price out, the
+start is optimal and its own x is returned.  Otherwise stage two pivots:
+the most negative basic value leaves, lowest basic index among ties; the
+leaving row of B^-1 A^T is formed and its minimum-ratio column enters,
+lowest index among ties; the same Bland fallback applies to the leaving
+row; and a rank-one step updates a private copy of the inverse.  In
+primal terms every pivot moves along an edge of X from the start towards
+the optimum.  A closing pricing applies the cold optimality test; only
+when rounding makes it fail is the tableau formed from the inverse for a
+phase-two pass.  The terminal basis goes through the cold
+post-processing (the start's x is that formula's result for its own
+rows), so whenever it is the cold terminal basis, x, value and basis_id
+are bitwise the cold ones.  Both paths share the thresholds of
+``tolerances``.  Neither keeps state between calls: every result depends
+only on (p, c, start).
 
 Status mapping: dual unbounded means the primal is infeasible; dual
 infeasible is split into primal Infeasible / Unbounded with one Farkas cone
@@ -57,6 +66,7 @@ from .tolerances import DRIVE_OUT_TOL, EPS_FEAS, PHASE_ONE_TOL, PIVOT_TOL, REDUC
 
 __all__ = [
     "Polytope",
+    "VertexStart",
     "SolveStatus",
     "FeasibilityStatus",
     "SolveResult",
@@ -104,7 +114,7 @@ class Polytope:
             raise ValueError("b must be a vector with one entry per row of A")
         if A.shape[0] < 1:
             raise ValueError("need at least one row")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("A and b must be finite")
         A.setflags(write=False)
         b.setflags(write=False)
@@ -168,12 +178,19 @@ _OPTIMAL, _INFEASIBLE, _UNBOUNDED = "optimal", "infeasible", "unbounded"
 _ROW_BLOCK = 64
 
 
-def _pivot(T: np.ndarray, r: int, j: int) -> None:
-    prow = T[r] / T[r, j]
+def _eliminate(T: np.ndarray, r: int, col: np.ndarray) -> None:
+    """T <- E T in place, for the elimination E that maps col to the unit
+    vector e_r: row r is divided by col[r], and col[i] times the new row r
+    is subtracted from every other row i."""
+    prow = T[r] / col[r]
     for i in range(0, T.shape[0], _ROW_BLOCK):
         block = T[i : i + _ROW_BLOCK]
-        block -= np.outer(block[:, j], prow)
+        block -= np.outer(col[i : i + _ROW_BLOCK], prow)
     T[r] = prow
+
+
+def _pivot(T: np.ndarray, r: int, j: int) -> None:
+    _eliminate(T, r, T[:, j].copy())
     T[:, j] = 0.0
     T[r, j] = 1.0
 
@@ -238,59 +255,15 @@ def _iterate(T, basis, n_priced, tol_rc, max_iter, bounded=False):
             raise InternalError("simplex iteration limit exceeded")
 
 
-def _dual_iterate(T, basis, tol, max_iter):
-    """Dual simplex pivots until no basic value is below -tol.
-
-    T is laid out as for ``_iterate`` (all n columns priced) and its basis
-    is dual feasible: reduced costs >= 0 up to rounding, which the ratio
-    test clips at 0.  Returns the number of iterations, or -1 when the
-    leaving row has no eligible entry, so that no w >= 0 solves M w = q.
-
-    The leaving row is the most negative basic value (Dantzig), ties to the
-    lowest basic index; after ``_DEGENERATE_RUN`` degenerate pivots in a row
-    it is the lowest basic index among the negative values (Bland) until
-    the next non-degenerate pivot.  The entering column is the minimum
-    ratio of reduced cost to -T[r, j] over entries below -PIVOT_TOL times
-    1 + the row's largest magnitude, ties to the lowest index.  A pivot is
-    degenerate when that ratio is 0.  Termination: the dual of Bland's rule
-    cannot cycle, and each non-degenerate pivot strictly raises g.w.
-    """
-    p, n = T.shape[0] - 1, T.shape[1] - 1
-    it = 0
-    degenerate = 0
-    while True:
-        rhs = T[:p, -1]
-        r = int(rhs.argmin())
-        if rhs[r] >= -tol:
-            return it
-        ties = (rhs == rhs[r] if degenerate < _DEGENERATE_RUN else rhs < -tol).nonzero()[0]
-        r = int(ties[basis[ties].argmin()])
-        row = T[r, :n]
-        elig = (row < -PIVOT_TOL * (1.0 + np.abs(row).max())).nonzero()[0]
-        if elig.size == 0:
-            return -1
-        ratios = np.maximum(T[p, elig], 0.0) / -row[elig]
-        k = int(ratios.argmin())  # the first minimum: lowest index
-        rmin = ratios[k]
-        j = int(elig[k])
-        _pivot(T, r, j)
-        basis[r] = j
-        degenerate = degenerate + 1 if rmin == 0.0 else 0
-        it += 1
-        if it > max_iter:
-            raise InternalError("simplex iteration limit exceeded")
+def _magnitude(a: np.ndarray) -> float:
+    """max |a_ij|, 0 for an empty array, without a temporary of a's size."""
+    return max(float(a.max()), -float(a.min())) if a.size else 0.0
 
 
-def _limits(M: np.ndarray, q: np.ndarray, g: np.ndarray):
-    """(tol_rc, max_iter) of min g.w s.t. M w = q, w >= 0, on both paths."""
-    # M (a view of A^T) is the largest input: read it without temporaries
-    # of its size, here and when it is copied into the tableau
-    scale = 1.0 + max(
-        max(float(M.max()), -float(M.min())) if M.size else 0.0,
-        float(np.max(np.abs(q))),
-        float(np.max(np.abs(g))) if g.size else 0.0,
-    )
-    return REDUCED_COST_TOL * scale, 2000 + 60 * sum(M.shape)
+def _limits(scale: float, shape) -> tuple:
+    """(tol_rc, max_iter) of min g.w s.t. M w = q, w >= 0 of this shape,
+    on both paths; scale is the largest magnitude in M, q and g."""
+    return REDUCED_COST_TOL * (1.0 + scale), 2000 + 60 * sum(shape)
 
 
 def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
@@ -312,7 +285,7 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
             return _UNBOUNDED, None, None
         return _OPTIMAL, np.zeros(n), np.zeros(0, dtype=int)
 
-    tol_rc, max_iter = _limits(M, q, g)
+    tol_rc, max_iter = _limits(max(_magnitude(M), _magnitude(q), _magnitude(g)), M.shape)
     sgn = np.where(q < 0.0, -1.0, 1.0)
     T = np.zeros((p + 1, n + p + 1))
     T[:p, :n] = M
@@ -350,8 +323,15 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
         T = np.vstack([T[keep], T[-1:]])
         basis = basis[keep]
 
-    # phase 2 never prices the artificial columns, so it drops them
-    return _phase_two(np.hstack([T[:, :n], T[:, -1:]]), basis, g, tol_rc, max_iter)
+    # phase 2 never prices the artificial columns, so it drops them in
+    # place: the RHS moves into column n and each row moves left within
+    # T's buffer, which keeps C order and allocates no second tableau
+    rows, width = T.shape
+    T[:, n] = T[:, -1]
+    flat = T.reshape(-1)
+    for i in range(1, rows):
+        flat[i * (n + 1) : (i + 1) * (n + 1)] = flat[i * width : i * width + n + 1]
+    return _phase_two(flat[: rows * (n + 1)].reshape(rows, n + 1), basis, g, tol_rc, max_iter)
 
 
 def _price(T: np.ndarray, g: np.ndarray, basis: np.ndarray) -> None:
@@ -372,38 +352,164 @@ def _phase_two(T, basis, g, tol_rc, max_iter):
     return _OPTIMAL, w, basis.copy()
 
 
-def _simplex_from_vertex(M: np.ndarray, q: np.ndarray, g: np.ndarray, slack: np.ndarray):
-    """min g.w  s.t.  M w = q, w >= 0, from the columns j with |slack_j| <= tol_rc.
-
-    M is A^T and slack = b - A x at a point x of X, so these columns are
-    the rows active at x.  They give the starting basis: all of them when
-    there are exactly p, or exactly p nonzero ones, else the first p
-    independent ones in index order (``linalg.first_independent``).
-    Returns None when x is not a vertex (fewer than p independent active
-    rows, or a singular basis), else (status, w, basis) as ``_simplex``
-    returns them, after ``_dual_iterate`` from that basis and ``_phase_two``.
-    """
-    p, n = M.shape
-    tol_rc, max_iter = _limits(M, q, g)
-    basis = np.flatnonzero(np.abs(slack) <= tol_rc)
-    if basis.size > p:  # a zero row is in no basis
-        basis = basis[np.any(M[:, basis], axis=0)]
-    if basis.size > p:
-        basis = basis[first_independent(M[:, basis], p)]
-    if basis.size < p:
+def _factor(p: Polytope, x: np.ndarray):
+    """(rows, inv, slack, scale) of the dual basis at the point x of X, or
+    None when x is not a vertex (fewer than d independent active rows, or
+    a singular basis); ValueError when x is not a point of X, by the
+    ``Polytope.contains`` rule.  The fields are those of ``VertexStart``."""
+    A, b = p.A, p.b
+    d = p.d
+    slack = b - A @ x
+    if not (slack >= -EPS_FEAS * (1.0 + np.abs(b))).all():
+        raise ValueError("start is not a point of X")
+    scale = max(_magnitude(A), _magnitude(b))
+    rows = np.flatnonzero(np.abs(slack) <= REDUCED_COST_TOL * (1.0 + scale))
+    if rows.size > d:  # a zero row is in no basis
+        rows = rows[A[rows].any(axis=1)]
+    if rows.size > d:
+        rows = rows[first_independent(A.T[:, rows], d)]
+    if d == 0 or rows.size < d:
         return None
     try:
-        inv = np.linalg.inv(M[:, basis])
+        inv = np.linalg.inv(A.T[:, rows])
     except np.linalg.LinAlgError:
         return None
-    T = np.empty((p + 1, n + 1))
-    np.matmul(inv, M, out=T[:p, :n])  # written in place: no tableau-sized temporary
-    T[:p, n] = inv @ q
-    T[:p, basis] = np.eye(p)
-    _price(T, g, basis)
-    if _dual_iterate(T, basis, tol_rc, max_iter) < 0:
-        return _INFEASIBLE, None, None
-    return _phase_two(T, basis, g, tol_rc, max_iter)
+    return rows, inv, slack, scale
+
+
+@dataclass(frozen=True, eq=False)
+class VertexStart:
+    """A vertex of X with its dual basis factored: the start of started solves.
+
+    ``VertexStart.at(p, x)`` builds it once; ``solve_lp(p, c, start)`` then
+    solves from it for any c without factoring again.  A point start makes
+    the same factorization one-shot, without the vertex x, so both give the
+    same result.  Fields:
+
+    p      the polytope it belongs to; ``solve_lp`` refuses any other
+    rows   the d basis rows, ascending: the rows active at the point x0,
+           |b_j - A_j x0| at most REDUCED_COST_TOL * (1 + the largest
+           magnitude in A and b); all of them when there are exactly d, or
+           exactly d nonzero ones, else the first d independent ones in
+           index order (``linalg.first_independent``)
+    inv    the inverse of A[rows]^T
+    x      the vertex A[rows]^-1 b[rows], by the cold post-processing
+           formula, so a solve that ends at these rows returns it bitwise;
+           it was checked to be a point of X when the start was built
+    slack  b - A x0 at the point x0 the start was built from: the
+           reduced costs the solves price the start's basis with
+    scale  the largest magnitude in A and b, the cost-free part of the
+           simplex's scale (``_limits``)
+
+    The arrays are read-only, and a start is a deterministic function of
+    (p, point): it holds no state that depends on the solves made from it.
+    """
+
+    p: Polytope
+    rows: np.ndarray
+    inv: np.ndarray
+    x: np.ndarray
+    slack: np.ndarray
+    scale: float
+
+    @classmethod
+    def at(cls, p: Polytope, x: np.ndarray) -> VertexStart | None:
+        """The start at the point x of X, or None when x is not a vertex
+        (see ``_factor``) or the vertex of its basis is not a point of X.
+        ValueError when x is not a point of X, by the ``Polytope.contains``
+        rule."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (p.d,):
+            raise ValueError(f"start has shape {x.shape}, expected ({p.d},)")
+        factored = _factor(p, x)
+        if factored is None:
+            return None
+        rows, inv, slack, scale = factored
+        vertex = np.linalg.solve(p.A[rows], p.b[rows])
+        if (p.A @ vertex - p.b > EPS_FEAS * (1.0 + np.abs(p.b))).any():
+            return None
+        for a in (rows, inv, vertex, slack):
+            a.setflags(write=False)
+        return cls(p, rows, inv, vertex, slack, scale)
+
+    def fits(self, p: Polytope) -> bool:
+        """Was this start built on p, or on a polytope with p's A and b?"""
+        return self.p is p or (np.array_equal(self.p.A, p.A) and np.array_equal(self.p.b, p.b))
+
+
+def _dual_simplex(A, b, c, rows, inv, slack, scale):
+    """min b.w  s.t.  A^T w = -c, w >= 0, from the factored basis ``rows``
+    (the fields of ``VertexStart``; stages one and two of the module
+    docstring).  Returns (status, w, basis) as ``_simplex`` does; the basis
+    is ``rows`` itself when the start is optimal.
+
+    Stage two runs the dual simplex on B^-1, the inverse of A_B^T: each
+    pivot forms the leaving row of B^-1 A^T (every basic column set to its
+    unit entry, as a tableau holds it) and updates the reduced costs by it,
+    as a tableau pivot updates its cost row.  The entering column is the
+    minimum ratio of reduced cost, clipped at 0, to minus the row's entry,
+    over entries below -PIVOT_TOL times 1 + the row's largest magnitude,
+    ties to the lowest index; when no entry is eligible, no w >= 0 solves
+    A^T w = -c.  A pivot is degenerate when that ratio is 0.  Termination:
+    the dual of Bland's rule cannot cycle, and each non-degenerate pivot
+    strictly raises the dual objective.
+    """
+    q = -c
+    tol_rc, max_iter = _limits(max(scale, _magnitude(q)), A.shape)
+    basis, z = rows, slack
+    y_B = inv @ q
+    it = 0
+    degenerate = 0
+    while True:
+        r = int(y_B.argmin())
+        if y_B[r] >= -tol_rc:
+            break
+        if it == 0:  # the start stays as it is: pivot on private copies
+            inv, basis = inv.copy(), basis.copy()
+            z = z.copy()
+            z[basis] = 0.0
+        ties = (y_B == y_B[r] if degenerate < _DEGENERATE_RUN else y_B < -tol_rc).nonzero()[0]
+        r = int(ties[basis[ties].argmin()])
+        row = A @ inv[r]
+        row[basis] = 0.0
+        row[basis[r]] = 1.0
+        elig = (row < -PIVOT_TOL * (1.0 + np.abs(row).max())).nonzero()[0]
+        if elig.size == 0:
+            return _INFEASIBLE, None, None
+        ratios = np.maximum(z[elig], 0.0) / -row[elig]
+        k = int(ratios.argmin())  # the first minimum: lowest index
+        j = int(elig[k])
+        z -= z[j] * (row / row[j])
+        z[j] = 0.0
+        col = inv @ A[j]
+        col[r] = row[j]
+        _eliminate(inv, r, col)
+        basis[r] = j
+        y_B = inv @ q
+        degenerate = degenerate + 1 if ratios[k] == 0.0 else 0
+        it += 1
+        if it > max_iter:
+            raise InternalError("simplex iteration limit exceeded")
+    if it:
+        z = b - A @ (b[basis] @ inv)
+    return _close(A, b, inv, basis, y_B, z, tol_rc, max_iter)
+
+
+def _close(A, b, inv, basis, y_B, z, tol_rc, max_iter):
+    """The cold optimality test closing a started solve: the dual basis
+    ``basis`` with inverse ``inv`` and basic values y_B is optimal when no
+    reduced cost z is below -tol_rc.  Only when rounding makes it fail is
+    the tableau formed from the inverse, for ``_phase_two``."""
+    if float(z.min()) >= -tol_rc:
+        w = np.zeros(A.shape[0])
+        w[basis] = y_B
+        return _OPTIMAL, w, basis
+    d, m = A.shape[1], A.shape[0]
+    T = np.empty((d + 1, m + 1))
+    np.matmul(inv, A.T, out=T[:d, :m])  # written in place: no tableau-sized temporary
+    T[:d, m] = y_B
+    T[:d, basis] = np.eye(d)
+    return _phase_two(T, basis.copy(), b, tol_rc, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +517,7 @@ def _simplex_from_vertex(M: np.ndarray, q: np.ndarray, g: np.ndarray, slack: np.
 # ---------------------------------------------------------------------------
 
 
-def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | None = None) -> SolveResult:
+def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None = None) -> SolveResult:
     """Minimize c.x over X = {A x <= b}.
 
     Deterministic: the same (p, c, start) always yields the same basis_id
@@ -419,21 +525,24 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | None = None) -> Sol
     feasible bounded directions the optimizer is a vertex of X (guaranteed
     whenever X has vertices, i.e. rank(A) = d).
 
-    Its thresholds (EPS_FEAS for the start and the returned x, TAU_RANK
-    for active rows, the simplex's) are constants of ``tolerances``.
+    Its thresholds (EPS_FEAS for the start and the returned x, the
+    simplex's, which also pick the rows active at a start) are constants
+    of ``tolerances``.
 
-    ``start`` is an optional point of X (ValueError when it is not, by the
-    ``Polytope.contains`` rule).  When it is a vertex, the solve skips
-    phase one: the dual simplex runs from its active rows, |b_j - A_j x| at
-    most the reduced-cost threshold (exactly d of them, or exactly d nonzero
-    ones, as they are; else the first d independent ones in index order),
-    pricing as in the module docstring, and ends under the cold path's
-    optimality test.
-    x, value and basis_id are then bitwise the cold solve's whenever the
-    terminal basis is the cold one, which it is when the optimum is a
-    vertex with d active rows and positive multipliers.  On degenerate
-    optima the two paths may stop at different optimal bases.  When
-    ``start`` is not a vertex the solve is the cold one.
+    ``start`` is optional: a ``VertexStart`` built on p (ValueError when it
+    was built on a polytope with another A or b), or a point of X
+    (ValueError when it is not, by the ``Polytope.contains`` rule), whose
+    basis is factored one-shot as ``VertexStart.at`` factors it, with the
+    same result.  A started solve skips
+    phase one and runs the two stages of the module docstring from the
+    start's basis, ending under the cold path's optimality test.  When
+    stage one finds the start optimal, x is the start's own, which is
+    bitwise what the cold post-processing computes for its rows.  x, value
+    and basis_id are bitwise the cold solve's whenever the terminal basis
+    is the cold one, which it is when the optimum is a vertex with d active
+    rows and positive multipliers.  On degenerate optima the two paths may
+    stop at different optimal bases.  When the point is not a vertex the
+    solve is the cold one.
 
     A cold solve of c = 0 (also from a start that is not a vertex) returns,
     with value 0.0 and y = 0, the vertex that minimizes -A^T w with
@@ -448,9 +557,14 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | None = None) -> Sol
     c = np.asarray(c, dtype=float)
     if c.shape != (d,):
         raise ValueError(f"cost vector has shape {c.shape}, expected ({d},)")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise ValueError("cost vector must be finite")
-    if start is not None:
+    factored = None
+    if isinstance(start, VertexStart):
+        if not start.fits(p):
+            raise ValueError("start was built on another polytope")
+        factored = start.rows, start.inv, start.slack, start.scale
+    elif start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != (d,):
             raise ValueError(f"start has shape {start.shape}, expected ({d},)")
@@ -462,12 +576,9 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | None = None) -> Sol
             raise ValueError("start is not a point of X")
         return SolveResult(SolveStatus.INFEASIBLE)
 
-    out = None
-    if start is not None:
-        slack = b - A @ start
-        if not np.all(slack >= -EPS_FEAS * (1.0 + np.abs(b))):
-            raise ValueError("start is not a point of X")
-        out = _simplex_from_vertex(A.T, -c, b, slack)
+    if start is not None and factored is None:
+        factored = _factor(p, start)
+    out = None if factored is None else _dual_simplex(A, b, c, *factored)
     if out is None and not c.any():
         proxy = -(np.arange(m, 0, -1.0) @ A)
         if proxy.any():
@@ -477,15 +588,18 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | None = None) -> Sol
             return SolveResult(SolveStatus.OPTIMAL, 0.0, r.x, r.basis_id, np.zeros(m))
     status, w, basis = out if out is not None else _simplex(A.T, -c, b)
     if status == _OPTIMAL:
-        rows = np.sort(basis)
-        Asub, bsub = A[rows], b[rows]
-        if rows.size == d:
-            x = np.linalg.solve(Asub, bsub)
+        if isinstance(start, VertexStart) and basis is start.rows:
+            rows, x = basis, start.x  # checked feasible when the start was built
         else:
-            x = np.linalg.lstsq(Asub, bsub, rcond=None)[0]
-        slack = A @ x - b
-        if np.any(slack > EPS_FEAS * (1.0 + np.abs(b))):
-            raise InternalError("terminal basis produced an infeasible point")
+            rows = np.sort(basis)
+            Asub, bsub = A[rows], b[rows]
+            if rows.size == d:
+                x = np.linalg.solve(Asub, bsub)
+            else:
+                x = np.linalg.lstsq(Asub, bsub, rcond=None)[0]
+            slack = A @ x - b
+            if (slack > EPS_FEAS * (1.0 + np.abs(b))).any():
+                raise InternalError("terminal basis produced an infeasible point")
         return SolveResult(
             SolveStatus.OPTIMAL,
             float(c @ x),

@@ -301,6 +301,37 @@ def test_restriction_exactness_and_monotonicity_properties():
         assert vals[-1] == pytest.approx(full, rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("preset", ["packing-360", "grid-4"])
+def test_the_carried_start_gives_the_bits_of_a_model_read_back_without_it(preset):
+    # learn keeps the start it built at x0; a model read back from JSON has
+    # none and starts each solve at x0 itself, one-shot: same bits.  grid-4
+    # with integer costs has a degenerate anchor and ties, so face LPs run
+    inst = make_preset(preset)
+    p = inst.polytope
+    x0 = learner.make_anchor(p, inst.c0)
+    costs = sample_costs(inst, 12, seed=1)
+    if preset == "grid-4":
+        costs = np.round(costs)
+    model, _ = learner.learn(p, x0, costs[:8])
+    read = model_from_json(model_to_json(model))
+    assert model.start is not None and read.start is None
+    assert model.U.tobytes() == read.U.tobytes() and model.Q.tobytes() == read.Q.tobytes()
+    for c in costs[8:]:
+        a, b = contains_optimal_face(model, p, c), contains_optimal_face(read, p, c)
+        assert a.contained == b.contained
+        assert (a.witness is None) == (b.witness is None)
+        assert a.witness is None or a.witness.tobytes() == b.witness.tobytes()
+        assert check_exact(model, p, c) == check_exact(read, p, c) == a.contained
+
+
+def test_a_start_from_another_polytope_is_not_used(square):
+    model, _ = learner.learn(square, np.array([1.0, 1.0]), [np.array([-1.0, -2.0]), np.array([1.0, -2.0])])
+    assert model.start is not None and model.start.p is square
+    wider = Polytope(square.A, 2.0 * square.b)  # same d: x0 is still a point of it
+    c = np.array([1.0, -2.0])
+    assert contains_optimal_face(model, wider, c).contained == contains_optimal_face(model_from_json(model_to_json(model)), wider, c).contained
+
+
 def test_model_json_round_trip(square):
     m = append_direction(vertical_slice(), np.array([0.0, 0.0]))
     doc = model_to_json(m)

@@ -203,3 +203,26 @@ def test_nondegenerate_anchor_never_runs_phase_one(monkeypatch):
         check_exact(model, p, c)
         solve_via_compression(model, p, c)
     assert phase_one == []
+
+
+def test_learn_factors_the_anchor_basis_once(monkeypatch):
+    # learn builds one start at x0 and the model keeps it: one basis pick
+    # and one inverse for the whole learn, none for later checks.  Counts,
+    # unlike a time budget, do not depend on how busy the host is
+    inst = make_preset("grid-4")  # a degenerate anchor: more active rows than d
+    p = inst.polytope
+    x0 = make_anchor(p, inst.c0)
+    s = float(np.mean(np.abs(inst.c0)))
+    # a widened continuous law: samples append, and faces are single vertices
+    costs = inst.c0 + np.random.default_rng(0).uniform(-s, s, (40, p.d))
+    calls = []
+    real_inv, real_pick = np.linalg.inv, lp_core.first_independent
+    monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append("inv") or real_inv(*a))
+    monkeypatch.setattr(lp_core, "first_independent", lambda *a: calls.append("pick") or real_pick(*a))
+    model, trace = learn(p, x0, costs[:20])
+    assert model.rank > 0 and trace.hard  # the start passed through appends
+    assert sorted(calls) == ["inv", "pick"]
+    calls.clear()
+    for c in costs[20:]:
+        check_exact(model, p, c)
+    assert calls == []

@@ -15,6 +15,7 @@ from lpslice import (
 )
 from lpslice import lp_core
 from lpslice.lp_core import (
+    VertexStart,
     dump_json,
     load_json,
     polytope_from_json,
@@ -375,13 +376,18 @@ def test_vertex_start_on_dimension_zero():
 def test_vertex_start_matches_cold_on_random_lps(run, monkeypatch):
     # run 0 puts the dual simplex on Bland's rule from the first pivot
     monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", run)
-    primal_pivots = []
-    real = lp_core._iterate
+    closings, primal_pivots = [], []
+    real_close, real_iterate = lp_core._close, lp_core._iterate
+
+    def close(*args):
+        closings.append(1)
+        return real_close(*args)
 
     def counted(*args, **kwargs):
-        primal_pivots.append(real(*args, **kwargs))
+        primal_pivots.append(real_iterate(*args, **kwargs))
         return primal_pivots[-1]
 
+    monkeypatch.setattr(lp_core, "_close", close)
     monkeypatch.setattr(lp_core, "_iterate", counted)
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -391,12 +397,55 @@ def test_vertex_start_matches_cold_on_random_lps(run, monkeypatch):
         for _ in range(3):
             c = rng.standard_normal(d)
             cold = solve_lp(p, c)
+            closings.clear()
             primal_pivots.clear()
             warm = solve_lp(p, c, start=x0)
-            # the dual simplex ends optimal: the closing phase-two pass of
-            # the cold pricing has nothing left to do
-            assert primal_pivots == [0]
+            # the dual simplex ends optimal: the closing cold optimality
+            # test runs once and prices out, so no primal pass follows
+            assert closings == [1]
+            assert primal_pivots == []
             # generic costs: the optimum is a nondegenerate vertex, one basis
             assert warm.basis_id == cold.basis_id
             assert warm.x.tobytes() == cold.x.tobytes()
             assert warm.value == cold.value
+
+
+def test_vertex_start_is_read_only_and_tied_to_its_polytope(square):
+    start = VertexStart.at(square, np.array([1.0, -1.0]))
+    assert start.rows.tolist() == [0, 3]
+    for a in (start.rows, start.inv, start.x, start.slack):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        start.inv[0, 0] = 2.0
+    c = np.array([-1.5, 0.3])
+    # a polytope with the same A and b fits; any other is refused
+    twin = Polytope(square.A.copy(), square.b.copy())
+    assert _same_result(solve_lp(twin, c, start=start), solve_lp(square, c, start=start))
+    for other in (Polytope(square.A, 2.0 * square.b), Polytope(square.A[::-1], square.b)):
+        with pytest.raises(ValueError, match="another polytope"):
+            solve_lp(other, c, start=start)
+    # not a vertex: no start; not a point of X: ValueError
+    assert VertexStart.at(square, np.array([1.0, 0.0])) is None
+    with pytest.raises(ValueError):
+        VertexStart.at(square, np.array([1.5, 0.0]))
+
+
+def test_a_start_that_prices_out_returns_the_cold_x_bitwise(monkeypatch):
+    # stage one: no pivot, and the start's own x is the cold
+    # post-processing of its rows, so it is the cold answer bit for bit
+    pivots = []
+    real = lp_core._eliminate
+    monkeypatch.setattr(lp_core, "_eliminate", lambda *a: pivots.append(1) or real(*a))
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        p = small_lp(rng, d, int(rng.integers(d + 1, 3 * d)))
+        c = rng.standard_normal(d)
+        cold = solve_lp(p, c)
+        start = VertexStart.at(p, cold.x)
+        pivots.clear()
+        for s in (start, cold.x):  # a carried start and a one-shot one
+            warm = solve_lp(p, c, start=s)
+            assert warm.x.tobytes() == cold.x.tobytes()
+            assert (warm.value, warm.basis_id) == (cold.value, cold.basis_id)
+        assert pivots == []
