@@ -83,8 +83,16 @@ class CompressionModel:
     ``contains_optimal_face`` solves from it whenever it fits the polytope
     at hand, so the basis at x0 is factored once per model instead of once
     per check; every other route starts at x0 itself, with the same result.
-    It is derived data: ``model_to_json`` does not write it and
-    ``model_from_json`` leaves it None.
+    ``reduced`` is the serve start that ``learn`` built once for its final
+    model: the ``VertexStart`` at z = 0 of the reduced LP {z : (A U) z <=
+    b - A x0} over ``start.p``, or None (no ``start``, z = 0 is not a
+    vertex, or U changed since).  ``solve_via_compression`` serves from it
+    whenever ``start`` fits the polytope at hand, so A U, b - A x0 and the
+    basis at z = 0 are built once per model instead of once per serve;
+    every other serve builds them one-shot, with the same result.
+    ``append_direction`` drops it.  Both are derived data:
+    ``model_to_json`` does not write them and ``model_from_json`` leaves
+    them None.
     """
 
     x0: np.ndarray
@@ -92,6 +100,7 @@ class CompressionModel:
     Q: np.ndarray
     provenance: dict = field(default_factory=dict)
     start: VertexStart | None = None
+    reduced: VertexStart | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x0", _ro(self.x0))
@@ -104,6 +113,8 @@ class CompressionModel:
             raise ValueError("Q must have the shape of U")
         if not linalg.check_orthonormal(self.Q):
             raise ValueError("Q is not orthonormal")
+        if self.reduced is not None and (self.start is None or self.reduced.p.d != self.rank):
+            raise ValueError("a serve start needs the start at x0 and one variable per column of U")
 
     @property
     def d(self) -> int:
@@ -166,7 +177,8 @@ def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel
 
     Precondition: x - x0 is outside the current range (RankError otherwise).
     The first rank(U) columns of the new Q equal the old Q bitwise, which is
-    what makes replays of the learner reproduce models exactly.
+    what makes replays of the learner reproduce models exactly.  The new
+    model keeps ``start`` but not ``reduced``, whose LP was built on the old U.
     """
     x = np.asarray(x, dtype=float)
     w = x - model.x0
@@ -201,7 +213,8 @@ def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -
        the free directions outside the slice.  If B is empty the answer is
        True.  Otherwise, for each column of B in order, the maximum and then
        the minimum over F, an LP in the k = dim null(A_S) free coordinates
-       started from z = 0 (x*, a vertex of F); the first face point
+       started from z = 0 (x*, a vertex of F), whose basis is factored
+       once per check (``VertexStart``); the first face point
        x* + N z that leaves the slice is the witness, a vertex of the face
        and hence of X.
 
@@ -238,10 +251,13 @@ def _contains_given_solve(model: CompressionModel, p: Polytope, c: np.ndarray, r
         return ContainmentResult(True)
     N, face, B = free
     z0 = np.zeros(N.shape[1])  # x*, a vertex of the face
+    start = VertexStart.at(face, z0)  # one factorization for every face LP of this check
+    if start is None:
+        start = z0
     for b in B.T:
         g = N.T @ b  # b . (x* + N z) = b . x* + g . z
         for cost in (-g, g):
-            r = solve_lp(face, cost, start=z0)
+            r = solve_lp(face, cost, start=start)
             if r.status is not SolveStatus.OPTIMAL:
                 raise InternalError(f"face LP in the free coordinates is {r.status.value}, though X is bounded")
             x = res.x + N @ r.x
@@ -296,14 +312,19 @@ def check_exact(model: CompressionModel, p: Polytope, c: np.ndarray) -> bool:
 def build_reduced_lp(model: CompressionModel, p: Polytope, c: np.ndarray):
     """Reduced data over slice coordinates: ({z : (A U) z <= b - A x0}, U^T c, c . x0).
 
+    The polytope is the one the model carries (``reduced.p``) when its
+    start fits p, else built here; both are the same arrays bit for bit.
     For rank 0 the reduced polytope has zero variables; solve_lp handles that
     case directly (value 0 when feasible), so the identity
     full value = offset + reduced value still holds.
     """
     c = np.asarray(c, dtype=float)
-    if p.d != model.d:
+    if model.reduced is not None and model.start.fits(p):
+        reduced = model.reduced.p
+    elif p.d != model.d:
         raise ValueError("model and polytope dimensions differ")
-    reduced = Polytope(p.A @ model.U, p.b - p.A @ model.x0)
+    else:
+        reduced = Polytope(p.A @ model.U, p.b - p.A @ model.x0)
     return reduced, model.U.T @ c, float(c @ model.x0)
 
 
@@ -321,12 +342,15 @@ def solve_via_compression(model: CompressionModel, p: Polytope, c: np.ndarray) -
     The reduced problem holds z = 0 (x0; ValueError when x0 is not in X)
     and is bounded whenever X is bounded, so any other status is an
     internal error.  z = 0 is a vertex of it when x0 is a vertex of X, and
-    the solve starts there.
+    the solve starts there: from ``model.reduced`` when the model's start
+    fits p, so a serve costs U^T c, c . x0, the started solve and the lift;
+    else from the point z = 0, factored one-shot, with the same result.
     The returned multipliers are those of the reduced solve; its rows are in
     one-to-one correspondence with the rows of p.
     """
     reduced, c_red, offset = build_reduced_lp(model, p, c)
-    r = solve_lp(reduced, c_red, start=np.zeros(model.rank))
+    carried = model.reduced is not None and reduced is model.reduced.p
+    r = solve_lp(reduced, c_red, start=model.reduced if carried else np.zeros(model.rank))
     if r.status is not SolveStatus.OPTIMAL:
         raise InternalError(f"reduced LP reported {r.status.value} though the anchor is feasible")
     x = lift(model, r.x)

@@ -368,7 +368,7 @@ def _factor(p: Polytope, x: np.ndarray):
         rows = rows[A[rows].any(axis=1)]
     if rows.size > d:
         rows = rows[first_independent(A.T[:, rows], d)]
-    if d == 0 or rows.size < d:
+    if rows.size < d:
         return None
     try:
         inv = np.linalg.inv(A.T[:, rows])
@@ -391,7 +391,9 @@ class VertexStart:
            |b_j - A_j x0| at most REDUCED_COST_TOL * (1 + the largest
            magnitude in A and b); all of them when there are exactly d, or
            exactly d nonzero ones, else the first d independent ones in
-           index order (``linalg.first_independent``)
+           index order (``linalg.first_independent``); none at d = 0,
+           where the one point of R^0 is the vertex (the reduced LP of a
+           rank-0 model)
     inv    the inverse of A[rows]^T
     x      the vertex A[rows]^-1 b[rows], by the cold post-processing
            formula, so a solve that ends at these rows returns it bitwise;
@@ -604,7 +606,7 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
             SolveStatus.OPTIMAL,
             float(c @ x),
             x,
-            tuple(int(i) for i in rows),
+            tuple(rows.tolist()),
             w,
         )
     if status == _UNBOUNDED:

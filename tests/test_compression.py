@@ -24,7 +24,7 @@ from lpslice.compression import (
     model_to_json,
     solve_via_compression,
 )
-from lpslice.instances import make_preset, sample_costs
+from lpslice.instances import PRESETS, gen_instance, make_preset, sample_costs
 from lpslice.linalg import check_orthonormal
 from lpslice.oracle import exact_check_bruteforce
 from lpslice.tolerances import TAU_CONTAIN
@@ -330,6 +330,60 @@ def test_a_start_from_another_polytope_is_not_used(square):
     wider = Polytope(square.A, 2.0 * square.b)  # same d: x0 is still a point of it
     c = np.array([1.0, -2.0])
     assert contains_optimal_face(model, wider, c).contained == contains_optimal_face(model_from_json(model_to_json(model)), wider, c).contained
+
+
+def _learned(case: str):
+    """(p, model learned from 8 costs, 4 test costs) of a serve case."""
+    if case == "randomlp":  # a rank-0 model: every cost is optimal at x0
+        inst = gen_instance("randomlp", {**PRESETS["randomlp-a"]["params"], "d": 40, "rows": 40}, 0)
+    else:
+        inst = make_preset(case.removesuffix("-int"))
+    p = inst.polytope
+    costs = sample_costs(inst, 12, seed=1)
+    if case.endswith("-int"):  # ties: degenerate reduced LPs
+        costs = np.round(costs)
+    model, _ = learner.learn(p, learner.make_anchor(p, inst.c0), costs[:8])
+    return p, model, costs[8:]
+
+
+def _same_serve(a, b) -> bool:
+    return (a.value, a.basis_id) == (b.value, b.basis_id) and a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+
+
+@pytest.mark.parametrize("case,rank", [("packing-360", None), ("grid-4-int", None), ("example1", 1), ("randomlp", 0)])
+def test_serves_from_the_carried_reduced_lp_give_the_bits_of_a_model_read_back_without_it(case, rank):
+    # learn builds the reduced LP and its start at z = 0 once; a model read
+    # back from JSON has neither and builds both one-shot on every serve
+    p, model, test = _learned(case)
+    assert rank is None or model.rank == rank
+    assert model.reduced is not None and model.reduced.p.d == model.rank
+    read = model_from_json(model_to_json(model))
+    assert read.reduced is None
+    for c in test:
+        assert build_reduced_lp(model, p, c)[0] is model.reduced.p
+        assert _same_serve(solve_via_compression(model, p, c), solve_via_compression(read, p, c))
+
+
+def test_a_model_grown_after_learn_serves_one_shot():
+    p, model, test = _learned("packing-360")
+    x = next(r.x for r in (solve_lp(p, -c) for c in test) if not in_range(model, r.x - model.x0))
+    grown = append_direction(model, x)
+    assert grown.start is model.start and grown.reduced is None  # U changed: the reduced LP with it
+    read = model_from_json(model_to_json(grown))
+    for c in test:
+        assert _same_serve(solve_via_compression(grown, p, c), solve_via_compression(read, p, c))
+
+
+def test_a_twin_polytope_reuses_the_carried_reduced_lp_and_another_b_does_not():
+    p, model, test = _learned("example1")
+    read = model_from_json(model_to_json(model))
+    twin = Polytope(p.A.copy(), p.b.copy())
+    wider = Polytope(p.A, p.b + 1.0)  # x0 is still a point of it
+    for c in test:
+        assert build_reduced_lp(model, twin, c)[0] is model.reduced.p
+        assert _same_serve(solve_via_compression(model, twin, c), solve_via_compression(model, p, c))
+        assert build_reduced_lp(model, wider, c)[0] is not model.reduced.p
+        assert _same_serve(solve_via_compression(model, wider, c), solve_via_compression(read, wider, c))
 
 
 def test_model_json_round_trip(square):

@@ -66,8 +66,31 @@ def test_learn_all_costs_optimize_at_anchor(square):
 
 
 def test_learn_requires_feasible_anchor(square):
-    with pytest.raises(ValueError):
-        learn(square, np.array([2.0, 0.0]), [np.array([-1.0, 0.0])])
+    # outside X, just outside at a corner and on an edge, and not a number:
+    # learn leaves the check to VertexStart.at, which refuses each point by
+    # the Polytope.contains rule before any cost is read
+    def costs():
+        raise AssertionError("a cost was read")
+        yield
+
+    for x0 in ([2.0, 0.0], [1.0 + 1e-6, 1.0], [1.0 + 1e-6, 0.0], [np.nan, 0.0]):
+        assert not square.contains(np.array(x0))
+        with pytest.raises(ValueError, match="not a point of X"):
+            learn(square, np.array(x0), costs())
+
+
+def test_an_anchor_outside_the_reduced_rule_learns_and_serves_raise():
+    # the box [-1000, 1000]^2 and x0 2e-7 past a face: a vertex of X by the
+    # start's rule, which scales with |b|, but z = 0 is outside the reduced
+    # LP, whose right-hand side is the slack b - A x0.  learn keeps no serve
+    # start, and the serve raises as it does one-shot on a model read back
+    box = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.full(4, 1000.0))
+    x0 = np.array([1000.0 + 2e-7, 1000.0])
+    model, _ = learn(box, x0, [np.array([-1.0, -1.0])])
+    assert model.start is not None and model.reduced is None
+    for m in (model, compression.model_from_json(compression.model_to_json(model))):
+        with pytest.raises(ValueError, match="not a point of X"):
+            solve_via_compression(m, box, np.array([-1.0, -1.0]))
 
 
 def test_learn_accepts_custom_ids(square):
@@ -206,9 +229,11 @@ def test_nondegenerate_anchor_never_runs_phase_one(monkeypatch):
 
 
 def test_learn_factors_the_anchor_basis_once(monkeypatch):
-    # learn builds one start at x0 and the model keeps it: one basis pick
-    # and one inverse for the whole learn, none for later checks.  Counts,
-    # unlike a time budget, do not depend on how busy the host is
+    # learn builds one start at x0 and, after its last cost, one start at
+    # z = 0 of the final reduced LP, and the model keeps both: two basis
+    # picks and two inverses for the whole learn, none for later checks and
+    # serves, which build no polytope either.  Counts, unlike a time
+    # budget, do not depend on how busy the host is
     inst = make_preset("grid-4")  # a degenerate anchor: more active rows than d
     p = inst.polytope
     x0 = make_anchor(p, inst.c0)
@@ -221,8 +246,11 @@ def test_learn_factors_the_anchor_basis_once(monkeypatch):
     monkeypatch.setattr(lp_core, "first_independent", lambda *a: calls.append("pick") or real_pick(*a))
     model, trace = learn(p, x0, costs[:20])
     assert model.rank > 0 and trace.hard  # the start passed through appends
-    assert sorted(calls) == ["inv", "pick"]
+    assert sorted(calls) == ["inv", "inv", "pick", "pick"]  # z = 0 has more active rows than rank too
+    real_init = Polytope.__post_init__
+    monkeypatch.setattr(Polytope, "__post_init__", lambda self: calls.append("polytope") or real_init(self))
     calls.clear()
     for c in costs[20:]:
         check_exact(model, p, c)
+        solve_via_compression(model, p, c)
     assert calls == []

@@ -368,6 +368,10 @@ def test_vertex_start_reports_unbounded_without_the_farkas_solve(monkeypatch):
 def test_vertex_start_on_dimension_zero():
     p = Polytope(np.zeros((1, 0)), np.array([1.0]))
     assert solve_lp(p, np.zeros(0), start=np.zeros(0)).status is SolveStatus.OPTIMAL
+    # the one point of R^0 is a vertex with no basis rows: the reduced LP of a rank-0 model
+    start = VertexStart.at(p, np.zeros(0))
+    assert start.rows.size == 0 and start.x.shape == (0,)
+    assert _same_result(solve_lp(p, np.zeros(0), start=start), solve_lp(p, np.zeros(0), start=np.zeros(0)))
     with pytest.raises(ValueError):
         solve_lp(Polytope(np.zeros((1, 0)), np.array([-1.0])), np.zeros(0), start=np.zeros(0))
 
