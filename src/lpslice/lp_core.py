@@ -24,6 +24,16 @@ index among ties.  Bland's rule cannot cycle, so each degenerate run is
 finite, and the objective strictly falls between runs, so the simplex
 terminates.
 
+Pivots are hyper-sparse on the network and packing presets (Hall &
+McKinnon 2005; Bixby 2002): a cold packing-360 pivot column is about 4%
+nonzero and its pivot row under 1%.  So a pivot on a large tableau, or on
+the inverse of a started solve, updates only the rows where the pivot
+column is nonzero and the columns where the pivot row is (``_eliminate``).
+Each skipped entry would have had a product of a zero subtracted, which
+changes no value, only at most the sign of a zero, and no choice reads that
+sign.  So every pivot, the terminal basis, x and the value are bitwise
+those of the dense update; y could differ only in the sign of a zero.
+
 A started solve skips phase one.  Its start is a ``VertexStart``: a vertex
 of X with d of its active rows as the dual basis and the inverse of that
 basis, factored once per (polytope, vertex) and reused by every solve from
@@ -177,19 +187,47 @@ _OPTIMAL, _INFEASIBLE, _UNBOUNDED = "optimal", "infeasible", "unbounded"
 # temporary small and in cache instead of allocating a whole tableau per pivot.
 _ROW_BLOCK = 64
 
+# A pivot on more than _ROW_BLOCK rows updates only the block it touches when
+# that block is under 1/_SPARSE_FACTOR of T.  Timed on one core, the touched
+# block alone is up to 1.6x faster than the blocked loop at 1/8 of T (as fast
+# at d = 140), about as fast at 1/6 and 1.8x slower at 1/3, on tableaus of
+# 141 x 421 to 481 x 1953 and inverses of 140 x 140 and 360 x 360.  The
+# network presets' cold pivots touch at most 4% of T, randomlp-a's at least
+# 26%.
+_SPARSE_FACTOR = 8
+
 
 def _eliminate(T: np.ndarray, r: int, col: np.ndarray) -> None:
     """T <- E T in place, for the elimination E that maps col to the unit
     vector e_r: row r is divided by col[r], and col[i] times the new row r
-    is subtracted from every other row i."""
+    is subtracted from every other row i.
+
+    Only the block of rows where col is nonzero and columns where the new
+    row r is nonzero changes value, so a hyper-sparse pivot (Hall &
+    McKinnon 2005) on a tableau of more than ``_ROW_BLOCK`` rows updates
+    that block alone when it is under 1/``_SPARSE_FACTOR`` of T; smaller or
+    denser pivots run the blocked loop over all of T.  Both paths give the
+    same values: each entry of the block gets the same single multiply and
+    subtract, and each skipped entry would have had a product of a zero,
+    +-0, subtracted, which leaves a nonzero entry as it is and can only
+    turn -0.0 into +0.0.  No pivot choice reads the sign of a zero: ratio
+    tests, pricing and ties compare values, and no path divides by an
+    entry that is zero."""
     prow = T[r] / col[r]
-    for i in range(0, T.shape[0], _ROW_BLOCK):
-        block = T[i : i + _ROW_BLOCK]
-        block -= np.outer(col[i : i + _ROW_BLOCK], prow)
+    if T.shape[0] > _ROW_BLOCK and np.count_nonzero(col) * np.count_nonzero(prow) * _SPARSE_FACTOR < T.size:
+        rows, cols = col.nonzero()[0], prow.nonzero()[0]
+        T[np.ix_(rows, cols)] -= np.outer(col[rows], prow[cols])
+    else:
+        for i in range(0, T.shape[0], _ROW_BLOCK):
+            block = T[i : i + _ROW_BLOCK]
+            block -= np.outer(col[i : i + _ROW_BLOCK], prow)
     T[r] = prow
 
 
 def _pivot(T: np.ndarray, r: int, j: int) -> None:
+    """Pivot the tableau T on entry (r, j): ``_eliminate`` by column j
+    (only the entries the pivot touches when column j and row r are sparse,
+    with the dense update's values), then set column j to e_r exactly."""
     _eliminate(T, r, T[:, j].copy())
     T[:, j] = 0.0
     T[r, j] = 1.0

@@ -1,4 +1,5 @@
-"""Shared test utilities: a small random LP builder, the all-complement
+"""Shared test utilities: a small random LP builder, the dense pivot
+update that the solver's sparse one must match bitwise, the all-complement
 containment referee, and independent binomial oracles computed by direct
 summation (math.comb + fsum), so the package's log-space tail code is
 checked against arithmetic it does not share."""
@@ -28,6 +29,17 @@ def small_lp(rng: np.random.Generator, d: int, m_struct: int) -> Polytope:
     eye = np.eye(d)
     box_rows = np.vstack([r for j in range(d) for r in (eye[j : j + 1], -eye[j : j + 1])])
     return Polytope(np.vstack([A, box_rows]), np.concatenate([b, np.full(2 * d, L)]))
+
+
+def dense_eliminate(T: np.ndarray, r: int, col: np.ndarray) -> None:
+    """The pivot update of ``lp_core._eliminate`` over every entry of T, in
+    blocks of 64 rows: row r is divided by col[r], and col[i] times the new
+    row r is subtracted from every other row i, zero products included."""
+    prow = T[r] / col[r]
+    for i in range(0, T.shape[0], 64):
+        block = T[i : i + 64]
+        block -= np.outer(col[i : i + 64], prow)
+    T[r] = prow
 
 
 def solve_on_optimal_face(p: Polytope, c, v: float, a, sense: str = "max") -> SolveResult:

@@ -14,6 +14,7 @@ from lpslice import (
     solve_lp,
 )
 from lpslice.instances import (
+    CHECK_DIM_LIMIT,
     PRESETS,
     STREAM_PILOT,
     CostModel,
@@ -81,6 +82,18 @@ def test_randomlp_at_the_check_limit_generates(seed):
     # 0-5.  The Stiemke test needs two LPs per seed, so all six run here.
     params = {**PRESETS["randomlp-a"]["params"], "d": 40, "rows": 40}
     assert gen_instance("randomlp", params, seed).polytope.A.shape == (120, 40)
+
+
+def test_every_preset_above_the_check_limit_is_feasible_and_bounded():
+    # gen_instance runs the Stiemke check only up to CHECK_DIM_LIMIT, so
+    # every larger preset is classified here instead
+    large = []
+    for name in PRESETS:
+        inst = make_preset(name)
+        if inst.d > CHECK_DIM_LIMIT:
+            large.append(name)
+            assert check_feasible_bounded(inst.polytope) is FeasibilityStatus.FEASIBLE_BOUNDED, name
+    assert "packing-360" in large and "grid-16" in large
 
 
 def test_preset_generation_is_deterministic():

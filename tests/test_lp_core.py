@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import small_lp, solve_on_optimal_face
+from helpers import dense_eliminate, small_lp, solve_on_optimal_face
 from lpslice import (
     FeasibilityStatus,
     GeneralLP,
@@ -10,6 +10,8 @@ from lpslice import (
     RejectedInstance,
     SolveStatus,
     check_feasible_bounded,
+    contains_optimal_face,
+    learn,
     normalize_to_inequality_form,
     solve_lp,
 )
@@ -21,7 +23,7 @@ from lpslice.lp_core import (
     polytope_from_json,
     polytope_to_json,
 )
-from lpslice.instances import make_preset
+from lpslice.instances import make_preset, sample_costs
 from lpslice.learner import make_anchor
 from lpslice.oracle import enumerate_vertices
 
@@ -453,3 +455,116 @@ def test_a_start_that_prices_out_returns_the_cold_x_bitwise(monkeypatch):
             assert warm.x.tobytes() == cold.x.tobytes()
             assert (warm.value, warm.basis_id) == (cold.value, cold.basis_id)
         assert pivots == []
+
+
+def _signed_zero_tableau(rng, shape, row_share, col_share):
+    """(T, r, col) for a pivot on (r, 0) of a random T whose column 0 is
+    nonzero on about row_share of its rows and whose row r is nonzero on
+    about col_share of its columns; a third of the other entries, and some
+    zeros of the column, are -0.0."""
+    T = rng.standard_normal(shape)
+    T[rng.random(shape) < 1 / 3] = -0.0
+    r = int(rng.integers(shape[0]))
+    T[r, rng.random(shape[1]) >= col_share] = -0.0
+    col = T[:, 0]  # a view: the pivot column is T's column 0
+    col[rng.random(shape[0]) >= row_share] = 0.0
+    col[rng.random(shape[0]) < 0.2] *= -1.0  # zeros of the column turn -0.0 too
+    col[r] = 1.0 + rng.random()
+    return T, r, col.copy()
+
+
+def _takes_sparse_path(T, r, col):
+    """Would ``lp_core._eliminate`` update only the block this pivot touches?"""
+    touched = np.count_nonzero(col) * np.count_nonzero(T[r] / col[r])
+    return T.shape[0] > lp_core._ROW_BLOCK and touched * lp_core._SPARSE_FACTOR < T.size
+
+
+@pytest.mark.parametrize(
+    "shape, row_share, col_share",
+    [
+        ((lp_core._ROW_BLOCK + 1, 80), 0.1, 0.2),
+        ((141, 421), 0.05, 0.01),
+        ((361, 745), 0.05, 0.01),
+        ((361, 745), 0.4, 0.05),
+        ((360, 360), 0.5, 0.1),
+        ((141, 421), 1.0, 0.33),  # dense: the blocked loop runs
+    ],
+)
+def test_sparse_eliminate_matches_the_dense_update(shape, row_share, col_share):
+    rng = np.random.default_rng(shape[0] + shape[1])
+    sparse_pivots = 0
+    for _ in range(4):
+        T, r, col = _signed_zero_tableau(rng, shape, row_share, col_share)
+        sparse_pivots += _takes_sparse_path(T, r, col)
+        want = T.copy()
+        dense_eliminate(want, r, col)
+        lp_core._eliminate(T, r, col)
+        assert np.array_equal(T, want)
+    # the sparse shapes took the sparse path on every pivot, the dense one on none
+    assert sparse_pivots == (4 if col_share < 0.33 else 0)
+
+
+def test_a_sparse_pivot_leaves_the_rows_it_does_not_touch_bitwise():
+    # where the pivot column is 0 the dense update subtracts a product of a
+    # zero, which turns a -0.0 entry into +0.0; the sparse update must not
+    # write those rows at all
+    rng = np.random.default_rng(3)
+    m, n = lp_core._ROW_BLOCK + 36, 300
+    T = rng.standard_normal((m, n))
+    col = np.zeros(m)
+    touched = rng.choice(m, 5, replace=False)
+    col[touched] = rng.standard_normal(5)
+    r = int(touched[0])
+    col[r] = 2.0
+    untouched = np.setdiff1d(np.arange(m), touched)
+    col[untouched[::3]] = -0.0
+    T[untouched[:, None], rng.random(n) < 0.3] = -0.0
+    assert _takes_sparse_path(T, r, col)
+    before = T.copy()
+    lp_core._eliminate(T, r, col)
+    assert np.signbit(before[untouched]).any()
+    for i in untouched:
+        assert T[i].tobytes() == before[i].tobytes()
+
+
+def _bits(r):
+    return (
+        r.status,
+        r.value,
+        r.basis_id,
+        None if r.x is None else r.x.tobytes(),
+        None if r.y is None else r.y.tobytes(),
+    )
+
+
+def test_solves_with_sparse_pivots_are_bitwise_those_with_dense_ones(monkeypatch):
+    # cold packing-360 solves pivot on a 361-row tableau, and a packing-360
+    # check's stage two on its 360 x 360 inverse; the integer-cost grid-4
+    # solves (degenerate, 25 rows) run the blocked loop on both sides
+    pack, grid = make_preset("packing-360"), make_preset("grid-4")
+    p = pack.polytope
+    costs = [pack.c0, *sample_costs(pack, 2, seed=11)]
+    grid_costs = np.round(sample_costs(grid, 6, seed=3))
+    model, _ = learn(p, make_anchor(p, pack.c0), sample_costs(pack, 2, seed=0))
+    check_cost = sample_costs(pack, 1, seed=12)[0]
+
+    def run():
+        check = contains_optimal_face(model, p, check_cost)
+        return (
+            [_bits(solve_lp(p, c)) for c in costs],
+            [_bits(solve_lp(grid.polytope, c)) for c in grid_costs],
+            (check.contained, None if check.witness is None else check.witness.tobytes()),
+        )
+
+    sparse_inverse_pivots = []
+    real = lp_core._eliminate
+
+    def spy(T, r, col):
+        sparse_inverse_pivots.append(T.shape == (p.d, p.d) and _takes_sparse_path(T, r, col))
+        real(T, r, col)
+
+    monkeypatch.setattr(lp_core, "_eliminate", spy)
+    fast = run()
+    assert any(sparse_inverse_pivots)
+    monkeypatch.setattr(lp_core, "_eliminate", dense_eliminate)
+    assert run() == fast

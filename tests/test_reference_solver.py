@@ -29,7 +29,8 @@ def _assert_matches_highs(p, c):
     return r
 
 
-@pytest.mark.parametrize("preset", ["randomlp-a", "packing-360"])
+# maxflow-300, mincostflow-360 and grid-16 are where cold pivots are sparsest
+@pytest.mark.parametrize("preset", ["randomlp-a", "packing-360", "maxflow-300", "mincostflow-360", "grid-16"])
 def test_preset_anchor_cost_matches_highs(preset):
     inst = make_preset(preset)
     _assert_matches_highs(inst.polytope, inst.c0)
