@@ -1,11 +1,11 @@
-"""Inequality-form LP model and a deterministic dense simplex solver.
+"""Inequality-form LP model and a deterministic revised simplex solver.
 
 The central object is ``Polytope``: X = {x : A x <= b} with A dense (m x d).
 ``solve_lp`` minimizes c.x over X and, whenever the problem is feasible and
 bounded in direction c, returns a *vertex* optimizer together with a canonical
 basis identifier, so repeated solves of the same data are bitwise identical.
 
-The solver is a dense tableau simplex applied to the dual in standard form:
+The solver is a simplex method applied to the dual in standard form:
 
     min b.y   s.t.  A^T y = -c,  y >= 0.
 
@@ -15,24 +15,29 @@ slack b_j - A_j x.  So the dual optimality test is exactly primal
 feasibility.  Free primal variables therefore never need splitting, which
 keeps the vertex guarantee that a direct x = x+ - x- formulation would lose.
 
-Cold solves run two phases from the all-artificial basis.  Pricing is
-Dantzig's rule (most negative reduced cost enters, lowest index among ties);
-after a run of ``_DEGENERATE_RUN`` consecutive degenerate pivots it falls
-back to Bland's rule (lowest eligible index enters) until the next
-non-degenerate pivot.  The leaving row is the minimum ratio, lowest basic
-index among ties.  Bland's rule cannot cycle, so each degenerate run is
-finite, and the objective strictly falls between runs, so the simplex
-terminates.
+Every path runs in revised form (Dantzig & Orchard-Hays 1954) on one basis
+representation: the d x d inverse of the basis, updated in product form
+(Bartels & Golub 1969) beside the basic values.  Cold solves run two phases
+of the primal simplex (``_primal``) from the all-artificial basis, whose
+inverse is the identity.  Pricing is Dantzig's rule (most negative reduced
+cost enters, lowest index among ties); after a run of ``_DEGENERATE_RUN``
+consecutive degenerate pivots it falls back to Bland's rule (lowest
+eligible index enters) until the next non-degenerate pivot.  The leaving
+row is the minimum ratio, lowest basic index among ties.  Bland's rule
+cannot cycle, so each degenerate run is finite, and the objective strictly
+falls between runs, so the simplex terminates.  A pivot reads A at most
+once and writes only the inverse and the reduced costs; a tableau pivot
+rewrote all d (m + d) of its entries.
 
 Pivots are hyper-sparse on the network and packing presets (Hall &
-McKinnon 2005; Bixby 2002): a cold packing-360 pivot column is about 4%
-nonzero and its pivot row under 1%.  So a pivot on a large tableau, or on
-the inverse of a started solve, updates only the rows where the pivot
-column is nonzero and the columns where the pivot row is (``_eliminate``).
-Each skipped entry would have had a product of a zero subtracted, which
-changes no value, only at most the sign of a zero, and no choice reads that
-sign.  So every pivot, the terminal basis, x and the value are bitwise
-those of the dense update; y could differ only in the sign of a zero.
+McKinnon 2005; Bixby 2002): a cold packing-360 entering column B^-1 a_j is
+about 4% nonzero and a row of B^-1 under 1%.  So a pivot forms the entering
+column from the nonzeros of a_j and the pivot row (B^-1)_r A^T from the
+nonzeros of (B^-1)_r, and the update of a large inverse touches only the
+rows where the entering column is nonzero and the columns where the pivot
+row is (``_eliminate``).  Each skipped entry would have had a product of a
+zero subtracted, which changes no value, only at most the sign of a zero,
+and no choice reads that sign.
 
 A started solve skips phase one.  Its start is a ``VertexStart``: a vertex
 of X with d of its active rows as the dual basis and the inverse of that
@@ -49,8 +54,8 @@ lowest index among ties; the same Bland fallback applies to the leaving
 row; and a rank-one step updates a private copy of the inverse.  In
 primal terms every pivot moves along an edge of X from the start towards
 the optimum.  A closing pricing applies the cold optimality test; only
-when rounding makes it fail is the tableau formed from the inverse for a
-phase-two pass.  The terminal basis goes through the cold
+when rounding makes it fail does the cold path's phase two run from that
+basis and its inverse.  The terminal basis goes through the cold
 post-processing (the start's x is that formula's result for its own
 rows), so whenever it is the cold terminal basis, x, value and basis_id
 are bitwise the cold ones.  Both paths share the thresholds of
@@ -184,109 +189,124 @@ class SolveResult:
 _OPTIMAL, _INFEASIBLE, _UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 # Rows per block of the pivot update.  Updating in blocks keeps the rank-one
-# temporary small and in cache instead of allocating a whole tableau per pivot.
+# temporary small and in cache instead of allocating one of T's size per pivot.
 _ROW_BLOCK = 64
 
 # A pivot on more than _ROW_BLOCK rows updates only the block it touches when
 # that block is under 1/_SPARSE_FACTOR of T.  Timed on one core, the touched
 # block alone is up to 1.6x faster than the blocked loop at 1/8 of T (as fast
-# at d = 140), about as fast at 1/6 and 1.8x slower at 1/3, on tableaus of
-# 141 x 421 to 481 x 1953 and inverses of 140 x 140 and 360 x 360.  The
-# network presets' cold pivots touch at most 4% of T, randomlp-a's at least
-# 26%.
+# at d = 140), about as fast at 1/6 and 1.8x slower at 1/3, on dense arrays
+# of 141 x 421 to 481 x 1953 and inverses of 140 x 140 and 360 x 360.  A
+# cold packing-360 pivot touches under 0.1% of its inverse.
 _SPARSE_FACTOR = 8
 
 
 def _eliminate(T: np.ndarray, r: int, col: np.ndarray) -> None:
     """T <- E T in place, for the elimination E that maps col to the unit
     vector e_r: row r is divided by col[r], and col[i] times the new row r
-    is subtracted from every other row i.
+    is subtracted from every other row i: the product-form update of a
+    basis inverse whose column r is replaced, col being the entering column
+    B^-1 a_j.  ``_primal`` applies it to [B^-1 | x_B], ``_dual_simplex``
+    to its private copy of B^-1.
 
     Only the block of rows where col is nonzero and columns where the new
     row r is nonzero changes value, so a hyper-sparse pivot (Hall &
-    McKinnon 2005) on a tableau of more than ``_ROW_BLOCK`` rows updates
-    that block alone when it is under 1/``_SPARSE_FACTOR`` of T; smaller or
-    denser pivots run the blocked loop over all of T.  Both paths give the
-    same values: each entry of the block gets the same single multiply and
+    McKinnon 2005) on more than ``_ROW_BLOCK`` rows updates that block
+    alone when it is under 1/``_SPARSE_FACTOR`` of T; smaller or denser
+    pivots run the blocked loop over all of T.  Both paths give the same
+    values: each entry of the block gets the same single multiply and
     subtract, and each skipped entry would have had a product of a zero,
     +-0, subtracted, which leaves a nonzero entry as it is and can only
     turn -0.0 into +0.0.  No pivot choice reads the sign of a zero: ratio
     tests, pricing and ties compare values, and no path divides by an
     entry that is zero."""
     prow = T[r] / col[r]
-    if T.shape[0] > _ROW_BLOCK and np.count_nonzero(col) * np.count_nonzero(prow) * _SPARSE_FACTOR < T.size:
+    if T.shape[0] > _ROW_BLOCK:
         rows, cols = col.nonzero()[0], prow.nonzero()[0]
-        T[np.ix_(rows, cols)] -= np.outer(col[rows], prow[cols])
-    else:
-        for i in range(0, T.shape[0], _ROW_BLOCK):
-            block = T[i : i + _ROW_BLOCK]
-            block -= np.outer(col[i : i + _ROW_BLOCK], prow)
+        if rows.size * cols.size * _SPARSE_FACTOR < T.size:
+            T[rows[:, None], cols] -= col[rows, None] * prow[cols]
+            T[r] = prow
+            return
+    for i in range(0, T.shape[0], _ROW_BLOCK):
+        block = T[i : i + _ROW_BLOCK]
+        block -= col[i : i + _ROW_BLOCK, None] * prow
     T[r] = prow
 
 
-def _pivot(T: np.ndarray, r: int, j: int) -> None:
-    """Pivot the tableau T on entry (r, j): ``_eliminate`` by column j
-    (only the entries the pivot touches when column j and row r are sparse,
-    with the dense update's values), then set column j to e_r exactly."""
-    _eliminate(T, r, T[:, j].copy())
-    T[:, j] = 0.0
-    T[r, j] = 1.0
-
-
-# Consecutive degenerate pivots after which pricing falls back to Bland's rule.
+# Degenerate pivots in a row after which pricing falls back to Bland's rule.
 _DEGENERATE_RUN = 50
 
 
-def _iterate(T, basis, n_priced, tol_rc, max_iter, bounded=False):
-    """Pivot until no priced column has reduced cost < -tol_rc.
+def _primal(MS, W, basis, z, tol_rc, max_iter, bounded=False):
+    """Primal simplex pivots until no reduced cost in z is below -tol_rc.
 
-    T has shape (p+1, ncols+1): body rows, then the reduced-cost row; last
-    column is the RHS (with T[-1, -1] = -objective).  Only the first
-    ``n_priced`` columns may enter.  Returns the number of iterations, or -1
-    when an unbounded ray is detected; raises InternalError past max_iter.
-    With ``bounded`` (phase one, whose objective is at least 0) there is no
-    ray: a column that prices in without an eligible entry has a reduced
-    cost made of rounding, so it is set to 0 and pricing goes on.
+    W = [B^-1 | x_B] holds the inverse of the basis ``basis`` of the system
+    [MS | I] w = q (MS is k x n; the k artificial columns are priced while z
+    is longer than n) and the basic values; once phase one has dropped
+    redundant rows, W keeps only their rows of B^-1.  W, basis and z change
+    in place.  Returns the number of pivots, or -1 on an unbounded ray;
+    InternalError past max_iter.  With ``bounded`` (phase one, whose
+    objective is at least 0) there is no ray: a column that prices in
+    without an eligible entry has a reduced cost made of rounding, so it is
+    set to 0 and pricing goes on.
 
     Pricing is Dantzig's rule: the most negative reduced cost enters, ties
     to the lowest index.  A pivot whose ratio-test step is 0 is degenerate;
     after ``_DEGENERATE_RUN`` of them in a row pricing switches to Bland's
     rule (lowest eligible index enters) until the next non-degenerate pivot.
-    The leaving row is the minimum ratio, ties to the lowest basic index.
-    Termination: Bland's rule cannot cycle (Bland 1977), so every degenerate
-    stretch ends after finitely many pivots; each non-degenerate pivot
-    strictly lowers the objective, so no basis from an earlier stretch
-    recurs.  Every choice depends only on T, the basis and the pivots
-    made so far, so runs are deterministic.
+    The leaving row is the minimum ratio of x_B, clipped at 0, to the
+    entering column B^-1 a_j over its entries above PIVOT_TOL times 1 +
+    its largest magnitude, ties to the lowest basic index.  Termination:
+    Bland's rule cannot cycle (Bland 1977), and each non-degenerate pivot
+    strictly lowers the objective.  Every choice depends only on the data
+    and the pivots made so far, so runs are deterministic.  z is updated
+    by the pivot row as a tableau's cost row is, and basic columns keep a
+    reduced cost of exactly 0.
     """
-    p = T.shape[0] - 1
+    k, n = MS.shape
+    if not W.shape[0]:  # every row was redundant: no column has an entry
+        return -1 if (z < -tol_rc).any() else 0
+    inv, xb = W[:, :k], W[:, k]
+    ratios = np.empty(W.shape[0])
     it = 0
     degenerate = 0
     while True:
-        z = T[p, :n_priced]
         if degenerate < _DEGENERATE_RUN:
-            j = int(np.argmin(z))
+            j = int(z.argmin())
             if z[j] >= -tol_rc:
                 return it
         else:
-            cand = np.flatnonzero(z < -tol_rc)
+            cand = (z < -tol_rc).nonzero()[0]
             if cand.size == 0:
                 return it
             j = int(cand[0])
-        col = T[:p, j]
-        elig = col > PIVOT_TOL * (1.0 + np.max(np.abs(col)))
-        if not np.any(elig):
+        if j < n:
+            a = MS[:, j]
+            nz = a.nonzero()[0]
+            col = inv[:, nz] @ a[nz]
+        else:
+            col = inv[:, j - n].copy()
+        mag = np.abs(col)
+        ratios.fill(np.inf)
+        np.divide(np.maximum(xb, 0.0), col, out=ratios, where=col > PIVOT_TOL * (1.0 + mag[mag.argmax()]))
+        rmin = ratios[ratios.argmin()]
+        if rmin == np.inf:
             if not bounded:
                 return -1
-            T[p, j] = 0.0
+            z[j] = 0.0
             continue
-        rows = np.flatnonzero(elig)
-        ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
-        rmin = ratios.min()
-        ties = rows[ratios == rmin]
-        r = int(ties[np.argmin(basis[ties])])
-        _pivot(T, r, j)
+        ties = (ratios == rmin).nonzero()[0]
+        r = int(ties[basis[ties].argmin()])
+        ir = inv[r]
+        nz = ir.nonzero()[0]
+        row = ir[nz] @ MS[nz] if 4 * nz.size < k else ir @ MS
+        if z.size > n:
+            row = np.concatenate((row, ir))
+        row[basis[r]] = 1.0
+        z -= z[j] * (row / col[r])
+        _eliminate(W, r, col)
         basis[r] = j
+        z[basis] = 0.0
         degenerate = degenerate + 1 if rmin == 0.0 else 0
         it += 1
         if it > max_iter:
@@ -305,88 +325,67 @@ def _limits(scale: float, shape) -> tuple:
 
 
 def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
-    """min g.w  s.t.  M w = q, w >= 0   (two-phase tableau, see ``_iterate``).
+    """min g.w  s.t.  M w = q, w >= 0, in two phases of ``_primal``.
 
-    Phase one prices all columns, artificials included; phase two drops the
-    artificial columns and prices the n columns of M.
-
-    Returns (status, w, basis_columns).  ``basis_columns`` indexes columns of
-    M (sorted order is up to the caller); redundant equality rows detected in
-    phase one are dropped, so len(basis_columns) can be below M.shape[0].
+    Phase one scales the rows of M by the sign of q and starts from the
+    all-artificial basis (B^-1 = I, x_B = |q|), pricing the artificial
+    columns too.  Residual artificials are then driven out of the basis;
+    rows where none can leave are redundant and dropped, so the returned
+    basis columns (of M, unsorted) can be fewer than M's rows.  Phase two
+    prices g over the n columns of M.  Returns (status, w, basis_columns).
     """
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
     g = np.asarray(g, dtype=float)
     p, n = M.shape
     if p == 0:
-        if np.any(g < 0.0):
+        if (g < 0.0).any():
             return _UNBOUNDED, None, None
         return _OPTIMAL, np.zeros(n), np.zeros(0, dtype=int)
 
     tol_rc, max_iter = _limits(max(_magnitude(M), _magnitude(q), _magnitude(g)), M.shape)
     sgn = np.where(q < 0.0, -1.0, 1.0)
-    T = np.zeros((p + 1, n + p + 1))
-    T[:p, :n] = M
-    T[:p, :n] *= sgn[:, None]
-    T[:p, n : n + p] = np.eye(p)
-    T[:p, -1] = q * sgn
-    # phase-1 reduced costs for the all-artificial basis
-    T[p, : n + p] = -T[:p, : n + p].sum(axis=0)
-    T[p, n : n + p] = 0.0
-    T[p, -1] = -T[:p, -1].sum()
+    MS = np.multiply(M, sgn[:, None], order="C")  # the one scaled copy of M
+    W = np.zeros((p, p + 1))
+    np.fill_diagonal(W, 1.0)
+    W[:, p] = q * sgn
+    z = np.zeros(n + p)
+    z[:n] = -MS.sum(axis=0)
     basis = np.arange(n, n + p)
 
-    _iterate(T, basis, n + p, tol_rc, max_iter, bounded=True)
-    if -T[p, -1] > PHASE_ONE_TOL * (1.0 + float(np.sum(np.abs(q)))):
+    _primal(MS, W, basis, z, tol_rc, max_iter, bounded=True)
+    if float(W[basis >= n, p].sum()) > PHASE_ONE_TOL * (1.0 + float(np.abs(q).sum())):
         return _INFEASIBLE, None, None
 
     # drive residual artificials out of the basis; drop redundant rows
-    in_basis = np.zeros(n + p, dtype=bool)
-    in_basis[basis] = True
-    drop_rows = []
-    for r in range(p):
-        if basis[r] < n:
-            continue
-        row = np.where(in_basis[:n], 0.0, np.abs(T[r, :n]))
-        jbest = int(np.argmax(row))
-        if row[jbest] > DRIVE_OUT_TOL * (1.0 + float(np.max(np.abs(T[r, :n]), initial=0.0))):
-            _pivot(T, r, jbest)
-            in_basis[basis[r]] = False
+    in_basis = np.zeros(n, dtype=bool)
+    in_basis[basis[basis < n]] = True
+    keep = basis < n
+    for r in np.flatnonzero(~keep):
+        t = W[r, :p] @ MS
+        row = np.where(in_basis, 0.0, np.abs(t))
+        jbest = int(row.argmax())
+        if row[jbest] > DRIVE_OUT_TOL * (1.0 + _magnitude(t)):
+            _eliminate(W, r, W[:, :p] @ MS[:, jbest])
             in_basis[jbest] = True
             basis[r] = jbest
-        else:
-            drop_rows.append(r)
-    if drop_rows:
-        keep = np.setdiff1d(np.arange(p), drop_rows)
-        T = np.vstack([T[keep], T[-1:]])
-        basis = basis[keep]
-
-    # phase 2 never prices the artificial columns, so it drops them in
-    # place: the RHS moves into column n and each row moves left within
-    # T's buffer, which keeps C order and allocates no second tableau
-    rows, width = T.shape
-    T[:, n] = T[:, -1]
-    flat = T.reshape(-1)
-    for i in range(1, rows):
-        flat[i * (n + 1) : (i + 1) * (n + 1)] = flat[i * width : i * width + n + 1]
-    return _phase_two(flat[: rows * (n + 1)].reshape(rows, n + 1), basis, g, tol_rc, max_iter)
+            keep[r] = True
+    if not keep.all():
+        W, basis = W[keep], basis[keep]
+    return _from_basis(MS, W, basis, g, tol_rc, max_iter)
 
 
-def _price(T: np.ndarray, g: np.ndarray, basis: np.ndarray) -> None:
-    """Fill T's cost row anew with the reduced costs of g for the basis."""
-    T[-1, :-1] = g - g[basis] @ T[:-1, :-1]
-    T[-1, -1] = -float(g[basis] @ T[:-1, -1])
-
-
-def _phase_two(T, basis, g, tol_rc, max_iter):
-    """The last phase of both paths: price g, pivot until no reduced cost
-    is below -tol_rc (``_iterate``) and read off (status, w, basis)."""
-    _price(T, g, basis)
-    n = T.shape[1] - 1
-    if _iterate(T, basis, n, tol_rc, max_iter) < 0:
+def _from_basis(MS, W, basis, g, tol_rc, max_iter):
+    """Phase two, the last phase of both paths: from the feasible basis
+    ``basis`` with W = [B^-1 | x_B] (see ``_primal``), price g over the
+    columns of MS, pivot until none prices in and read off
+    (status, w, basis)."""
+    z = g - (g[basis] @ W[:, : MS.shape[0]]) @ MS
+    z[basis] = 0.0
+    if _primal(MS, W, basis, z, tol_rc, max_iter) < 0:
         return _UNBOUNDED, None, None
-    w = np.zeros(n)
-    w[basis] = T[:-1, -1]
+    w = np.zeros(MS.shape[1])
+    w[basis] = W[:, -1]
     return _OPTIMAL, w, basis.copy()
 
 
@@ -538,18 +537,13 @@ def _dual_simplex(A, b, c, rows, inv, slack, scale):
 def _close(A, b, inv, basis, y_B, z, tol_rc, max_iter):
     """The cold optimality test closing a started solve: the dual basis
     ``basis`` with inverse ``inv`` and basic values y_B is optimal when no
-    reduced cost z is below -tol_rc.  Only when rounding makes it fail is
-    the tableau formed from the inverse, for ``_phase_two``."""
+    reduced cost z is below -tol_rc.  Only when rounding makes it fail does
+    phase two (``_from_basis``) run from that basis, on copies of it."""
     if float(z.min()) >= -tol_rc:
         w = np.zeros(A.shape[0])
         w[basis] = y_B
         return _OPTIMAL, w, basis
-    d, m = A.shape[1], A.shape[0]
-    T = np.empty((d + 1, m + 1))
-    np.matmul(inv, A.T, out=T[:d, :m])  # written in place: no tableau-sized temporary
-    T[:d, m] = y_B
-    T[:d, basis] = np.eye(d)
-    return _phase_two(T, basis.copy(), b, tol_rc, max_iter)
+    return _from_basis(A.T, np.column_stack((inv, y_B)), basis.copy(), b, tol_rc, max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +554,13 @@ def _close(A, b, inv, basis, y_B, z, tol_rc, max_iter):
 def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None = None) -> SolveResult:
     """Minimize c.x over X = {A x <= b}.
 
-    Deterministic: the same (p, c, start) always yields the same basis_id
-    and a bitwise identical x; no state is kept between calls.  For
+    Deterministic at a fixed BLAS thread count: the same (p, c, start)
+    always yields the same basis_id and, under the same number of BLAS
+    threads, a bitwise identical x; no state is kept between calls.  The
+    thread count can change the last bits of x and value (randomlp-a's
+    cold x at c0 differs under OPENBLAS_NUM_THREADS=1 and =2, from the
+    d x d solve that forms x), which is weaker than bitwise x wherever it
+    runs; pin the thread count before numpy loads for equal bytes.  For
     feasible bounded directions the optimizer is a vertex of X (guaranteed
     whenever X has vertices, i.e. rank(A) = d).
 

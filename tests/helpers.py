@@ -1,5 +1,6 @@
 """Shared test utilities: a small random LP builder, the dense pivot
-update that the solver's sparse one must match bitwise, the all-complement
+update that the solver's sparse one must match bitwise, the dense tableau
+simplex that the solver's revised cold path must match, the all-complement
 containment referee, and independent binomial oracles computed by direct
 summation (math.comb + fsum), so the package's log-space tail code is
 checked against arithmetic it does not share."""
@@ -10,9 +11,9 @@ import math
 
 import numpy as np
 
-from lpslice import ContainmentResult, InternalError, Polytope, SolveResult, SolveStatus, solve_lp
+from lpslice import ContainmentResult, InternalError, Polytope, SolveResult, SolveStatus, lp_core, solve_lp
 from lpslice.linalg import complete_basis
-from lpslice.tolerances import TAU_CONTAIN
+from lpslice.tolerances import DRIVE_OUT_TOL, PHASE_ONE_TOL, PIVOT_TOL, TAU_CONTAIN
 
 # Half-width factor of the thickened optimal face: |c.x - v| <= EPS_FACE * (1 + |v|).
 EPS_FACE = 1e-7
@@ -40,6 +41,108 @@ def dense_eliminate(T: np.ndarray, r: int, col: np.ndarray) -> None:
         block = T[i : i + 64]
         block -= np.outer(col[i : i + 64], prow)
     T[r] = prow
+
+
+def _tableau_pivot(T: np.ndarray, r: int, j: int) -> None:
+    """Pivot the tableau T on entry (r, j) and set column j to e_r exactly."""
+    dense_eliminate(T, r, T[:, j].copy())
+    T[:, j] = 0.0
+    T[r, j] = 1.0
+
+
+def _tableau_iterate(T, basis, n_priced, tol_rc, max_iter, bounded=False):
+    """Pivot the tableau T (body rows, then the reduced-cost row; the last
+    column is the RHS, T[-1, -1] = -objective) until no priced column has
+    reduced cost < -tol_rc, by the rules of ``lp_core._primal``: Dantzig's
+    rule with the Bland fallback after ``lp_core._DEGENERATE_RUN``
+    degenerate pivots, the minimum ratio with ties to the lowest basic
+    index, and in phase one (``bounded``) a column without an eligible entry
+    set to 0.  Returns the number of pivots, or -1 on an unbounded ray."""
+    p = T.shape[0] - 1
+    it = 0
+    degenerate = 0
+    while True:
+        z = T[p, :n_priced]
+        if degenerate < lp_core._DEGENERATE_RUN:
+            j = int(np.argmin(z))
+            if z[j] >= -tol_rc:
+                return it
+        else:
+            cand = np.flatnonzero(z < -tol_rc)
+            if cand.size == 0:
+                return it
+            j = int(cand[0])
+        col = T[:p, j]
+        elig = col > PIVOT_TOL * (1.0 + np.max(np.abs(col)))
+        if not np.any(elig):
+            if not bounded:
+                return -1
+            T[p, j] = 0.0
+            continue
+        rows = np.flatnonzero(elig)
+        ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
+        rmin = ratios.min()
+        ties = rows[ratios == rmin]
+        r = int(ties[np.argmin(basis[ties])])
+        _tableau_pivot(T, r, j)
+        basis[r] = j
+        degenerate = degenerate + 1 if rmin == 0.0 else 0
+        it += 1
+        if it > max_iter:
+            raise InternalError("simplex iteration limit exceeded")
+
+
+def tableau_simplex(M, q, g):
+    """min g.w s.t. M w = q, w >= 0 on a dense two-phase tableau: the
+    reference for ``lp_core._simplex``, with its thresholds, limits and
+    return value (status, w, basis columns).  Every pivot rewrites the
+    whole (p + 1) x (n + p + 1) tableau with ``dense_eliminate``."""
+    M = np.asarray(M, dtype=float)
+    q = np.asarray(q, dtype=float)
+    g = np.asarray(g, dtype=float)
+    p, n = M.shape
+    if p == 0:
+        if np.any(g < 0.0):
+            return "unbounded", None, None
+        return "optimal", np.zeros(n), np.zeros(0, dtype=int)
+    scale = max(np.max(np.abs(a), initial=0.0) for a in (M, q, g))
+    tol_rc, max_iter = lp_core._limits(scale, M.shape)
+    sgn = np.where(q < 0.0, -1.0, 1.0)
+    T = np.zeros((p + 1, n + p + 1))
+    T[:p, :n] = M * sgn[:, None]
+    T[:p, n : n + p] = np.eye(p)
+    T[:p, -1] = q * sgn
+    T[p, : n + p] = -T[:p, : n + p].sum(axis=0)
+    T[p, n : n + p] = 0.0
+    T[p, -1] = -T[:p, -1].sum()
+    basis = np.arange(n, n + p)
+    _tableau_iterate(T, basis, n + p, tol_rc, max_iter, bounded=True)
+    if -T[p, -1] > PHASE_ONE_TOL * (1.0 + float(np.sum(np.abs(q)))):
+        return "infeasible", None, None
+    # drive residual artificials out of the basis; drop redundant rows
+    in_basis = np.zeros(n + p, dtype=bool)
+    in_basis[basis] = True
+    keep = []
+    for r in range(p):
+        if basis[r] >= n:
+            row = np.where(in_basis[:n], 0.0, np.abs(T[r, :n]))
+            jbest = int(np.argmax(row))
+            if row[jbest] <= DRIVE_OUT_TOL * (1.0 + float(np.max(np.abs(T[r, :n]), initial=0.0))):
+                continue
+            _tableau_pivot(T, r, jbest)
+            in_basis[basis[r]] = False
+            in_basis[jbest] = True
+            basis[r] = jbest
+        keep.append(r)
+    T = np.hstack([T[keep + [p], :n], T[keep + [p], -1:]])
+    basis = basis[keep]
+    T[-1, :-1] = g - g[basis] @ T[:-1, :-1]
+    T[-1, -1] = -float(g[basis] @ T[:-1, -1])
+    if _tableau_iterate(T, basis, n, tol_rc, max_iter) < 0:
+        return "unbounded", None, None
+    w = np.zeros(n)
+    w[basis] = T[:-1, -1]
+    return "optimal", w, basis.copy()
 
 
 def solve_on_optimal_face(p: Polytope, c, v: float, a, sense: str = "max") -> SolveResult:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import dense_eliminate, small_lp, solve_on_optimal_face
+from helpers import dense_eliminate, small_lp, solve_on_optimal_face, tableau_simplex
 from lpslice import (
     FeasibilityStatus,
     GeneralLP,
@@ -23,9 +23,10 @@ from lpslice.lp_core import (
     polytope_from_json,
     polytope_to_json,
 )
-from lpslice.instances import make_preset, sample_costs
+from lpslice.instances import PRESETS, gen_instance, make_preset, sample_costs
 from lpslice.learner import make_anchor
 from lpslice.oracle import enumerate_vertices
+from lpslice.tolerances import MULTIPLIER_TOL, VALUE_TOL
 
 
 def test_polytope_validation():
@@ -275,24 +276,36 @@ def test_degenerate_and_redundant_rows_still_give_vertex(square):
     assert np.allclose(r.x, [1.0, 1.0], atol=1e-9)
 
 
-def test_pivot_loop_does_not_cycle_on_beale_example():
+def _beale(max_iter):
+    """Beale's (1955) LP, min c.w s.t. M w = q, w >= 0, pivoted by
+    ``_primal`` from the slack basis: (pivots, objective, reduced costs)."""
+    M = np.array(
+        [
+            [1.0, 0.0, 0.0, 1 / 4, -60.0, -1 / 25, 9.0],
+            [0.0, 1.0, 0.0, 1 / 2, -90.0, -1 / 50, 3.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+        ]
+    )
+    c = np.array([0.0, 0.0, 0.0, -3 / 4, 150.0, -1 / 50, 6.0])
+    W = np.hstack([np.eye(3), [[0.0], [0.0], [1.0]]])  # [B^-1 | x_B]
+    basis, z = np.array([0, 1, 2]), c.copy()
+    it = lp_core._primal(M, W, basis, z, 1e-9, max_iter)
+    return it, float(c[basis] @ W[:, -1]), z
+
+
+def test_pivot_loop_does_not_cycle_on_beale_example(monkeypatch):
     # Beale (1955): from the slack basis, largest-coefficient pricing with
     # lowest-index ties cycles through six degenerate bases forever; the
     # fallback to Bland's rule after a run of degenerate pivots breaks it
-    T = np.array(
-        [
-            [1.0, 0.0, 0.0, 1 / 4, -60.0, -1 / 25, 9.0, 0.0],
-            [0.0, 1.0, 0.0, 1 / 2, -90.0, -1 / 50, 3.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
-            [0.0, 0.0, 0.0, -3 / 4, 150.0, -1 / 50, 6.0, 0.0],
-        ]
-    )
-    basis = np.array([0, 1, 2])
     max_iter = 2000
-    it = lp_core._iterate(T, basis, 7, 1e-9, max_iter)
+    it, value, z = _beale(max_iter)
     assert 0 <= it <= 2 * lp_core._DEGENERATE_RUN < max_iter
-    assert -T[-1, -1] == pytest.approx(-1 / 20, abs=1e-12)
-    assert np.all(T[-1, :-1] >= -1e-9)
+    assert value == pytest.approx(-1 / 20, abs=1e-12)
+    assert np.all(z >= -1e-9)
+    # without the fallback, Dantzig's rule cycles until the iteration limit
+    monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", max_iter + 1)
+    with pytest.raises(InternalError, match="iteration limit"):
+        _beale(max_iter)
 
 
 def test_phase_one_reports_no_ray_when_its_objective_is_already_zero():
@@ -383,18 +396,18 @@ def test_vertex_start_matches_cold_on_random_lps(run, monkeypatch):
     # run 0 puts the dual simplex on Bland's rule from the first pivot
     monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", run)
     closings, primal_pivots = [], []
-    real_close, real_iterate = lp_core._close, lp_core._iterate
+    real_close, real_primal = lp_core._close, lp_core._primal
 
     def close(*args):
         closings.append(1)
         return real_close(*args)
 
     def counted(*args, **kwargs):
-        primal_pivots.append(real_iterate(*args, **kwargs))
+        primal_pivots.append(real_primal(*args, **kwargs))
         return primal_pivots[-1]
 
     monkeypatch.setattr(lp_core, "_close", close)
-    monkeypatch.setattr(lp_core, "_iterate", counted)
+    monkeypatch.setattr(lp_core, "_primal", counted)
     for seed in range(20):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 6))
@@ -538,9 +551,10 @@ def _bits(r):
 
 
 def test_solves_with_sparse_pivots_are_bitwise_those_with_dense_ones(monkeypatch):
-    # cold packing-360 solves pivot on a 361-row tableau, and a packing-360
-    # check's stage two on its 360 x 360 inverse; the integer-cost grid-4
-    # solves (degenerate, 25 rows) run the blocked loop on both sides
+    # cold packing-360 solves pivot on [B^-1 | x_B] (360 x 361), and a
+    # packing-360 check's stage two on its 360 x 360 inverse; the
+    # integer-cost grid-4 solves (degenerate, 24 rows) run the blocked loop
+    # on both sides
     pack, grid = make_preset("packing-360"), make_preset("grid-4")
     p = pack.polytope
     costs = [pack.c0, *sample_costs(pack, 2, seed=11)]
@@ -568,3 +582,109 @@ def test_solves_with_sparse_pivots_are_bitwise_those_with_dense_ones(monkeypatch
     assert any(sparse_inverse_pivots)
     monkeypatch.setattr(lp_core, "_eliminate", dense_eliminate)
     assert run() == fast
+
+
+def test_a_polytope_whose_rows_are_all_redundant():
+    # A = 0: phase one drops every row, and a column that prices in has no
+    # entry at all, a ray of the dual, so X = {x : 0 <= b} is empty when
+    # some b_j < 0
+    for b, want in (([-1.0], SolveStatus.INFEASIBLE), ([1.0], SolveStatus.UNBOUNDED)):
+        p = Polytope(np.zeros((1, 2)), np.array(b))
+        assert solve_lp(p, np.array([1.0, 0.0])).status is want
+    empty = Polytope(np.zeros((1, 2)), np.array([-1.0]))
+    assert solve_lp(empty, np.zeros(2)).status is SolveStatus.INFEASIBLE
+    assert check_feasible_bounded(empty) is FeasibilityStatus.INFEASIBLE
+
+
+def test_close_runs_phase_two_from_a_dual_feasible_basis_that_is_not_optimal(monkeypatch):
+    # the box corner picked by the signs of c is a dual basis with y_B = |c|
+    # >= 0, but the corner violates some random row: its slack is negative,
+    # so _close's pricing fails and its phase two must pivot to the cold optimum
+    phase_two = []
+    real = lp_core._from_basis
+    monkeypatch.setattr(lp_core, "_from_basis", lambda *a: phase_two.append(1) or real(*a))
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 6))
+        m = int(rng.integers(d + 1, 3 * d))
+        p = small_lp(rng, d, m)
+        c = rng.standard_normal(d)
+        rows = np.array([m + 2 * j + (c[j] > 0.0) for j in range(d)])  # x_j <= L or -x_j <= L
+        inv = np.linalg.inv(p.A[rows].T)
+        y_B = inv @ -c
+        slack = p.b - p.A @ np.linalg.solve(p.A[rows], p.b[rows])
+        assert np.all(y_B > 0.0) and slack.min() < 0.0
+        cold = solve_lp(p, c)
+        scale = max(np.abs(p.A).max(), np.abs(p.b).max(), np.abs(c).max())
+        tol_rc, max_iter = lp_core._limits(scale, p.A.shape)
+        phase_two.clear()
+        status, w, basis = lp_core._close(p.A, p.b, inv, rows.copy(), y_B, slack, tol_rc, max_iter)
+        assert phase_two == [1]
+        assert status == "optimal"
+        basis = np.sort(basis)
+        assert tuple(basis.tolist()) == cold.basis_id
+        assert np.linalg.solve(p.A[basis], p.b[basis]).tobytes() == cold.x.tobytes()
+        assert np.allclose(w, cold.y, atol=1e-9)
+        assert float(p.b @ w) == pytest.approx(-cold.value, abs=1e-9)
+
+
+def _recession_lp(rng, d, m):
+    """A nonempty polytope with the recession direction r (A r <= 0) and a
+    cost that falls along r: unbounded."""
+    r = rng.standard_normal(d)
+    A = rng.standard_normal((m, d))
+    A[A @ r > 0.0] *= -1.0
+    xbar = rng.standard_normal(d)
+    p = Polytope(A, A @ xbar + rng.uniform(0.1, 1.0, m))
+    return p, -r / np.linalg.norm(r) + 0.1 * rng.standard_normal(d)
+
+
+def _referee_cases():
+    """(label, polytope, cost): seeded small LPs at d = 2..8, generic,
+    infeasible, unbounded and degenerate (every row twice, integer costs on
+    grid-4), then the benchmark's four instances at c0."""
+    cases = []
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        d = 2 + seed % 7
+        p = small_lp(rng, d, int(rng.integers(d + 1, 3 * d)))
+        L = float(p.b[-1])
+        cases += [(f"small-{seed}-{k}", p, rng.standard_normal(d)) for k in range(3)]
+        cut = Polytope(np.vstack([p.A, np.eye(d)[:1]]), np.concatenate([p.b, [-L - 1.0]]))  # x_0 <= -L - 1
+        cases.append((f"infeasible-{seed}", cut, rng.standard_normal(d)))
+        cases.append((f"unbounded-{seed}", *_recession_lp(rng, d, 2 * d)))
+        twice = Polytope(np.vstack([p.A, p.A]), np.concatenate([p.b, p.b]))
+        cases.append((f"twice-{seed}", twice, rng.standard_normal(d)))
+    grid = make_preset("grid-4")
+    cases += [(f"grid-4-int-{k}", grid.polytope, c) for k, c in enumerate(np.round(sample_costs(grid, 4, seed=3)))]
+    params = {**PRESETS["grid-4"]["params"], "rows": 5, "cols": 5, "name": "grid5-int"}
+    insts = [make_preset(n) for n in ("example1", "randomlp-a", "packing-360")]
+    insts.append(gen_instance("shortestpathgrid", params, 0))
+    cases += [(inst.name, inst.polytope, inst.c0) for inst in insts]
+    return cases
+
+
+def test_revised_cold_solves_match_the_tableau_referee(monkeypatch):
+    # the dense two-phase tableau the revised cold path replaced, as the
+    # referee: the same status everywhere, the same value to VALUE_TOL, and
+    # the same basis and bitwise x wherever the referee's optimum is a
+    # vertex with d active rows and positive multipliers (one basis)
+    statuses, exact = set(), 0
+    for label, p, c in _referee_cases():
+        got = solve_lp(p, c)
+        with monkeypatch.context() as mp:
+            mp.setattr(lp_core, "_simplex", tableau_simplex)
+            want = solve_lp(p, c)
+        assert got.status is want.status, label
+        statuses.add(want.status)
+        if want.status is not SolveStatus.OPTIMAL:
+            continue
+        assert abs(got.value - want.value) <= VALUE_TOL * (1.0 + abs(want.value)), label
+        active = np.flatnonzero(np.abs(p.b - p.A @ want.x) <= 1e-9 * (1.0 + np.abs(p.b)))
+        thr = MULTIPLIER_TOL * (1.0 + float(np.max(np.abs(want.y))))
+        if active.size == p.d and np.all(want.y[active] > thr):
+            exact += 1
+            assert got.basis_id == want.basis_id, label
+            assert got.x.tobytes() == want.x.tobytes(), label
+    assert statuses == set(SolveStatus)
+    assert exact >= 20
