@@ -12,7 +12,10 @@ optimal value and a subset of its optimizers, vertices included.
 
 The test rests on complementary slackness (Goldman & Tucker, 1956): every
 row whose optimal multiplier is positive is active on the whole optimal
-face, so the face lies in x* + null(A_S) for those rows S.  Face LPs are
+face, so the face lies in x* + null(A_S) for those rows S.  The solve puts
+positive multipliers only on its d independent basis rows, so null(A_S) is
+spanned by the columns of A_B^-1 that belong to the basis rows outside S,
+and one QR of those columns gives its orthonormal basis.  Face LPs are
 needed only along the part of that null space outside the slice, which is
 empty for a single-vertex face and a few directions for the ties of integer
 costs, and they run in the face's own free coordinates.
@@ -209,6 +212,9 @@ def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -
        N an orthonormal basis of null(A_S) and F = {z : (A N) z <= b - A x*}.
        If the d basis rows of the solve have multipliers above thr, the face
        is the single vertex x*: no factorization, and the answer is True.
+       Otherwise S lies inside the solve's basis rows (y is 0 off them),
+       and N is the Q factor of one QR of the columns of A_B^-1 that belong
+       to the basis rows outside S, each orthogonal to every other basis row.
     3. Face LPs along B, an orthonormal basis of (I - QQ^T) N, the part of
        the free directions outside the slice.  If B is empty the answer is
        True.  Otherwise, for each column of B in order, the maximum and then
@@ -219,12 +225,11 @@ def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -
        and hence of X.
 
     The cutoffs are one-sided, so they can only add work, never a wrong
-    True (see ``_free_face``): rank(A_S) may be under-counted, rows that
-    barely move along N are left out of F, and a direction of B is dropped
-    only when it leaves the slice by less than TAU_CONTAIN / FACE_SPAN per
-    unit of motion (all constants of ``tolerances``).  Leaving out rows
-    only enlarges F, and X is bounded, so an F with no rows or an unbounded
-    face LP raises InternalError.
+    True (see ``_free_face``): rows that barely move along N are left out
+    of F, and a direction of B is dropped only when it leaves the slice by
+    less than TAU_CONTAIN / FACE_SPAN per unit of motion (all constants of
+    ``tolerances``).  Leaving out rows only enlarges F, and X is bounded,
+    so an F with no rows or an unbounded face LP raises InternalError.
     """
     c = np.asarray(c, dtype=float)
     if p.d != model.d:
@@ -276,23 +281,26 @@ def _free_face(model: CompressionModel, p: Polytope, res: SolveResult):
     S do not; InternalError when none does, since X is bounded).  B is an
     orthonormal basis of (I - QQ^T) N.
 
-    The bases come from the Gram-Schmidt helpers of :mod:`lpslice.linalg`,
-    deterministic like the model's own.  Every cutoff can only enlarge F
-    or B: a row of A_S whose residual is below TAU_RANK times the largest
-    row norm counts as dependent (rank(A_S) under-counted); a row with
-    ||A_j N|| <= TAU_RANK ||A_j|| counts as not moving and is left out of
-    F, so rounding noise cannot cut F through x*; and a column of
-    (I - QQ^T) N is dropped from B only when its residual is below
-    TAU_CONTAIN / FACE_SPAN (relative to the largest column, of norm at
-    most 1).
+    S is a subset of the solve's d basis rows, which are independent, so
+    null(A_S) is spanned by the columns of A_B^-1 that belong to the free
+    basis rows (multiplier at most thr), and N is the Q factor of their
+    QR.  A basis of fewer than d rows means rank(A) < d, which a bounded X
+    rules out: InternalError.  B comes from the Gram-Schmidt of
+    :mod:`lpslice.linalg`, deterministic like the model's own.  Every cutoff
+    can only enlarge F or B: a row with ||A_j N|| <= TAU_RANK ||A_j|| counts
+    as not moving and is left out of F, so rounding noise cannot cut F
+    through x*; and a column of (I - QQ^T) N is dropped from B only when its
+    residual is below TAU_CONTAIN / FACE_SPAN (relative to the largest
+    column, of norm at most 1).
     """
-    d = model.d
     y = res.y
     thr = MULTIPLIER_TOL * (1.0 + float(np.max(np.abs(y))))
     basis = list(res.basis_id)
-    if len(basis) == d and float(np.min(y[basis])) > thr:
+    if len(basis) == p.d and float(np.min(y[basis])) > thr:
         return None
-    N = linalg.complete_basis(linalg.orthonormal_columns(p.A[y > thr].T))
+    if len(basis) < p.d:
+        raise InternalError(f"the optimal basis has {len(basis)} rows, fewer than d = {p.d}, though X is bounded")
+    N = np.ascontiguousarray(np.linalg.qr(np.linalg.inv(p.A[basis])[:, y[basis] <= thr])[0])
     B = linalg.orthonormal_columns(_residual(model, N), rank_tol=TAU_CONTAIN / FACE_SPAN)
     if B.shape[1] == 0:
         return None

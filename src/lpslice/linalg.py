@@ -25,28 +25,28 @@ def _project_out(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _extend(Q: np.ndarray, V: np.ndarray, cutoff: float, limit: int) -> np.ndarray:
-    """Q with up to ``limit`` more orthonormal columns, grown from V's columns.
+def _extend(Q: np.ndarray, V: np.ndarray, cutoff: float) -> np.ndarray:
+    """Q with more orthonormal columns, grown from V's columns.
 
     The one Gram-Schmidt loop behind the public helpers: V's columns are
     taken left to right, each made orthogonal to Q and to the columns kept
     before it, and kept unless its residual norm is at most ``cutoff`` (or
-    zero).  The span is rebuilt with ``np.column_stack`` after each kept
-    column.  Filling a preallocated array instead changes the rounding of
-    the next projections, hence the bits of every basis and model, so the
-    copy stays.  Returns Q itself when no column is kept.
+    zero).  The loop ends once the span has d columns: any later residual
+    is rounding noise.  Each kept column makes a fresh span, one
+    ``np.concatenate`` of the last span and the column.  Projecting against
+    a view of one preallocated array instead changes the rounding, hence
+    the bits of every basis and model, so the fresh array stays.  Returns Q
+    itself when no column is kept.
     """
     span = Q
-    kept: list[np.ndarray] = []
-    for k in range(V.shape[1]):
-        if len(kept) == limit:
+    for v in V.T:
+        if span.shape[1] == Q.shape[0]:
             break
-        w = _project_out(span, V[:, k].copy())
+        w = _project_out(span, v.copy())
         nrm = float(np.linalg.norm(w))
         if nrm <= cutoff or nrm == 0.0:
             continue
-        kept.append(w / nrm)
-        span = np.column_stack([Q] + kept)
+        span = np.concatenate((span, (w / nrm)[:, None]), axis=1)
     return span
 
 
@@ -64,7 +64,7 @@ def orthonormal_columns(V: np.ndarray, rank_tol: float = TAU_RANK) -> np.ndarray
     if V.ndim != 2:
         raise ValueError("expected a 2-d array of columns")
     cutoff = rank_tol * float(np.max(np.linalg.norm(V, axis=0), initial=0.0))
-    return _extend(np.zeros((V.shape[0], 0)), V, cutoff, V.shape[1])
+    return _extend(np.zeros((V.shape[0], 0)), V, cutoff)
 
 
 def first_independent(V: np.ndarray, k: int) -> np.ndarray:
@@ -105,7 +105,7 @@ def append_orthonormal(Q: np.ndarray, v: np.ndarray):
     span(Q) (residual at most TAU_RANK times max(1, ||v||)).
     """
     v = np.asarray(v, dtype=float)
-    out = _extend(Q, v[:, None], TAU_RANK * max(1.0, float(np.linalg.norm(v))), 1)
+    out = _extend(Q, v[:, None], TAU_RANK * max(1.0, float(np.linalg.norm(v))))
     if out.shape[1] == Q.shape[1]:
         raise ValueError("direction is numerically dependent on current span")
     return out
@@ -121,7 +121,7 @@ def complete_basis(Q: np.ndarray) -> np.ndarray:
     """
     Q = np.asarray(Q, dtype=float)
     d, r = Q.shape
-    full = _extend(Q, np.eye(d), COMPLETE_TOL, d - r)
+    full = _extend(Q, np.eye(d), COMPLETE_TOL)
     if full.shape[1] != d:
         raise ValueError("failed to complete orthonormal basis")
     return np.ascontiguousarray(full[:, r:])  # C order: products with a strided view may round differently

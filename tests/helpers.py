@@ -1,9 +1,11 @@
 """Shared test utilities: a small random LP builder, the dense pivot
 update that the solver's sparse one must match bitwise, the dense tableau
-simplex that the solver's revised cold path must match, the all-complement
-containment referee, and independent binomial oracles computed by direct
-summation (math.comb + fsum), so the package's log-space tail code is
-checked against arithmetic it does not share."""
+simplex that the solver's revised cold path must match, the Gram-Schmidt
+loop that rebuilds its span with ``np.column_stack`` and the Gram-Schmidt
+free face, which the library's loop and its basis-inverse free face must
+match, the all-complement containment referee, and independent binomial
+oracles computed by direct summation (math.comb + fsum), so the package's
+log-space tail code is checked against arithmetic it does not share."""
 
 from __future__ import annotations
 
@@ -12,8 +14,17 @@ import math
 import numpy as np
 
 from lpslice import ContainmentResult, InternalError, Polytope, SolveResult, SolveStatus, lp_core, solve_lp
-from lpslice.linalg import complete_basis
-from lpslice.tolerances import DRIVE_OUT_TOL, PHASE_ONE_TOL, PIVOT_TOL, TAU_CONTAIN
+from lpslice.compression import _residual
+from lpslice.linalg import _project_out, complete_basis, orthonormal_columns
+from lpslice.tolerances import (
+    DRIVE_OUT_TOL,
+    FACE_SPAN,
+    MULTIPLIER_TOL,
+    PHASE_ONE_TOL,
+    PIVOT_TOL,
+    TAU_CONTAIN,
+    TAU_RANK,
+)
 
 # Half-width factor of the thickened optimal face: |c.x - v| <= EPS_FACE * (1 + |v|).
 EPS_FACE = 1e-7
@@ -143,6 +154,49 @@ def tableau_simplex(M, q, g):
     w = np.zeros(n)
     w[basis] = T[:-1, -1]
     return "optimal", w, basis.copy()
+
+
+def column_stack_extend(Q: np.ndarray, V: np.ndarray, cutoff: float, limit: int) -> np.ndarray:
+    """The reference for ``linalg._extend``: Q with up to ``limit`` more
+    orthonormal columns from V's, the span rebuilt by ``np.column_stack``
+    of Q and every kept column after each one, with no stop at d columns."""
+    span = Q
+    kept: list[np.ndarray] = []
+    for k in range(V.shape[1]):
+        if len(kept) == limit:
+            break
+        w = _project_out(span, V[:, k].copy())
+        nrm = float(np.linalg.norm(w))
+        if nrm <= cutoff or nrm == 0.0:
+            continue
+        kept.append(w / nrm)
+        span = np.column_stack([Q] + kept)
+    return span
+
+
+def gram_schmidt_free_face(model, p: Polytope, res: SolveResult):
+    """``compression._free_face`` as it was before it read the free
+    directions off the solve's basis inverse: N = ``complete_basis`` of the
+    Gram-Schmidt basis of A_S^T, S the rows with multipliers above thr (a row
+    of A_S counts as dependent below TAU_RANK times the largest row norm).
+    The rest is the library's: (N, F, B), or None for a single-vertex face
+    or an empty B."""
+    d = model.d
+    y = res.y
+    thr = MULTIPLIER_TOL * (1.0 + float(np.max(np.abs(y))))
+    basis = list(res.basis_id)
+    if len(basis) == d and float(np.min(y[basis])) > thr:
+        return None
+    N = complete_basis(orthonormal_columns(p.A[y > thr].T))
+    B = orthonormal_columns(_residual(model, N), rank_tol=TAU_CONTAIN / FACE_SPAN)
+    if B.shape[1] == 0:
+        return None
+    AN = p.A @ N
+    moves = np.linalg.norm(AN, axis=1) > TAU_RANK * np.linalg.norm(p.A, axis=1)
+    if not moves.any():
+        raise InternalError("no row of X moves along the optimal face's free directions, though X is bounded")
+    slack = np.maximum(p.b - p.A @ res.x, 0.0)
+    return N, Polytope(AN[moves], slack[moves]), B
 
 
 def solve_on_optimal_face(p: Polytope, c, v: float, a, sense: str = "max") -> SolveResult:

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from lpslice import (
     SolveStatus,
     check_exact,
     contains_optimal_face,
+    make_anchor,
     solve_lp,
 )
 from lpslice.compression import (
@@ -27,7 +31,7 @@ from lpslice.compression import (
 from lpslice.instances import PRESETS, gen_instance, make_preset, sample_costs
 from lpslice.linalg import check_orthonormal
 from lpslice.oracle import exact_check_bruteforce
-from lpslice.tolerances import TAU_CONTAIN
+from lpslice.tolerances import MULTIPLIER_TOL, TAU_CONTAIN
 
 
 def vertical_slice() -> CompressionModel:
@@ -196,6 +200,64 @@ def test_unbounded_free_coordinates_raise_internal_error(monkeypatch):
     m = CompressionModel.create(x_star, np.array([[0.0], [1.0], [0.0]]))
     with pytest.raises(InternalError, match="unbounded"):
         contains_optimal_face(m, cube, c)
+
+
+def test_a_basis_of_fewer_than_d_rows_raises_internal_error(square, monkeypatch):
+    # a bounded X has rank d, so an optimal basis of fewer rows is a broken
+    # invariant: its inverse gives no free directions to read
+    c = np.array([-1.0, 0.0])  # the face is the right edge
+    real = compression.solve_lp
+
+    def short_basis(*args, **kwargs):
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, basis_id=res.basis_id[:1])
+
+    monkeypatch.setattr(compression, "solve_lp", short_basis)
+    with pytest.raises(InternalError, match="fewer than d"):
+        contains_optimal_face(CompressionModel.empty(real(square, c).x), square, c)
+
+
+@pytest.mark.parametrize("rows", [4, 5], ids=["grid-4", "grid5-int"])
+def test_free_directions_from_the_basis_inverse_match_the_gram_schmidt_referee(rows, monkeypatch):
+    # perfbench's grid5-int construction at 4 x 4 and 5 x 5: grid-4's
+    # generator and cost config, costs round(c0 + u) with u uniform in
+    # [-s, s]^d and s = mean|c0| (seed 0), 40 training and 32 test costs;
+    # the ties of integer costs give optimal faces with free directions
+    params = copy.deepcopy(PRESETS["grid-4"]["params"])
+    params.update(rows=rows, cols=rows)
+    inst = gen_instance("shortestpathgrid", params, 0)
+    p = inst.polytope
+    rng = np.random.default_rng(0)
+    s = float(np.mean(np.abs(inst.c0)))
+    costs = np.round(inst.c0 + rng.uniform(-s, s, (72, inst.d)))
+    x0 = make_anchor(p, inst.c0)
+    anchor = CompressionModel.empty(x0)
+    learned, _ = learner.learn(p, x0, list(costs[:40]))
+    faces = witnesses = 0
+    for c in costs[40:]:
+        res = solve_lp(p, c, start=x0)
+        thr = MULTIPLIER_TOL * (1.0 + float(np.max(res.y)))
+        assert set(np.flatnonzero(res.y > thr).tolist()) <= set(res.basis_id)
+        # over the rank-0 slice B spans N, so both return N whenever the
+        # face is more than a vertex
+        ours, ref = compression._free_face(anchor, p, res), helpers.gram_schmidt_free_face(anchor, p, res)
+        assert (ours is None) == (ref is None)
+        if ours is not None:
+            faces += 1
+            assert ours[0].shape == ref[0].shape
+            assert np.linalg.norm(ours[0] @ ours[0].T - ref[0] @ ref[0].T) <= 1e-9
+        for model in (anchor, learned):
+            got = contains_optimal_face(model, p, c)
+            with monkeypatch.context() as mp:
+                mp.setattr(compression, "_free_face", helpers.gram_schmidt_free_face)
+                assert contains_optimal_face(model, p, c).contained == got.contained
+            if not got.contained:
+                witnesses += 1
+                w = got.witness
+                assert p.contains(w) and not in_range(model, w - model.x0)
+                active = np.abs(p.A @ w - p.b) <= 1e-9 * (1.0 + np.abs(p.b))
+                assert np.linalg.matrix_rank(p.A[active]) == p.d  # a vertex of X
+    assert faces > 0 and witnesses > 0
 
 
 @pytest.mark.parametrize(("offset", "contained"), [(0.8, False), (0.9 / np.sqrt(2.0), True)], ids=["outside", "inside"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import column_stack_extend
 from lpslice.linalg import (
     append_orthonormal,
     check_orthonormal,
@@ -8,6 +9,7 @@ from lpslice.linalg import (
     orthonormal_columns,
     subspace_gap,
 )
+from lpslice.tolerances import COMPLETE_TOL, TAU_RANK
 
 
 def test_orthonormal_columns_spans_input():
@@ -99,3 +101,26 @@ def test_check_orthonormal_detects_skew():
     Q = np.array([[1.0, 0.1], [0.0, 1.0]])
     assert not check_orthonormal(Q)
     assert check_orthonormal(np.zeros((3, 0)))
+
+
+def test_extend_matches_the_column_stack_reference_bitwise():
+    # one concatenate per kept column gives the bytes, shape and C order of
+    # the loop that rebuilt its span with np.column_stack, on random and
+    # integer columns, more columns than rows and a Fortran-order Q included
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 61))
+        k = int(rng.integers(0, d + 4))
+        V = rng.standard_normal((d, k)) if seed % 2 else rng.integers(-2, 3, (d, k)).astype(float)
+        cutoff = TAU_RANK * float(np.max(np.linalg.norm(V, axis=0), initial=0.0))
+        Q = orthonormal_columns(V)
+        ref = column_stack_extend(np.zeros((d, 0)), V, cutoff, k)
+        assert Q.shape == ref.shape and Q.flags.c_contiguous and Q.tobytes() == ref.tobytes()
+        r = Q.shape[1]
+        for start in (Q, np.asfortranarray(Q)):
+            full = column_stack_extend(start, np.eye(d), COMPLETE_TOL, d - r)
+            assert complete_basis(start).tobytes() == np.ascontiguousarray(full[:, r:]).tobytes()
+        if r < d:
+            v = rng.standard_normal(d)
+            ref = column_stack_extend(Q, v[:, None], TAU_RANK * max(1.0, float(np.linalg.norm(v))), 1)
+            assert append_orthonormal(Q, v).tobytes() == ref.tobytes()
