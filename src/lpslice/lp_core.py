@@ -18,8 +18,12 @@ keeps the vertex guarantee that a direct x = x+ - x- formulation would lose.
 Every path runs in revised form (Dantzig & Orchard-Hays 1954) on one basis
 representation: the d x d inverse of the basis, updated in product form
 (Bartels & Golub 1969) beside the basic values.  Cold solves run two phases
-of the primal simplex (``_primal``) from the all-artificial basis, whose
-inverse is the identity.  Pricing is Dantzig's rule (most negative reduced
+of the primal simplex (``_primal``) from a crash basis (Bixby 1992):
+coordinate i takes, in place of its artificial, the lowest-index row of A
+that is e_i when c_i <= 0 or -e_i when c_i > 0, and the inverse is still
+the identity.  In primal terms the solve starts at the corner that
+minimizes c over the bound rows, so phase one makes no pivots when every
+coordinate has such a row.  Pricing is Dantzig's rule (most negative reduced
 cost enters, lowest index among ties); after a run of ``_DEGENERATE_RUN``
 consecutive degenerate pivots it falls back to Bland's rule (lowest
 eligible index enters) until the next non-degenerate pivot.  The leaving
@@ -327,9 +331,14 @@ def _limits(scale: float, shape) -> tuple:
 def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
     """min g.w  s.t.  M w = q, w >= 0, in two phases of ``_primal``.
 
-    Phase one scales the rows of M by the sign of q and starts from the
-    all-artificial basis (B^-1 = I, x_B = |q|), pricing the artificial
-    columns too.  Residual artificials are then driven out of the basis;
+    Phase one scales the rows of M by the sign of q to MS and crashes a
+    basis: row i takes the lowest-index column of MS equal to the unit
+    vector e_i (one nonzero, exactly 1.0) and every other row its
+    artificial.  Either way B^-1 = I and x_B = |q| >= 0, so the crash is
+    feasible; phase one minimizes the sum of the artificials still basic,
+    pricing the artificial columns too, and makes no pivot when every row
+    crashed.  Without a unit column the start is the all-artificial basis.
+    Residual artificials are then driven out of the basis;
     rows where none can leave are redundant and dropped, so the returned
     basis columns (of M, unsorted) can be fewer than M's rows.  Phase two
     prices g over the n columns of M.  Returns (status, w, basis_columns).
@@ -350,8 +359,20 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
     np.fill_diagonal(W, 1.0)
     W[:, p] = q * sgn
     z = np.zeros(n + p)
-    z[:n] = -MS.sum(axis=0)
+    colsum = MS.sum(axis=0)
     basis = np.arange(n, n + p)
+
+    # crash: row i takes the lowest-index column of MS equal to e_i; the
+    # reduced costs are those of the artificials still basic (their sum over
+    # a crashed column is a sum of zeros, so basic columns price at 0)
+    unit = np.flatnonzero((colsum == 1.0) & (np.count_nonzero(MS, axis=0) == 1))
+    rows, first = np.unique(MS[:, unit].argmax(axis=0), return_index=True)
+    if rows.size:
+        basis[rows] = unit[first]
+        z[:n] = -MS[basis >= n].sum(axis=0)
+        z[n + rows] = 1.0
+    else:
+        z[:n] = -colsum
 
     _primal(MS, W, basis, z, tol_rc, max_iter, bounded=True)
     if float(W[basis >= n, p].sum()) > PHASE_ONE_TOL * (1.0 + float(np.abs(q).sum())):

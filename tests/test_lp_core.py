@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -664,13 +670,14 @@ def _referee_cases():
     return cases
 
 
-def test_revised_cold_solves_match_the_tableau_referee(monkeypatch):
-    # the dense two-phase tableau the revised cold path replaced, as the
-    # referee: the same status everywhere, the same value to VALUE_TOL, and
-    # the same basis and bitwise x wherever the referee's optimum is a
-    # vertex with d active rows and positive multipliers (one basis)
+def _match_referee(monkeypatch, cases):
+    """Solve each (label, polytope, cost) case cold and with the dense
+    two-phase tableau as ``_simplex``: the same status everywhere, the same
+    value to VALUE_TOL, and the same basis and bitwise x wherever the
+    referee's optimum is a vertex with d active rows and positive
+    multipliers (one basis).  Returns (statuses seen, cases of one basis)."""
     statuses, exact = set(), 0
-    for label, p, c in _referee_cases():
+    for label, p, c in cases:
         got = solve_lp(p, c)
         with monkeypatch.context() as mp:
             mp.setattr(lp_core, "_simplex", tableau_simplex)
@@ -686,5 +693,121 @@ def test_revised_cold_solves_match_the_tableau_referee(monkeypatch):
             exact += 1
             assert got.basis_id == want.basis_id, label
             assert got.x.tobytes() == want.x.tobytes(), label
+    return statuses, exact
+
+
+def test_revised_cold_solves_match_the_tableau_referee(monkeypatch):
+    # the dense two-phase tableau the revised cold path replaced, as the
+    # referee; it starts from the all-artificial basis, the revised path
+    # from its crash basis
+    statuses, exact = _match_referee(monkeypatch, _referee_cases())
     assert statuses == set(SolveStatus)
     assert exact >= 20
+
+
+def test_partial_crashes_match_the_tableau_referee(monkeypatch):
+    # lower bounds only and costs of both signs: coordinate i crashes on its
+    # bound row -x_i <= 0 when c_i > 0, and keeps its artificial when c_i
+    # < 0, where only the dense structural rows bound it; a row sum(x) >=
+    # 1e4 beyond their reach makes the same LP infeasible.  The recession
+    # LPs have no bound rows, so their solves and Farkas splits crash none
+    cases, want_crashed = [], []
+    for seed in range(10):
+        rng = np.random.default_rng(200 + seed)
+        d = int(rng.integers(3, 12))
+        m = int(rng.integers(2, d + 3))
+        c = rng.standard_normal(d)
+        c[: d // 3 + 1] = -np.abs(c[: d // 3 + 1])
+        c[-(d // 3) - 1 :] = np.abs(c[-(d // 3) - 1 :])
+        A, rhs = rng.uniform(0.1, 1.0, (m, d)), rng.uniform(1.0, 5.0, m)
+        lo, hi = rng.uniform(-1.0, 0.0, d), np.full(d, np.inf)
+        feasible = GeneralLP("min", c, A, ("<=",) * m, rhs, lo, hi)
+        cut = GeneralLP("min", c, np.vstack([A, np.ones(d)]), ("<=",) * m + (">=",), np.append(rhs, 1e4), lo, hi)
+        for label, g in ((f"lower-bounds-{seed}", feasible), (f"cut-{seed}", cut)):
+            p, cost, _, _ = normalize_to_inequality_form(g)
+            cases.append((label, p, cost))
+            want_crashed.append([int((cost > 0.0).sum())])
+        cases.append((f"unbounded-{seed}", *_recession_lp(rng, d, 2 * d)))
+        want_crashed.append([0, 0])  # the solve and the Farkas split
+    crashed = []  # rows of each phase one's start basis that are columns of MS
+    real = lp_core._primal
+
+    def spy(MS, W, basis, z, *args, **kwargs):
+        if kwargs.get("bounded"):
+            # the cost of phase one is 1 on each artificial; B^-1 = I, so
+            # z = that cost - (its basic part) [MS | I]
+            art = basis >= MS.shape[1]
+            want = np.concatenate((-MS[art].sum(axis=0), np.where(art, 0.0, 1.0)))
+            want[basis] = 0.0
+            assert np.array_equal(z, want) and np.array_equal(W, np.column_stack((np.eye(len(basis)), W[:, -1])))
+            crashed.append(int((~art).sum()))
+        return real(MS, W, basis, z, *args, **kwargs)
+
+    monkeypatch.setattr(lp_core, "_primal", spy)
+    for (label, p, c), want in zip(cases, want_crashed):
+        crashed.clear()
+        solve_lp(p, c)
+        assert crashed == want, label
+        assert want == [0, 0] or 0 < want[0] < p.d, label
+    monkeypatch.undo()
+    statuses, exact = _match_referee(monkeypatch, cases)
+    assert statuses == set(SolveStatus)
+    assert exact == 10  # every feasible case has one optimal basis
+
+
+def test_phase_one_makes_no_pivots_at_c0_where_every_coordinate_has_bound_rows(monkeypatch):
+    # every preset bounds each coordinate above and below by a unit row, so
+    # the crash fills the whole basis and phase one has nothing to do
+    pivots = []
+    real = lp_core._primal
+
+    def counted(*args, **kwargs):
+        it = real(*args, **kwargs)
+        pivots.append((bool(kwargs.get("bounded")), it))
+        return it
+
+    monkeypatch.setattr(lp_core, "_primal", counted)
+    for name in PRESETS:
+        inst = make_preset(name)
+        A = inst.polytope.A
+        unit = np.count_nonzero(A, axis=1) == 1
+        for sign in (1.0, -1.0):
+            bounded = np.flatnonzero(unit & (A.sum(axis=1) == sign))
+            assert set(np.abs(A[bounded]).argmax(axis=1).tolist()) == set(range(inst.d)), name
+        pivots.clear()
+        assert solve_lp(inst.polytope, inst.c0).status is SolveStatus.OPTIMAL, name
+        assert [it for phase_one, it in pivots if phase_one] == [0], name
+    assert len(PRESETS) >= 9 and {"example1", "randomlp-d", "grid-16"} <= set(PRESETS)
+
+
+_COLD_RANDOMLP = """
+import json
+from lpslice import solve_lp
+from lpslice.instances import make_preset, sample_costs
+inst = make_preset("randomlp-a")
+out = []
+for c in [inst.c0, *sample_costs(inst, 2, seed=0)]:
+    r = solve_lp(inst.polytope, c)
+    out.append([r.basis_id, r.value, r.x.tobytes().hex()])
+print(json.dumps(out))
+"""
+
+
+def test_cold_solves_keep_their_basis_under_one_and_two_blas_threads():
+    # the determinism contract: the same basis under any BLAS thread count,
+    # the value to VALUE_TOL, and bitwise x only at a fixed thread count;
+    # the count is read when numpy loads, so each run is its own process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", _COLD_RANDOMLP], env=env, capture_output=True, text=True, check=True)
+        return json.loads(out.stdout)
+
+    one, two = run(1), run(2)
+    assert [basis for basis, _, _ in one] == [basis for basis, _, _ in two]
+    for (_, v1, _), (_, v2, _) in zip(one, two):
+        assert abs(v1 - v2) <= VALUE_TOL * (1.0 + abs(v1))
+    assert run(1) == one
+    assert run(2) == two
