@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lp_core import InternalError, Polytope, SolveResult, SolveStatus, VertexStart, solve_lp
+from .lp_core import InternalError, Polytope, SolveResult, SolveStatus, VertexStart, _basis_solve, solve_lp
 from .tolerances import EPS_FEAS, FACE_SPAN, MULTIPLIER_TOL, TAU_CONTAIN, TAU_RANGE, TAU_RANK
 from . import linalg
 
@@ -284,23 +284,26 @@ def _free_face(model: CompressionModel, p: Polytope, res: SolveResult):
     S is a subset of the solve's d basis rows, which are independent, so
     null(A_S) is spanned by the columns of A_B^-1 that belong to the free
     basis rows (multiplier at most thr), and N is the Q factor of their
-    QR.  A basis of fewer than d rows means rank(A) < d, which a bounded X
-    rules out: InternalError.  B comes from the Gram-Schmidt of
-    :mod:`lpslice.linalg`, deterministic like the model's own.  Every cutoff
-    can only enlarge F or B: a row with ||A_j N|| <= TAU_RANK ||A_j|| counts
-    as not moving and is left out of F, so rounding noise cannot cut F
-    through x*; and a column of (I - QQ^T) N is dropped from B only when its
-    residual is below TAU_CONTAIN / FACE_SPAN (relative to the largest
-    column, of norm at most 1).
+    QR.  Only those columns are solved for, A_B^-1 times the matching
+    columns of I (``lp_core._basis_solve``).  A basis of fewer than d rows
+    means rank(A) < d, which a bounded X rules out: InternalError.  B comes
+    from the Gram-Schmidt of :mod:`lpslice.linalg`, deterministic like the
+    model's own.  Every cutoff can only enlarge F or B: a row with
+    ||A_j N|| <= TAU_RANK ||A_j|| counts as not moving and is left out of
+    F, so rounding noise cannot cut F through x*; and a column of
+    (I - QQ^T) N is dropped from B only when its residual is below
+    TAU_CONTAIN / FACE_SPAN (relative to the largest column, of norm at
+    most 1).
     """
     y = res.y
     thr = MULTIPLIER_TOL * (1.0 + float(np.max(np.abs(y))))
-    basis = list(res.basis_id)
+    basis = np.array(res.basis_id, dtype=int)
     if len(basis) == p.d and float(np.min(y[basis])) > thr:
         return None
     if len(basis) < p.d:
         raise InternalError(f"the optimal basis has {len(basis)} rows, fewer than d = {p.d}, though X is bounded")
-    N = np.ascontiguousarray(np.linalg.qr(np.linalg.inv(p.A[basis])[:, y[basis] <= thr])[0])
+    free = np.eye(p.d)[:, y[basis] <= thr]
+    N = np.ascontiguousarray(np.linalg.qr(_basis_solve(p, basis, free))[0])
     B = linalg.orthonormal_columns(_residual(model, N), rank_tol=TAU_CONTAIN / FACE_SPAN)
     if B.shape[1] == 0:
         return None

@@ -60,11 +60,20 @@ primal terms every pivot moves along an edge of X from the start towards
 the optimum.  A closing pricing applies the cold optimality test; only
 when rounding makes it fail does the cold path's phase two run from that
 basis and its inverse.  The terminal basis goes through the cold
-post-processing (the start's x is that formula's result for its own
-rows), so whenever it is the cold terminal basis, x, value and basis_id
-are bitwise the cold ones.  Both paths share the thresholds of
-``tolerances``.  Neither keeps state between calls: every result depends
-only on (p, c, start).
+post-processing, x = A_B^-1 b_B on its sorted rows (the start's x is that
+formula's result for its own rows), so whenever it is the cold terminal
+basis, x, value and basis_id are bitwise the cold ones.  Both paths share
+the thresholds of ``tolerances``.  Neither keeps state between calls:
+every result depends only on (p, c, start).
+
+Every d x d basis solve, the terminal x, a start's vertex and its inverse,
+and the free directions of ``compression``, goes through one function,
+``_basis_solve``.  Above ``_SPLIT_DIM`` it takes the singleton rows of A_B
+first (Suhl & Suhl 1990): each bound row fixes its coordinate by one
+division, and one LU solves the small block of the other rows on the
+unfixed coordinates.  On packing-360 that block is 24 x 24 against the
+360 x 360 LU it replaces.  At or below ``_SPLIT_DIM`` it is LAPACK's LU of
+the whole basis.
 
 Status mapping: dual unbounded means the primal is infeasible; dual
 infeasible is split into primal Infeasible / Unbounded with one Farkas cone
@@ -76,6 +85,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +157,16 @@ class Polytope:
     @property
     def d(self) -> int:
         return self.A.shape[1]
+
+    @cached_property
+    def singletons(self) -> np.ndarray:
+        """For each row, the column of its one nonzero, or -1 when the row
+        has none or several: the bound rows a basis solve fixes first
+        (``_basis_solve``).  Read-only, computed on first use."""
+        nonzero = self.A != 0.0
+        col = np.where(np.count_nonzero(nonzero, axis=1) == 1, nonzero.argmax(axis=1), -1)
+        col.setflags(write=False)
+        return col
 
     def contains(self, x: np.ndarray) -> bool:
         """Componentwise feasibility with relative slack EPS_FEAS * (1 + |b|)."""
@@ -410,6 +430,57 @@ def _from_basis(MS, W, basis, g, tol_rc, max_iter):
     return _OPTIMAL, w, basis.copy()
 
 
+# Dimension above which ``_basis_solve`` fixes the singleton rows first.
+# LAPACK's LU of the whole basis against the split, on the terminal basis at
+# a test cost, best of 10-200 runs at one OpenBLAS thread on a 2-core VM
+# (numpy 2.4), with the rows left to the LU:
+#   grid 5x5, d = 40 (24 left): x 28 -> 39 us, inverse 0.07 -> 0.09 ms
+#   grid 6x6, d = 60 (35 left): x 46 -> 51 us, inverse 0.12 -> 0.14 ms
+#   grid 8x8, d = 112 (63 left): x 118 -> 73 us, inverse 0.49 -> 0.32 ms
+#   randomlp-a, d = 140 (54 left): x 165 -> 53 us, inverse 0.66 -> 0.31 ms
+#   maxflow-300 (58 left): x 915 -> 65 us, inverse 4.6 -> 0.9 ms
+#   packing-360 (24 left): x 1442 -> 69 us, inverse 8.6 -> 1.2 ms
+#   mincostflow-360 (71 left): x 1952 -> 131 us, inverse 7.7 -> 1.5 ms
+#   grid-16, d = 480 (255 left): x 4526 -> 1248 us, inverse 16.5 -> 8.6 ms
+# At d <= 64 the split wins nothing, and LAPACK keeps the bits of the small
+# presets and of every face and reduced LP.
+_SPLIT_DIM = 64
+
+
+def _basis_solve(p: Polytope, rows: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """A_B^-1 rhs for the basis B of the d ascending ``rows`` of p, rhs a
+    vector or a d x k matrix; without rhs, the C-contiguous inverse of
+    A_B^T, the dual basis inverse of ``VertexStart``.  LinAlgError when
+    A_B is singular.
+
+    Up to ``_SPLIT_DIM`` this is LAPACK's LU of A_B (of A_B^T for the
+    inverse).  Above it, each singleton row j of A_B (``p.singletons``)
+    fixes its coordinate, x_i = rhs_j / A_ji, and one LU solves the block
+    left over, the other rows on the unfixed coordinates, for rhs less
+    A[:, fixed] x_fixed (Suhl & Suhl 1990).  Two singleton rows on one
+    coordinate make A_B singular.  The inverse is the transpose of the
+    split's A_B^-1 I.  The result depends only on (p, rows, rhs), so a
+    started solve that ends at a basis gets the cold solve's x bitwise.
+    """
+    A, d = p.A, p.d
+    if d <= _SPLIT_DIM:
+        return np.linalg.inv(A.T[:, rows]) if rhs is None else np.linalg.solve(A[rows], rhs)
+    R = np.eye(d) if rhs is None else rhs
+    col = p.singletons[rows]
+    on = col >= 0
+    fixed = col[on]
+    free = np.ones(d, dtype=bool)
+    free[fixed] = False
+    if fixed.size + np.count_nonzero(free) != d:
+        raise np.linalg.LinAlgError("Singular matrix")
+    piv = A[rows[on], fixed]
+    X = np.empty(R.shape)
+    X[fixed] = R[on] / (piv if R.ndim == 1 else piv[:, None])
+    rest = A[rows[~on]]
+    X[free] = np.linalg.solve(rest[:, free], R[~on] - rest[:, fixed] @ X[fixed])
+    return X if rhs is not None else np.ascontiguousarray(X.T)
+
+
 def _factor(p: Polytope, x: np.ndarray):
     """(rows, inv, slack, scale) of the dual basis at the point x of X, or
     None when x is not a vertex (fewer than d independent active rows, or
@@ -429,7 +500,7 @@ def _factor(p: Polytope, x: np.ndarray):
     if rows.size < d:
         return None
     try:
-        inv = np.linalg.inv(A.T[:, rows])
+        inv = _basis_solve(p, rows)
     except np.linalg.LinAlgError:
         return None
     return rows, inv, slack, scale
@@ -452,10 +523,13 @@ class VertexStart:
            index order (``linalg.first_independent``); none at d = 0,
            where the one point of R^0 is the vertex (the reduced LP of a
            rank-0 model)
-    inv    the inverse of A[rows]^T
+    inv    the inverse of A[rows]^T, C-contiguous: LAPACK's at d <=
+           ``_SPLIT_DIM``, else the transpose of A[rows]^-1 from the
+           singleton-first split (``_basis_solve``)
     x      the vertex A[rows]^-1 b[rows], by the cold post-processing
-           formula, so a solve that ends at these rows returns it bitwise;
-           it was checked to be a point of X when the start was built
+           formula (``_basis_solve``), so a solve that ends at these rows
+           returns it bitwise; it was checked to be a point of X when the
+           start was built
     slack  b - A x0 at the point x0 the start was built from: the
            reduced costs the solves price the start's basis with
     scale  the largest magnitude in A and b, the cost-free part of the
@@ -485,7 +559,7 @@ class VertexStart:
         if factored is None:
             return None
         rows, inv, slack, scale = factored
-        vertex = np.linalg.solve(p.A[rows], p.b[rows])
+        vertex = _basis_solve(p, rows, p.b[rows])
         if (p.A @ vertex - p.b > EPS_FEAS * (1.0 + np.abs(p.b))).any():
             return None
         for a in (rows, inv, vertex, slack):
@@ -575,13 +649,18 @@ def _close(A, b, inv, basis, y_B, z, tol_rc, max_iter):
 def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None = None) -> SolveResult:
     """Minimize c.x over X = {A x <= b}.
 
-    Deterministic at a fixed BLAS thread count: the same (p, c, start)
-    always yields the same basis_id and, under the same number of BLAS
-    threads, a bitwise identical x; no state is kept between calls.  The
-    thread count can change the last bits of x and value (randomlp-a's
-    cold x at c0 differs under OPENBLAS_NUM_THREADS=1 and =2, from the
-    d x d solve that forms x), which is weaker than bitwise x wherever it
-    runs; pin the thread count before numpy loads for equal bytes.  For
+    Deterministic: the same (p, c, start) always yields the same basis_id
+    and, under the same number of BLAS threads, a bitwise identical x; no
+    state is kept between calls.  x is A_B^-1 b_B on the sorted terminal
+    rows (``_basis_solve``); above ``_SPLIT_DIM`` the singleton rows fix
+    their coordinates by divisions and LAPACK solves only the block left
+    over.  The bytes of x are then the same under OPENBLAS_NUM_THREADS=1
+    and =2 on every large preset measured: randomlp-a (pinned by a test:
+    cold and started solves and a start's inverse), packing-360,
+    maxflow-300, mincostflow-360 and grid-16 (blocks of 24 to 255 rows),
+    where randomlp-a's differed before the split.  Everywhere else,
+    including every d <= ``_SPLIT_DIM``, bitwise x holds at a fixed thread
+    count only; pin the count before numpy loads for equal bytes.  For
     feasible bounded directions the optimizer is a vertex of X (guaranteed
     whenever X has vertices, i.e. rank(A) = d).
 
@@ -652,11 +731,10 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
             rows, x = basis, start.x  # checked feasible when the start was built
         else:
             rows = np.sort(basis)
-            Asub, bsub = A[rows], b[rows]
             if rows.size == d:
-                x = np.linalg.solve(Asub, bsub)
+                x = _basis_solve(p, rows, b[rows])
             else:
-                x = np.linalg.lstsq(Asub, bsub, rcond=None)[0]
+                x = np.linalg.lstsq(A[rows], b[rows], rcond=None)[0]
             slack = A @ x - b
             if (slack > EPS_FEAS * (1.0 + np.abs(b))).any():
                 raise InternalError("terminal basis produced an infeasible point")

@@ -1,6 +1,7 @@
 """Shared test utilities: a small random LP builder, the dense pivot
 update that the solver's sparse one must match bitwise, the dense tableau
-simplex that the solver's revised cold path must match, the Gram-Schmidt
+simplex that the solver's revised cold path must match, the LU basis
+solves that its singleton-first ones must match, the Gram-Schmidt
 loop that rebuilds its span with ``np.column_stack`` and the Gram-Schmidt
 free face, which the library's loop and its basis-inverse free face must
 match, the all-complement containment referee, and independent binomial
@@ -154,6 +155,19 @@ def tableau_simplex(M, q, g):
     w = np.zeros(n)
     w[basis] = T[:-1, -1]
     return "optimal", w, basis.copy()
+
+
+def lu_basis_solve(p: Polytope, rows, rhs) -> np.ndarray:
+    """The referee of ``lp_core._basis_solve``: A_B^-1 rhs by LAPACK's LU
+    of the whole d x d basis of the ascending ``rows``, as every basis
+    solve was formed before the singleton-first split."""
+    return np.linalg.solve(p.A[rows], rhs)
+
+
+def lu_basis_inverse(p: Polytope, rows) -> np.ndarray:
+    """The referee of ``lp_core._basis_solve`` without rhs: the inverse of
+    A_B^T by LAPACK."""
+    return np.linalg.inv(p.A.T[:, rows])
 
 
 def column_stack_extend(Q: np.ndarray, V: np.ndarray, cutoff: float, limit: int) -> np.ndarray:

@@ -254,3 +254,36 @@ def test_learn_factors_the_anchor_basis_once(monkeypatch):
         check_exact(model, p, c)
         solve_via_compression(model, p, c)
     assert calls == []
+
+
+def test_a_large_learn_inverts_the_anchor_basis_once(monkeypatch):
+    # on packing-360 (d > _SPLIT_DIM, so the basis solves are split ones) a
+    # learn inverts the anchor basis once and forms its vertex once, forms
+    # one x per training cost, and factors the reduced start at z = 0 once;
+    # a later check forms one x and inverts nothing, and a serve solves no
+    # d x d basis at all
+    inst = make_preset("packing-360")
+    p = inst.polytope
+    x0 = make_anchor(p, inst.c0)
+    costs = sample_costs(inst, 16, seed=0)
+    calls = []
+    real = lp_core._basis_solve
+
+    def counted(q, rows, rhs=None):
+        calls.append((q.d, "inverse" if rhs is None else "x"))
+        return real(q, rows, rhs)
+
+    monkeypatch.setattr(lp_core, "_basis_solve", counted)
+    monkeypatch.setattr(compression, "_basis_solve", counted)
+    model, trace = learn(p, x0, costs[:8])
+    assert p.d > lp_core._SPLIT_DIM >= model.rank > 0
+    r = model.rank
+    assert sorted(calls) == sorted([(p.d, "inverse")] + [(p.d, "x")] * 9 + [(r, "inverse"), (r, "x")])
+    calls.clear()
+    for c in costs[8:]:
+        check_exact(model, p, c)
+    assert calls == [(p.d, "x")] * 8
+    calls.clear()
+    for c in costs[8:]:
+        solve_via_compression(model, p, c)
+    assert calls == [(r, "x")] * 8

@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dense_eliminate, small_lp, solve_on_optimal_face, tableau_simplex
+from helpers import (
+    dense_eliminate,
+    lu_basis_inverse,
+    lu_basis_solve,
+    small_lp,
+    solve_on_optimal_face,
+    tableau_simplex,
+)
 from lpslice import (
     FeasibilityStatus,
     GeneralLP,
@@ -476,6 +483,84 @@ def test_a_start_that_prices_out_returns_the_cold_x_bitwise(monkeypatch):
         assert pivots == []
 
 
+def test_basis_solves_match_the_lu_referee_on_every_preset():
+    # above _SPLIT_DIM the singleton rows are fixed first and one LU solves
+    # the rest: x, a block of columns of A_B^-1 and the inverse of A_B^T
+    # agree with LAPACK's LU of the whole basis to 1e-12 relative; at or
+    # below it they are LAPACK's, bit for bit
+    split = 0
+    for name in PRESETS:
+        inst = make_preset(name)
+        p = inst.polytope
+        rows = np.array(solve_lp(p, inst.c0).basis_id)
+        cols = np.eye(p.d)[:, ::7]
+        inv = lp_core._basis_solve(p, rows)
+        assert inv.flags.c_contiguous, name
+        pairs = [
+            (lp_core._basis_solve(p, rows, p.b[rows]), lu_basis_solve(p, rows, p.b[rows])),
+            (lp_core._basis_solve(p, rows, cols), lu_basis_solve(p, rows, cols)),
+            (inv, lu_basis_inverse(p, rows)),
+        ]
+        if p.d <= lp_core._SPLIT_DIM:
+            assert all(got.tobytes() == want.tobytes() for got, want in pairs), name
+            continue
+        split += 1
+        assert (p.singletons[rows] >= 0).any(), name  # the split has rows to fix
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+    assert split >= 8
+
+
+@pytest.mark.parametrize("name", ["packing-360", "randomlp-a"])
+def test_started_solves_above_the_split_dimension_return_the_cold_x_bitwise(name):
+    # cold and started solves form x with the same singleton-first split on
+    # the same sorted rows, so where they end at one basis their x is one
+    # array, bit for bit; randomlp-a's own law never leaves the anchor (the
+    # start's x), its widened law and packing-360's pivot away from it
+    inst = make_preset(name)
+    p = inst.polytope
+    assert p.d > lp_core._SPLIT_DIM
+    x0 = make_anchor(p, inst.c0)
+    start = VertexStart.at(p, x0)
+    s = float(np.mean(np.abs(inst.c0)))
+    costs = [*sample_costs(inst, 3, seed=5), *(inst.c0 + np.random.default_rng(5).uniform(-s, s, (3, p.d)))]
+    moved = 0
+    for c in costs:
+        cold = solve_lp(p, c)
+        moved += cold.basis_id != tuple(start.rows.tolist())
+        for s0 in (start, x0):
+            warm = solve_lp(p, c, start=s0)
+            assert warm.basis_id == cold.basis_id
+            assert warm.x.tobytes() == cold.x.tobytes()
+            assert warm.value == cold.value
+    assert moved >= 3
+
+
+def test_two_bound_rows_on_one_coordinate_above_the_split_dimension_are_no_basis(monkeypatch):
+    # a box of dimension d > _SPLIT_DIM with a second bound row 2 x_0 <= 2
+    # and a row x_0 + x_{d-1} <= 1; at x below exactly d rows are active,
+    # two of them on x_0 and none on x_{d-2}: a singular basis, which the
+    # split refuses as LAPACK does, so the point is no start and the solve
+    # from it is the cold one
+    d = lp_core._SPLIT_DIM + 6
+    eye = np.eye(d)
+    p = Polytope(np.vstack([eye, -eye, 2.0 * eye[:1], eye[:1] + eye[-1:]]), np.concatenate([np.ones(2 * d), [2.0, 1.0]]))
+    x = np.ones(d)
+    x[-2:] = 0.5, 0.0
+    rows = np.concatenate([np.arange(d - 2), [2 * d, 2 * d + 1]])
+    assert np.flatnonzero(p.b - p.A @ x == 0.0).tolist() == rows.tolist()
+    for rhs in (None, p.b[rows]):
+        with pytest.raises(np.linalg.LinAlgError):
+            lp_core._basis_solve(p, rows, rhs)
+    assert VertexStart.at(p, x) is None
+    calls = []
+    real = lp_core._simplex
+    monkeypatch.setattr(lp_core, "_simplex", lambda *a: calls.append(1) or real(*a))
+    c = -np.arange(1.0, d + 1.0)
+    assert _same_result(solve_lp(p, c, start=x), solve_lp(p, c))
+    assert calls == [1, 1]  # both solves are cold
+
+
 def _signed_zero_tableau(rng, shape, row_share, col_share):
     """(T, r, col) for a pivot on (r, 0) of a random T whose column 0 is
     nonzero on about row_share of its rows and whose row r is nonzero on
@@ -781,22 +866,33 @@ def test_phase_one_makes_no_pivots_at_c0_where_every_coordinate_has_bound_rows(m
 
 
 _COLD_RANDOMLP = """
-import json
+import hashlib, json
+import numpy as np
 from lpslice import solve_lp
+from lpslice.lp_core import VertexStart
 from lpslice.instances import make_preset, sample_costs
 inst = make_preset("randomlp-a")
+p = inst.polytope
 out = []
 for c in [inst.c0, *sample_costs(inst, 2, seed=0)]:
-    r = solve_lp(inst.polytope, c)
+    r = solve_lp(p, c)
     out.append([r.basis_id, r.value, r.x.tobytes().hex()])
+start = VertexStart.at(p, solve_lp(p, inst.c0).x)
+s = float(np.mean(np.abs(inst.c0)))
+r = solve_lp(p, inst.c0 + np.random.default_rng(0).uniform(-s, s, p.d), start=start)
+out.append([r.basis_id, r.value, r.x.tobytes().hex()])
+out.append([start.rows.tolist(), None, hashlib.sha256(start.inv.tobytes()).hexdigest()])
 print(json.dumps(out))
 """
 
 
 def test_cold_solves_keep_their_basis_under_one_and_two_blas_threads():
-    # the determinism contract: the same basis under any BLAS thread count,
-    # the value to VALUE_TOL, and bitwise x only at a fixed thread count;
-    # the count is read when numpy loads, so each run is its own process
+    # the determinism contract: randomlp-a (d = 140 > _SPLIT_DIM) forms x
+    # and the start's inverse by the singleton-first split, whose bytes do
+    # not depend on the BLAS thread count: three cold solves, one started
+    # solve that pivots away from its start, and the start's inverse have
+    # the same bytes under 1 and 2 threads; the count is read when numpy
+    # loads, so each run is its own process
     src = str(Path(__file__).resolve().parents[1] / "src")
 
     def run(threads):
@@ -807,7 +903,9 @@ def test_cold_solves_keep_their_basis_under_one_and_two_blas_threads():
 
     one, two = run(1), run(2)
     assert [basis for basis, _, _ in one] == [basis for basis, _, _ in two]
-    for (_, v1, _), (_, v2, _) in zip(one, two):
+    for (_, v1, _), (_, v2, _) in zip(one[:-1], two[:-1]):
         assert abs(v1 - v2) <= VALUE_TOL * (1.0 + abs(v1))
+    assert one[-2][0] != one[-1][0]  # the started solve pivoted
+    assert one == two
     assert run(1) == one
     assert run(2) == two
