@@ -41,7 +41,11 @@ nonzeros of (B^-1)_r, and the update of a large inverse touches only the
 rows where the entering column is nonzero and the columns where the pivot
 row is (``_eliminate``).  Each skipped entry would have had a product of a
 zero subtracted, which changes no value, only at most the sign of a zero,
-and no choice reads that sign.
+and no choice reads that sign.  The started dual simplex below forms its
+leaving row A (B^-1)_r and entering column B^-1 a_j the same way above
+``_SPLIT_DIM``: a started packing-360 inverse has 2 nonzeros in each row.
+At or below it, as on a reduced LP of low rank, both stay dense products,
+which cost less there than finding the nonzeros.
 
 A started solve skips phase one.  Its start is a ``VertexStart``: a vertex
 of X with d of its active rows as the dual basis and the inverse of that
@@ -55,7 +59,10 @@ start is optimal and its own x is returned.  Otherwise stage two pivots:
 the most negative basic value leaves, lowest basic index among ties; the
 leaving row of B^-1 A^T is formed and its minimum-ratio column enters,
 lowest index among ties; the same Bland fallback applies to the leaving
-row; and a rank-one step updates a private copy of the inverse.  In
+row; and a rank-one step (``_eliminate``) updates a private copy of the
+inverse.  Above ``_SPLIT_DIM`` the leaving row and the entering column
+are products over their sparse factor's nonzeros (``_sparse_product``),
+while y_B = B^-1 q is formed afresh after each pivot.  In
 primal terms every pivot moves along an edge of X from the start towards
 the optimum.  A closing pricing applies the cold optimality test; only
 when rounding makes it fail does the cold path's phase two run from that
@@ -459,13 +466,18 @@ def _basis_solve(p: Polytope, rows: np.ndarray, rhs: np.ndarray | None = None) -
     left over, the other rows on the unfixed coordinates, for rhs less
     A[:, fixed] x_fixed (Suhl & Suhl 1990).  Two singleton rows on one
     coordinate make A_B singular.  The inverse is the transpose of the
-    split's A_B^-1 I.  The result depends only on (p, rows, rhs), so a
-    started solve that ends at a basis gets the cold solve's x bitwise.
+    split's A_B^-1 I with the entries the fixed rows determine written
+    directly: the row of A_B^-1 for x_i is 1/A_ji at row j's place and 0
+    elsewhere, and the block's right-hand side is I less A[rest, i] times
+    1/A_ji in row j's column, the one nonzero term of the product with
+    the fixed rows.  So every value is that of the product; only zeros
+    that 0/A_ji made -0.0 are +0.0.  The result depends only on (p, rows,
+    rhs), so a started solve that ends at a basis gets the cold solve's x
+    bitwise.
     """
     A, d = p.A, p.d
     if d <= _SPLIT_DIM:
         return np.linalg.inv(A.T[:, rows]) if rhs is None else np.linalg.solve(A[rows], rhs)
-    R = np.eye(d) if rhs is None else rhs
     col = p.singletons[rows]
     on = col >= 0
     fixed = col[on]
@@ -474,10 +486,19 @@ def _basis_solve(p: Polytope, rows: np.ndarray, rhs: np.ndarray | None = None) -
     if fixed.size + np.count_nonzero(free) != d:
         raise np.linalg.LinAlgError("Singular matrix")
     piv = A[rows[on], fixed]
-    X = np.empty(R.shape)
-    X[fixed] = R[on] / (piv if R.ndim == 1 else piv[:, None])
     rest = A[rows[~on]]
-    X[free] = np.linalg.solve(rest[:, free], R[~on] - rest[:, fixed] @ X[fixed])
+    if rhs is None:
+        pos, recip = on.nonzero()[0], 1.0 / piv
+        X = np.zeros((d, d))
+        X[fixed, pos] = recip
+        R = np.zeros((rest.shape[0], d))
+        R[np.arange(rest.shape[0]), (~on).nonzero()[0]] = 1.0
+        R[:, pos] = 0.0 - rest[:, fixed] * recip  # not -t: a zero term is +0.0, as in I - product
+    else:
+        X = np.empty(rhs.shape)
+        X[fixed] = rhs[on] / (piv if rhs.ndim == 1 else piv[:, None])
+        R = rhs[~on] - rest[:, fixed] @ X[fixed]
+    X[free] = np.linalg.solve(rest[:, free], R)
     return X if rhs is not None else np.ascontiguousarray(X.T)
 
 
@@ -571,6 +592,13 @@ class VertexStart:
         return self.p is p or (np.array_equal(self.p.A, p.A) and np.array_equal(self.p.b, p.b))
 
 
+def _sparse_product(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v, from the columns of M where v is nonzero when those are under
+    a quarter of v's entries (the gate of ``_primal``'s pivot row)."""
+    nz = v.nonzero()[0]
+    return M[:, nz] @ v[nz] if 4 * nz.size < v.size else M @ v
+
+
 def _dual_simplex(A, b, c, rows, inv, slack, scale):
     """min b.w  s.t.  A^T w = -c, w >= 0, from the factored basis ``rows``
     (the fields of ``VertexStart``; stages one and two of the module
@@ -580,7 +608,18 @@ def _dual_simplex(A, b, c, rows, inv, slack, scale):
     Stage two runs the dual simplex on B^-1, the inverse of A_B^T: each
     pivot forms the leaving row of B^-1 A^T (every basic column set to its
     unit entry, as a tableau holds it) and updates the reduced costs by it,
-    as a tableau pivot updates its cost row.  The entering column is the
+    as a tableau pivot updates its cost row.  Above ``_SPLIT_DIM`` that row
+    is A (B^-1)_r over the nonzeros of (B^-1)_r, and the column B^-1 a_j
+    that updates B^-1 is formed over the nonzeros of a_j, each when they
+    are under a quarter of its entries (``_sparse_product``).  At or below
+    it, as on the benchmark's reduced LPs (rank 12 at most), both are dense
+    products.  The short sums skip only terms with a zero factor, but BLAS
+    may group the other terms another way, so their bits are the dense
+    products' only where the grouping cannot matter.  It did not on any
+    preset or benchmark workload (the tests hold them to a dense referee);
+    on random LPs at d = 80 with 8 nonzeros in each row and a dense start
+    inverse, solves ended at the same bases with y changed in the last
+    bits.  The entering column is the
     minimum ratio of reduced cost, clipped at 0, to minus the row's entry,
     over entries below -PIVOT_TOL times 1 + the row's largest magnitude,
     ties to the lowest index; when no entry is eligible, no w >= 0 solves
@@ -590,6 +629,7 @@ def _dual_simplex(A, b, c, rows, inv, slack, scale):
     """
     q = -c
     tol_rc, max_iter = _limits(max(scale, _magnitude(q)), A.shape)
+    product = _sparse_product if A.shape[1] > _SPLIT_DIM else np.matmul
     basis, z = rows, slack
     y_B = inv @ q
     it = 0
@@ -604,7 +644,7 @@ def _dual_simplex(A, b, c, rows, inv, slack, scale):
             z[basis] = 0.0
         ties = (y_B == y_B[r] if degenerate < _DEGENERATE_RUN else y_B < -tol_rc).nonzero()[0]
         r = int(ties[basis[ties].argmin()])
-        row = A @ inv[r]
+        row = product(A, inv[r])
         row[basis] = 0.0
         row[basis[r]] = 1.0
         elig = (row < -PIVOT_TOL * (1.0 + np.abs(row).max())).nonzero()[0]
@@ -615,7 +655,7 @@ def _dual_simplex(A, b, c, rows, inv, slack, scale):
         j = int(elig[k])
         z -= z[j] * (row / row[j])
         z[j] = 0.0
-        col = inv @ A[j]
+        col = product(inv, A[j])
         col[r] = row[j]
         _eliminate(inv, r, col)
         basis[r] = j

@@ -1,7 +1,8 @@
 """Shared test utilities: a small random LP builder, the dense pivot
 update that the solver's sparse one must match bitwise, the dense tableau
-simplex that the solver's revised cold path must match, the LU basis
-solves that its singleton-first ones must match, the Gram-Schmidt
+simplex that the solver's revised cold path must match, the started dual
+simplex with dense pivot products that its sparse ones must match, the LU
+basis solves that its singleton-first ones must match, the Gram-Schmidt
 loop that rebuilds its span with ``np.column_stack`` and the Gram-Schmidt
 free face, which the library's loop and its basis-inverse free face must
 match, the all-complement containment referee, and independent binomial
@@ -155,6 +156,52 @@ def tableau_simplex(M, q, g):
     w = np.zeros(n)
     w[basis] = T[:-1, -1]
     return "optimal", w, basis.copy()
+
+
+def dense_dual_simplex(A, b, c, rows, inv, slack, scale):
+    """The referee of ``lp_core._dual_simplex``: the same started dual
+    simplex with each pivot's leaving row A (B^-1)_r and entering column
+    B^-1 a_j formed as dense products over all of their terms, as every
+    started solve pivoted before those products skipped zero factors."""
+    q = -c
+    tol_rc, max_iter = lp_core._limits(max(scale, lp_core._magnitude(q)), A.shape)
+    basis, z = rows, slack
+    y_B = inv @ q
+    it = 0
+    degenerate = 0
+    while True:
+        r = int(y_B.argmin())
+        if y_B[r] >= -tol_rc:
+            break
+        if it == 0:
+            inv, basis = inv.copy(), basis.copy()
+            z = z.copy()
+            z[basis] = 0.0
+        ties = (y_B == y_B[r] if degenerate < lp_core._DEGENERATE_RUN else y_B < -tol_rc).nonzero()[0]
+        r = int(ties[basis[ties].argmin()])
+        row = A @ inv[r]
+        row[basis] = 0.0
+        row[basis[r]] = 1.0
+        elig = (row < -PIVOT_TOL * (1.0 + np.abs(row).max())).nonzero()[0]
+        if elig.size == 0:
+            return lp_core._INFEASIBLE, None, None
+        ratios = np.maximum(z[elig], 0.0) / -row[elig]
+        k = int(ratios.argmin())
+        j = int(elig[k])
+        z -= z[j] * (row / row[j])
+        z[j] = 0.0
+        col = inv @ A[j]
+        col[r] = row[j]
+        lp_core._eliminate(inv, r, col)
+        basis[r] = j
+        y_B = inv @ q
+        degenerate = degenerate + 1 if ratios[k] == 0.0 else 0
+        it += 1
+        if it > max_iter:
+            raise InternalError("simplex iteration limit exceeded")
+    if it:
+        z = b - A @ (b[basis] @ inv)
+    return lp_core._close(A, b, inv, basis, y_B, z, tol_rc, max_iter)
 
 
 def lu_basis_solve(p: Polytope, rows, rhs) -> np.ndarray:

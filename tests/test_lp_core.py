@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    dense_dual_simplex,
     dense_eliminate,
     lu_basis_inverse,
     lu_basis_solve,
@@ -27,6 +28,7 @@ from lpslice import (
     learn,
     normalize_to_inequality_form,
     solve_lp,
+    solve_via_compression,
 )
 from lpslice import lp_core
 from lpslice.lp_core import (
@@ -36,7 +38,7 @@ from lpslice.lp_core import (
     polytope_from_json,
     polytope_to_json,
 )
-from lpslice.instances import PRESETS, gen_instance, make_preset, sample_costs
+from lpslice.instances import PRESETS, STREAM_TEST, gen_instance, make_preset, sample_costs
 from lpslice.learner import make_anchor
 from lpslice.oracle import enumerate_vertices
 from lpslice.tolerances import MULTIPLIER_TOL, VALUE_TOL
@@ -506,6 +508,9 @@ def test_basis_solves_match_the_lu_referee_on_every_preset():
             continue
         split += 1
         assert (p.singletons[rows] >= 0).any(), name  # the split has rows to fix
+        # the inverse writes the entries the fixed rows determine: every
+        # value is that of the split's A_B^-1 I (only signs of zeros differ)
+        assert np.array_equal(inv, lp_core._basis_solve(p, rows, np.eye(p.d)).T), name
         for got, want in pairs:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
     assert split >= 8
@@ -673,6 +678,76 @@ def test_solves_with_sparse_pivots_are_bitwise_those_with_dense_ones(monkeypatch
     assert any(sparse_inverse_pivots)
     monkeypatch.setattr(lp_core, "_eliminate", dense_eliminate)
     assert run() == fast
+
+
+def _started_case(name):
+    """(p, start, costs) of a referee case for started solves above
+    ``_SPLIT_DIM``: packing-360 from its learned model's start; randomlp-a
+    under its law with R and R_C scaled by 30, whose costs move the optimum
+    off the anchor (its own law never does); and packing with the
+    packing-360 recipe at 80 blocks, d = 1,200."""
+    if name == "packing-360":
+        inst = make_preset(name)
+        p = inst.polytope
+        model, _ = learn(p, make_anchor(p, inst.c0), sample_costs(inst, 8, seed=0))
+        return p, model.start, sample_costs(inst, 20, seed=3, stream=STREAM_TEST)
+    if name == "randomlp-a-wide":
+        params = PRESETS["randomlp-a"]["params"]
+        cost = {**params["cost"], "R": 30 * params["cost"]["R"], "R_C": 30 * params["cost"]["R_C"]}
+        inst, n = gen_instance("randomlp", {**params, "cost": cost}, 0), 6
+    else:
+        inst, n = gen_instance("packing", {**PRESETS["packing-360"]["params"], "blocks": 80}, 0), 3
+    p = inst.polytope
+    return p, VertexStart.at(p, make_anchor(p, inst.c0)), sample_costs(inst, n, seed=3)
+
+
+@pytest.mark.parametrize("name", ["packing-360", "randomlp-a-wide", "packing-1200"])
+def test_started_solves_are_bitwise_those_of_the_dense_referee(name, monkeypatch):
+    # above _SPLIT_DIM each stage-two pivot forms its leaving row and its
+    # entering column over the nonzeros of (B^-1)_r and a_j; status, value,
+    # basis_id and the bytes of x and y are the referee's, which forms both
+    # as dense products.  Every case takes the sparse products on some pivot
+    p, start, costs = _started_case(name)
+    assert p.d > lp_core._SPLIT_DIM
+    sparse = []
+    real = lp_core._sparse_product
+    monkeypatch.setattr(lp_core, "_sparse_product", lambda M, v: sparse.append(4 * np.count_nonzero(v) < v.size) or real(M, v))
+    got = [_bits(solve_lp(p, c, start=start)) for c in costs]
+    assert any(sparse)
+    monkeypatch.setattr(lp_core, "_dual_simplex", dense_dual_simplex)
+    assert [_bits(solve_lp(p, c, start=start)) for c in costs] == got
+
+
+def test_sparse_pivot_products_run_only_above_the_split_dimension(monkeypatch):
+    # packing-360's checks pivot on its 360 x 360 inverse through
+    # _sparse_product; its serves pivot on rank-8 reduced LPs and
+    # grid5-int's checks on d = 40 inverses, both with dense products
+    sizes, pivots = [], []
+    real_product, real_eliminate = lp_core._sparse_product, lp_core._eliminate
+    monkeypatch.setattr(lp_core, "_sparse_product", lambda M, v: sizes.append(v.size) or real_product(M, v))
+    monkeypatch.setattr(lp_core, "_eliminate", lambda T, r, col: pivots.append(T.shape) or real_eliminate(T, r, col))
+    pack = make_preset("packing-360")
+    params = {**PRESETS["grid-4"]["params"], "rows": 5, "cols": 5, "name": "grid5-int"}
+    grid = gen_instance("shortestpathgrid", params, 0)
+    s = float(np.mean(np.abs(grid.c0)))
+    grid_costs = np.round(grid.c0 + np.random.default_rng(0).uniform(-s, s, (40, grid.d)))
+    for inst, train, test in (
+        (pack, sample_costs(pack, 8, seed=0), sample_costs(pack, 10, seed=1, stream=STREAM_TEST)),
+        (grid, grid_costs[:30], grid_costs[30:]),
+    ):
+        p = inst.polytope
+        model, _ = learn(p, make_anchor(p, inst.c0), train)
+        for call in (solve_via_compression, contains_optimal_face):
+            sizes.clear()
+            pivots.clear()
+            for c in test:
+                call(model, p, c)
+            small = [t for t in pivots if t[0] == t[1] <= lp_core._SPLIT_DIM]
+            if p.d > lp_core._SPLIT_DIM and call is contains_optimal_face:
+                assert set(sizes) == {p.d}
+                assert (p.d, p.d) in pivots
+            else:
+                assert sizes == [] and small, (inst.name, call.__name__)
 
 
 def test_a_polytope_whose_rows_are_all_redundant():
