@@ -24,6 +24,7 @@ costs, and they run in the face's own free coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,17 +86,14 @@ class CompressionModel:
     polytope, or None (x0 is not a vertex, or the model was made otherwise).
     ``contains_optimal_face`` solves from it whenever it fits the polytope
     at hand, so the basis at x0 is factored once per model instead of once
-    per check; every other route starts at x0 itself, with the same result.
-    ``reduced`` is the serve start that ``learn`` built once for its final
-    model: the ``VertexStart`` at z = 0 of the reduced LP {z : (A U) z <=
-    b - A x0} over ``start.p``, or None (no ``start``, z = 0 is not a
-    vertex, or U changed since).  ``solve_via_compression`` serves from it
-    whenever ``start`` fits the polytope at hand, so A U, b - A x0 and the
-    basis at z = 0 are built once per model instead of once per serve;
-    every other serve builds them one-shot, with the same result.
-    ``append_direction`` drops it.  Both are derived data:
-    ``model_to_json`` does not write them and ``model_from_json`` leaves
-    them None.
+    per check; every other route starts at the point x0 itself, which
+    ``solve_lp`` turns into the same start one-shot.  ``reduced`` is the
+    serve start, the start at z = 0 of the reduced LP, built once on the
+    model's first serve on a polytope that ``start`` fits, grown models
+    included; ``solve_via_compression`` serves from it, so A U, b - A x0 and
+    the basis at z = 0 are built once per model instead of once per serve.
+    Both are derived data: ``model_to_json`` does not write them, and a
+    model read back has neither.
     """
 
     x0: np.ndarray
@@ -103,7 +101,6 @@ class CompressionModel:
     Q: np.ndarray
     provenance: dict = field(default_factory=dict)
     start: VertexStart | None = None
-    reduced: VertexStart | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x0", _ro(self.x0))
@@ -116,12 +113,26 @@ class CompressionModel:
             raise ValueError("Q must have the shape of U")
         if not linalg.check_orthonormal(self.Q):
             raise ValueError("Q is not orthonormal")
-        if self.reduced is not None and (self.start is None or self.reduced.p.d != self.rank):
-            raise ValueError("a serve start needs the start at x0 and one variable per column of U")
 
     @property
     def d(self) -> int:
         return self.x0.shape[0]
+
+    @cached_property
+    def reduced(self) -> VertexStart | None:
+        """The ``VertexStart`` at z = 0 (x0) of the reduced LP {z : (A U) z
+        <= b - A x0} over ``start.p``, built once, on first use, for this
+        model's U; None when there is no ``start``, when z = 0 is not a
+        vertex, or when z = 0 is outside the reduced LP by its own rule (then
+        every serve raises, as the one-shot serve of a model read back does).
+        A function of (start, U) alone, so a model grown by
+        ``append_direction`` derives its own."""
+        if self.start is None:
+            return None
+        try:  # b - A x0 is the start's slack
+            return VertexStart.at(Polytope(self.start.p.A @ self.U, self.start.slack), np.zeros(self.rank))
+        except ValueError:
+            return None
 
     @property
     def rank(self) -> int:
@@ -181,7 +192,7 @@ def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel
     Precondition: x - x0 is outside the current range (RankError otherwise).
     The first rank(U) columns of the new Q equal the old Q bitwise, which is
     what makes replays of the learner reproduce models exactly.  The new
-    model keeps ``start`` but not ``reduced``, whose LP was built on the old U.
+    model keeps ``start`` and derives its own ``reduced`` for the new U.
     """
     x = np.asarray(x, dtype=float)
     w = x - model.x0
@@ -220,7 +231,8 @@ def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -
        True.  Otherwise, for each column of B in order, the maximum and then
        the minimum over F, an LP in the k = dim null(A_S) free coordinates
        started from z = 0 (x*, a vertex of F), whose basis is factored
-       once per check (``VertexStart``); the first face point
+       once per check (``VertexStart``; cold when ``VertexStart.at``
+       refuses z = 0); the first face point
        x* + N z that leaves the slice is the witness, a vertex of the face
        and hence of X.
 
@@ -255,10 +267,7 @@ def _contains_given_solve(model: CompressionModel, p: Polytope, c: np.ndarray, r
     if free is None:
         return ContainmentResult(True)
     N, face, B = free
-    z0 = np.zeros(N.shape[1])  # x*, a vertex of the face
-    start = VertexStart.at(face, z0)  # one factorization for every face LP of this check
-    if start is None:
-        start = z0
+    start = VertexStart.at(face, np.zeros(N.shape[1]))  # at x*: one factorization for every face LP of this check
     for b in B.T:
         g = N.T @ b  # b . (x* + N z) = b . x* + g . z
         for cost in (-g, g):
@@ -323,20 +332,26 @@ def check_exact(model: CompressionModel, p: Polytope, c: np.ndarray) -> bool:
 def build_reduced_lp(model: CompressionModel, p: Polytope, c: np.ndarray):
     """Reduced data over slice coordinates: ({z : (A U) z <= b - A x0}, U^T c, c . x0).
 
-    The polytope is the one the model carries (``reduced.p``) when its
-    start fits p, else built here; both are the same arrays bit for bit.
+    The polytope is that of the model's serve start (``reduced.p``) when
+    its start fits p, else built here; both are the same arrays bit for bit.
     For rank 0 the reduced polytope has zero variables; solve_lp handles that
     case directly (value 0 when feasible), so the identity
     full value = offset + reduced value still holds.
     """
     c = np.asarray(c, dtype=float)
-    if model.reduced is not None and model.start.fits(p):
-        reduced = model.reduced.p
+    start = _serve_start(model, p)
+    if start is not None:
+        reduced = start.p
     elif p.d != model.d:
         raise ValueError("model and polytope dimensions differ")
     else:
         reduced = Polytope(p.A @ model.U, p.b - p.A @ model.x0)
     return reduced, model.U.T @ c, float(c @ model.x0)
+
+
+def _serve_start(model: CompressionModel, p: Polytope) -> VertexStart | None:
+    """``model.reduced`` when the model's start fits p, else None."""
+    return model.reduced if model.start is not None and model.start.fits(p) else None
 
 
 def lift(model: CompressionModel, z: np.ndarray) -> np.ndarray:
@@ -354,14 +369,15 @@ def solve_via_compression(model: CompressionModel, p: Polytope, c: np.ndarray) -
     and is bounded whenever X is bounded, so any other status is an
     internal error.  z = 0 is a vertex of it when x0 is a vertex of X, and
     the solve starts there: from ``model.reduced`` when the model's start
-    fits p, so a serve costs U^T c, c . x0, the started solve and the lift;
-    else from the point z = 0, factored one-shot, with the same result.
+    fits p, built on the first such serve, so every later one costs U^T c,
+    c . x0, the started solve and the lift; else from the point z = 0,
+    which ``solve_lp`` turns into the same start one-shot.
     The returned multipliers are those of the reduced solve; its rows are in
     one-to-one correspondence with the rows of p.
     """
     reduced, c_red, offset = build_reduced_lp(model, p, c)
-    carried = model.reduced is not None and reduced is model.reduced.p
-    r = solve_lp(reduced, c_red, start=model.reduced if carried else np.zeros(model.rank))
+    start = _serve_start(model, p)
+    r = solve_lp(reduced, c_red, start=np.zeros(model.rank) if start is None else start)
     if r.status is not SolveStatus.OPTIMAL:
         raise InternalError(f"reduced LP reported {r.status.value} though the anchor is feasible")
     x = lift(model, r.x)

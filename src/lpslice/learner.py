@@ -13,7 +13,7 @@ out-of-sample exactness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,17 +90,14 @@ def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
     ``hard_indices`` and the trace's ``anchor_provenance`` is empty, so a
     replay returns an equal model; labels such as the instance name are the
     caller's to add.  Every full solve starts from one ``VertexStart`` built
-    at x0 (or from x0 itself when it is not a vertex), which the model keeps
-    as ``start``; ValueError when x0 is not a point of X, by the
-    ``Polytope.contains`` rule.  After the last cost, when there is such a
-    start, the final model's reduced LP over p and its start at z = 0 are
-    built once and kept as ``reduced``, the start of every serve on p.
+    at x0, which the model keeps as ``start``; when x0 is not a vertex
+    there is none and every solve is cold.  ValueError when x0 is not a
+    point of X, by the ``Polytope.contains`` rule.  The model's serve start
+    (``CompressionModel.reduced``) is left to its first serve.
     """
     x0 = np.asarray(x0, dtype=float)
     start = VertexStart.at(p, x0)
     model = CompressionModel.empty(x0, start)
-    if start is None:  # x0 is not a vertex: every solve starts at the point
-        start = x0
     trace = LearnTrace()
     d = p.d
     total_appends = 0
@@ -125,12 +122,6 @@ def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
             trace.hard.append(sid)
     trace.final_rank = model.rank
     model.provenance["hard_indices"] = list(trace.hard)
-    if model.start is not None:  # b - A x0 is the start's slack
-        try:
-            reduced = VertexStart.at(Polytope(p.A @ model.U, model.start.slack), np.zeros(model.rank))
-        except ValueError:  # z = 0 is outside the reduced LP by its own rule, so every serve raises
-            reduced = None
-        model = replace(model, reduced=reduced)
     return model, trace
 
 

@@ -73,9 +73,8 @@ def first_independent(V: np.ndarray, k: int) -> np.ndarray:
     of ``orthonormal_columns``.  Fewer than k when V has rank below k.
 
     Kept apart from ``_extend``: it works on rows and skips a column after
-    one pass.  It picks the basis at a degenerate vertex when a started
-    solve factors one there (``lp_core._factor``): once per
-    ``VertexStart``, or once per solve from a point."""
+    one pass.  It picks the basis at a degenerate vertex when
+    ``lp_core.VertexStart.at`` builds a start there."""
     V = np.asarray(V, dtype=float)
     norms = np.linalg.norm(V, axis=0)
     cutoff = TAU_RANK * float(np.max(norms, initial=0.0))

@@ -47,13 +47,15 @@ leaving row A (B^-1)_r and entering column B^-1 a_j the same way above
 At or below it, as on a reduced LP of low rank, both stay dense products,
 which cost less there than finding the nonzeros.
 
-A started solve skips phase one.  Its start is a ``VertexStart``: a vertex
-of X with d of its active rows as the dual basis and the inverse of that
-basis, factored once per (polytope, vertex) and reused by every solve from
-it (a point start builds a one-shot one).  The active rows' reduced costs
-are the slacks, nonnegative for every cost c, so the dual simplex (Lemke,
-1954) runs from the start in revised form (Bartels & Golub, 1969), in two
-stages.  Stage one is one d x d product: when the basic values
+A started solve skips phase one.  Its start is a ``VertexStart``, the one
+state a started solve runs from: a vertex of X with d of its active rows
+as the dual basis and the inverse of that basis, factored once per
+(polytope, vertex) by ``VertexStart.at`` and reused by every solve from
+it.  A point start is shorthand for ``VertexStart.at`` at that point, and
+a point that is not a vertex gives no start and a cold solve.  The active
+rows' reduced costs are the slacks, nonnegative for every cost c, so the
+dual simplex (Lemke, 1954) runs from the start in revised form (Bartels &
+Golub, 1969), in two stages.  Stage one is one d x d product: when the basic values
 y_B = -A_B^{-T} c are nonnegative and the start's slacks price out, the
 start is optimal and its own x is returned.  Otherwise stage two pivots:
 the most negative basic value leaves, lowest basic index among ties; the
@@ -84,7 +86,7 @@ the whole basis.
 
 Status mapping: dual unbounded means the primal is infeasible; dual
 infeasible is split into primal Infeasible / Unbounded with one Farkas cone
-solve (or is Unbounded outright when a feasible start was given).
+solve (or is Unbounded outright when the solve ran from a start).
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ class Polytope:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.d,):
             raise ValueError("point has wrong dimension")
-        return bool(np.all(self.A @ x <= self.b + EPS_FEAS * (1.0 + np.abs(self.b))))
+        return bool((self.A @ x <= self.b + EPS_FEAS * (1.0 + np.abs(self.b))).all())
 
 
 class SolveStatus(enum.Enum):
@@ -502,39 +504,14 @@ def _basis_solve(p: Polytope, rows: np.ndarray, rhs: np.ndarray | None = None) -
     return X if rhs is not None else np.ascontiguousarray(X.T)
 
 
-def _factor(p: Polytope, x: np.ndarray):
-    """(rows, inv, slack, scale) of the dual basis at the point x of X, or
-    None when x is not a vertex (fewer than d independent active rows, or
-    a singular basis); ValueError when x is not a point of X, by the
-    ``Polytope.contains`` rule.  The fields are those of ``VertexStart``."""
-    A, b = p.A, p.b
-    d = p.d
-    slack = b - A @ x
-    if not (slack >= -EPS_FEAS * (1.0 + np.abs(b))).all():
-        raise ValueError("start is not a point of X")
-    scale = max(_magnitude(A), _magnitude(b))
-    rows = np.flatnonzero(np.abs(slack) <= REDUCED_COST_TOL * (1.0 + scale))
-    if rows.size > d:  # a zero row is in no basis
-        rows = rows[A[rows].any(axis=1)]
-    if rows.size > d:
-        rows = rows[first_independent(A.T[:, rows], d)]
-    if rows.size < d:
-        return None
-    try:
-        inv = _basis_solve(p, rows)
-    except np.linalg.LinAlgError:
-        return None
-    return rows, inv, slack, scale
-
-
 @dataclass(frozen=True, eq=False)
 class VertexStart:
     """A vertex of X with its dual basis factored: the start of started solves.
 
     ``VertexStart.at(p, x)`` builds it once; ``solve_lp(p, c, start)`` then
-    solves from it for any c without factoring again.  A point start makes
-    the same factorization one-shot, without the vertex x, so both give the
-    same result.  Fields:
+    solves from it for any c without factoring again.  ``solve_lp`` turns a
+    point start into ``VertexStart.at(p, point)`` itself, so both give the
+    same result; passing the start saves the factorization.  Fields:
 
     p      the polytope it belongs to; ``solve_lp`` refuses any other
     rows   the d basis rows, ascending: the rows active at the point x0,
@@ -570,18 +547,30 @@ class VertexStart:
     @classmethod
     def at(cls, p: Polytope, x: np.ndarray) -> VertexStart | None:
         """The start at the point x of X, or None when x is not a vertex
-        (see ``_factor``) or the vertex of its basis is not a point of X.
-        ValueError when x is not a point of X, by the ``Polytope.contains``
-        rule."""
+        (fewer than d independent active rows, or a singular basis) or the
+        vertex of its basis is not a point of X.  ValueError when x is not
+        a point of X, by the ``Polytope.contains`` rule."""
         x = np.asarray(x, dtype=float)
         if x.shape != (p.d,):
             raise ValueError(f"start has shape {x.shape}, expected ({p.d},)")
-        factored = _factor(p, x)
-        if factored is None:
+        A, b, d = p.A, p.b, p.d
+        slack = b - A @ x
+        if not (slack >= -EPS_FEAS * (1.0 + np.abs(b))).all():
+            raise ValueError("start is not a point of X")
+        scale = max(_magnitude(A), _magnitude(b))
+        rows = np.flatnonzero(np.abs(slack) <= REDUCED_COST_TOL * (1.0 + scale))
+        if rows.size > d:  # a zero row is in no basis
+            rows = rows[A[rows].any(axis=1)]
+        if rows.size > d:
+            rows = rows[first_independent(A.T[:, rows], d)]
+        if rows.size < d:
             return None
-        rows, inv, slack, scale = factored
-        vertex = _basis_solve(p, rows, p.b[rows])
-        if (p.A @ vertex - p.b > EPS_FEAS * (1.0 + np.abs(p.b))).any():
+        try:
+            inv = _basis_solve(p, rows)
+        except np.linalg.LinAlgError:
+            return None
+        vertex = _basis_solve(p, rows, b[rows])
+        if not p.contains(vertex):
             return None
         for a in (rows, inv, vertex, slack):
             a.setflags(write=False)
@@ -656,6 +645,8 @@ def _dual_simplex(A, b, c, rows, inv, slack, scale):
         z -= z[j] * (row / row[j])
         z[j] = 0.0
         col = product(inv, A[j])
+        # the pivot divides by the entry the ratio test admitted: above
+        # _SPLIT_DIM the two short sums may group their terms differently
         col[r] = row[j]
         _eliminate(inv, r, col)
         basis[r] = j
@@ -694,25 +685,22 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
     state is kept between calls.  x is A_B^-1 b_B on the sorted terminal
     rows (``_basis_solve``); above ``_SPLIT_DIM`` the singleton rows fix
     their coordinates by divisions and LAPACK solves only the block left
-    over.  The bytes of x are then the same under OPENBLAS_NUM_THREADS=1
-    and =2 on every large preset measured: randomlp-a (pinned by a test:
-    cold and started solves and a start's inverse), packing-360,
-    maxflow-300, mincostflow-360 and grid-16 (blocks of 24 to 255 rows),
-    where randomlp-a's differed before the split.  Everywhere else,
-    including every d <= ``_SPLIT_DIM``, bitwise x holds at a fixed thread
-    count only; pin the count before numpy loads for equal bytes.  For
-    feasible bounded directions the optimizer is a vertex of X (guaranteed
-    whenever X has vertices, i.e. rank(A) = d).
+    over.  Tests pin the same bytes under OPENBLAS_NUM_THREADS=1 and =2 on
+    randomlp-a (d = 140): cold and started solves, a start's inverse, and
+    a learn with the serves of its model.  Everywhere else bitwise x holds
+    at a fixed thread count only; pin the count before numpy loads for
+    equal bytes.  For feasible bounded directions the optimizer is a vertex
+    of X (guaranteed whenever X has vertices, i.e. rank(A) = d).
 
     Its thresholds (EPS_FEAS for the start and the returned x, the
     simplex's, which also pick the rows active at a start) are constants
     of ``tolerances``.
 
     ``start`` is optional: a ``VertexStart`` built on p (ValueError when it
-    was built on a polytope with another A or b), or a point of X
-    (ValueError when it is not, by the ``Polytope.contains`` rule), whose
-    basis is factored one-shot as ``VertexStart.at`` factors it, with the
-    same result.  A started solve skips
+    was built on a polytope with another A or b), or a point of X, which
+    is shorthand for ``VertexStart.at(p, point)``: ValueError when it is
+    not a point of X, by the ``Polytope.contains`` rule, and a cold solve
+    when it is not a vertex.  A started solve skips
     phase one and runs the two stages of the module docstring from the
     start's basis, ending under the cold path's optimality test.  When
     stage one finds the start optimal, x is the start's own, which is
@@ -720,10 +708,9 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
     and basis_id are bitwise the cold solve's whenever the terminal basis
     is the cold one, which it is when the optimum is a vertex with d active
     rows and positive multipliers.  On degenerate optima the two paths may
-    stop at different optimal bases.  When the point is not a vertex the
-    solve is the cold one.
+    stop at different optimal bases.
 
-    A cold solve of c = 0 (also from a start that is not a vertex) returns,
+    A cold solve of c = 0 (also from a point that is not a vertex) returns,
     with value 0.0 and y = 0, the vertex that minimizes -A^T w with
     w = (m, m - 1, ..., 1).  Every point of X is optimal for c = 0 and
     every basis of its dual is degenerate, so the simplex would search for
@@ -738,26 +725,18 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
         raise ValueError(f"cost vector has shape {c.shape}, expected ({d},)")
     if not np.isfinite(c).all():
         raise ValueError("cost vector must be finite")
-    factored = None
     if isinstance(start, VertexStart):
         if not start.fits(p):
             raise ValueError("start was built on another polytope")
-        factored = start.rows, start.inv, start.slack, start.scale
     elif start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (d,):
-            raise ValueError(f"start has shape {start.shape}, expected ({d},)")
+        start = VertexStart.at(p, start)  # None when the point is not a vertex: a cold solve
 
     if d == 0:
-        if np.all(b >= -EPS_FEAS * (1.0 + np.abs(b))):
+        if start is not None or p.contains(np.zeros(0)):  # a start is a point of X
             return SolveResult(SolveStatus.OPTIMAL, 0.0, np.zeros(0), (), np.zeros(m))
-        if start is not None:
-            raise ValueError("start is not a point of X")
         return SolveResult(SolveStatus.INFEASIBLE)
 
-    if start is not None and factored is None:
-        factored = _factor(p, start)
-    out = None if factored is None else _dual_simplex(A, b, c, *factored)
+    out = None if start is None else _dual_simplex(A, b, c, start.rows, start.inv, start.slack, start.scale)
     if out is None and not c.any():
         proxy = -(np.arange(m, 0, -1.0) @ A)
         if proxy.any():
@@ -767,7 +746,7 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
             return SolveResult(SolveStatus.OPTIMAL, 0.0, r.x, r.basis_id, np.zeros(m))
     status, w, basis = out if out is not None else _simplex(A.T, -c, b)
     if status == _OPTIMAL:
-        if isinstance(start, VertexStart) and basis is start.rows:
+        if start is not None and basis is start.rows:
             rows, x = basis, start.x  # checked feasible when the start was built
         else:
             rows = np.sort(basis)
@@ -775,8 +754,7 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
                 x = _basis_solve(p, rows, b[rows])
             else:
                 x = np.linalg.lstsq(A[rows], b[rows], rcond=None)[0]
-            slack = A @ x - b
-            if (slack > EPS_FEAS * (1.0 + np.abs(b))).any():
+            if not p.contains(x):
                 raise InternalError("terminal basis produced an infeasible point")
         return SolveResult(
             SolveStatus.OPTIMAL,

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -414,8 +415,9 @@ def _same_serve(a, b) -> bool:
 
 @pytest.mark.parametrize("case,rank", [("packing-360", None), ("grid-4-int", None), ("example1", 1), ("randomlp", 0)])
 def test_serves_from_the_carried_reduced_lp_give_the_bits_of_a_model_read_back_without_it(case, rank):
-    # learn builds the reduced LP and its start at z = 0 once; a model read
-    # back from JSON has neither and builds both one-shot on every serve
+    # a learned model builds the reduced LP and its start at z = 0 on its
+    # first serve; a model read back from JSON has no start at x0, so it
+    # has neither and builds both one-shot on every serve
     p, model, test = _learned(case)
     assert rank is None or model.rank == rank
     assert model.reduced is not None and model.reduced.p.d == model.rank
@@ -426,14 +428,33 @@ def test_serves_from_the_carried_reduced_lp_give_the_bits_of_a_model_read_back_w
         assert _same_serve(solve_via_compression(model, p, c), solve_via_compression(read, p, c))
 
 
-def test_a_model_grown_after_learn_serves_one_shot():
+def test_a_model_grown_after_learn_serves_from_its_own_start():
+    # the serve start is a function of (start, U): a grown model keeps the
+    # start at x0 and derives the reduced LP of its own U
     p, model, test = _learned("packing-360")
     x = next(r.x for r in (solve_lp(p, -c) for c in test) if not in_range(model, r.x - model.x0))
+    old = model.reduced
     grown = append_direction(model, x)
-    assert grown.start is model.start and grown.reduced is None  # U changed: the reduced LP with it
+    assert grown.start is model.start and model.reduced is old
+    assert grown.reduced.p.d == grown.rank == model.rank + 1
+    assert grown.reduced.p.A.tobytes() == (p.A @ grown.U).tobytes()
     read = model_from_json(model_to_json(grown))
     for c in test:
+        assert build_reduced_lp(grown, p, c)[0] is grown.reduced.p
         assert _same_serve(solve_via_compression(grown, p, c), solve_via_compression(read, p, c))
+
+
+def test_a_model_pickled_before_its_first_serve_serves_the_bytes_of_one_pickled_after():
+    # --jobs workers receive pickled models: one pickled fresh from learn
+    # builds its serve start in the worker, one pickled after a serve
+    # carries it; the start's polytope is then a copy that fits p
+    p, model, test = _learned("grid-4-int")
+    before = pickle.loads(pickle.dumps(model))
+    served = [solve_via_compression(model, p, c) for c in test]
+    after = pickle.loads(pickle.dumps(model))
+    assert after.reduced is not model.reduced and after.reduced.p.A.tobytes() == model.reduced.p.A.tobytes()
+    for m in (before, after):
+        assert all(_same_serve(solve_via_compression(m, p, c), r) for c, r in zip(test, served))
 
 
 def test_a_twin_polytope_reuses_the_carried_reduced_lp_and_another_b_does_not():

@@ -82,8 +82,9 @@ def test_learn_requires_feasible_anchor(square):
 def test_an_anchor_outside_the_reduced_rule_learns_and_serves_raise():
     # the box [-1000, 1000]^2 and x0 2e-7 past a face: a vertex of X by the
     # start's rule, which scales with |b|, but z = 0 is outside the reduced
-    # LP, whose right-hand side is the slack b - A x0.  learn keeps no serve
-    # start, and the serve raises as it does one-shot on a model read back
+    # LP, whose right-hand side is the slack b - A x0.  The model derives no
+    # serve start, and the serve raises as it does one-shot on a model read
+    # back
     box = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.full(4, 1000.0))
     x0 = np.array([1000.0 + 2e-7, 1000.0])
     model, _ = learn(box, x0, [np.array([-1.0, -1.0])])
@@ -229,11 +230,11 @@ def test_nondegenerate_anchor_never_runs_phase_one(monkeypatch):
 
 
 def test_learn_factors_the_anchor_basis_once(monkeypatch):
-    # learn builds one start at x0 and, after its last cost, one start at
-    # z = 0 of the final reduced LP, and the model keeps both: two basis
-    # picks and two inverses for the whole learn, none for later checks and
-    # serves, which build no polytope either.  Counts, unlike a time
-    # budget, do not depend on how busy the host is
+    # learn builds one start at x0 and the model keeps it: one basis pick
+    # and one inverse for the whole learn.  The first serve builds the
+    # reduced LP and its start at z = 0, one more pick and inverse; later
+    # checks and serves factor nothing and build no polytope.  Counts,
+    # unlike a time budget, do not depend on how busy the host is
     inst = make_preset("grid-4")  # a degenerate anchor: more active rows than d
     p = inst.polytope
     x0 = make_anchor(p, inst.c0)
@@ -246,22 +247,46 @@ def test_learn_factors_the_anchor_basis_once(monkeypatch):
     monkeypatch.setattr(lp_core, "first_independent", lambda *a: calls.append("pick") or real_pick(*a))
     model, trace = learn(p, x0, costs[:20])
     assert model.rank > 0 and trace.hard  # the start passed through appends
-    assert sorted(calls) == ["inv", "inv", "pick", "pick"]  # z = 0 has more active rows than rank too
+    assert sorted(calls) == ["inv", "pick"]
     real_init = Polytope.__post_init__
     monkeypatch.setattr(Polytope, "__post_init__", lambda self: calls.append("polytope") or real_init(self))
     calls.clear()
-    for c in costs[20:]:
+    check_exact(model, p, costs[20])
+    solve_via_compression(model, p, costs[20])
+    assert sorted(calls) == ["inv", "pick", "polytope"]  # z = 0 has more active rows than rank too
+    calls.clear()
+    for c in costs[21:]:
         check_exact(model, p, c)
         solve_via_compression(model, p, c)
     assert calls == []
 
 
+def test_a_non_vertex_anchor_tries_one_factorization_per_learn(monkeypatch):
+    # the square with its row x <= 1 written twice: at x0 = (1, 0) the two
+    # active rows are that row twice, a singular basis, so x0 is no start
+    # and every full solve is the cold one; the one inverse is tried once
+    # for the whole learn, not once per cost
+    p = Polytope(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(5))
+    x0 = np.array([1.0, 0.0])
+    costs = [np.array([-1.0, a]) for a in (-0.5, 0.3, -0.2, 0.7, -0.9)]
+    calls = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append("inv") or real_inv(*a))
+    model, trace = learn(p, x0, costs)
+    assert calls == ["inv"]
+    assert model.start is None and model.reduced is None
+    monkeypatch.undo()
+    assert trace.hard and model.rank > 0
+    for c, x in zip(costs, trace.optima):
+        assert x.tobytes() == solve_lp(p, c).x.tobytes()
+
+
 def test_a_large_learn_inverts_the_anchor_basis_once(monkeypatch):
     # on packing-360 (d > _SPLIT_DIM, so the basis solves are split ones) a
-    # learn inverts the anchor basis once and forms its vertex once, forms
-    # one x per training cost, and factors the reduced start at z = 0 once;
-    # a later check forms one x and inverts nothing, and a serve solves no
-    # d x d basis at all
+    # learn inverts the anchor basis once and forms its vertex once, and
+    # forms one x per training cost; a later check forms one x and inverts
+    # nothing; the first serve factors the reduced start at z = 0, and no
+    # serve solves a d x d basis
     inst = make_preset("packing-360")
     p = inst.polytope
     x0 = make_anchor(p, inst.c0)
@@ -278,7 +303,7 @@ def test_a_large_learn_inverts_the_anchor_basis_once(monkeypatch):
     model, trace = learn(p, x0, costs[:8])
     assert p.d > lp_core._SPLIT_DIM >= model.rank > 0
     r = model.rank
-    assert sorted(calls) == sorted([(p.d, "inverse")] + [(p.d, "x")] * 9 + [(r, "inverse"), (r, "x")])
+    assert sorted(calls) == sorted([(p.d, "inverse")] + [(p.d, "x")] * 9)
     calls.clear()
     for c in costs[8:]:
         check_exact(model, p, c)
@@ -286,4 +311,5 @@ def test_a_large_learn_inverts_the_anchor_basis_once(monkeypatch):
     calls.clear()
     for c in costs[8:]:
         solve_via_compression(model, p, c)
-    assert calls == [(r, "x")] * 8
+    assert calls[:2] == [(r, "inverse"), (r, "x")]
+    assert calls[2:] == [(r, "x")] * 8

@@ -961,20 +961,24 @@ print(json.dumps(out))
 """
 
 
+def _under_threads(script: str, threads: int):
+    """The JSON that ``script`` prints, run in its own process under
+    ``threads`` BLAS threads: the count is read when numpy loads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 def test_cold_solves_keep_their_basis_under_one_and_two_blas_threads():
     # the determinism contract: randomlp-a (d = 140 > _SPLIT_DIM) forms x
     # and the start's inverse by the singleton-first split, whose bytes do
     # not depend on the BLAS thread count: three cold solves, one started
     # solve that pivots away from its start, and the start's inverse have
-    # the same bytes under 1 and 2 threads; the count is read when numpy
-    # loads, so each run is its own process
-    src = str(Path(__file__).resolve().parents[1] / "src")
-
+    # the same bytes under 1 and 2 threads
     def run(threads):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads)}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        out = subprocess.run([sys.executable, "-c", _COLD_RANDOMLP], env=env, capture_output=True, text=True, check=True)
-        return json.loads(out.stdout)
+        return _under_threads(_COLD_RANDOMLP, threads)
 
     one, two = run(1), run(2)
     assert [basis for basis, _, _ in one] == [basis for basis, _, _ in two]
@@ -984,3 +988,29 @@ def test_cold_solves_keep_their_basis_under_one_and_two_blas_threads():
     assert one == two
     assert run(1) == one
     assert run(2) == two
+
+
+_LEARN_RANDOMLP = """
+import json
+from lpslice import learn, make_anchor
+from lpslice.compression import solve_via_compression
+from lpslice.instances import PRESETS, STREAM_TEST, gen_instance, sample_costs
+params = PRESETS["randomlp-a"]["params"]
+cost = {**params["cost"], "R": 30 * params["cost"]["R"], "R_C": 30 * params["cost"]["R_C"]}
+inst = gen_instance("randomlp", {**params, "cost": cost}, 0)
+p = inst.polytope
+x0 = make_anchor(p, inst.c0)
+model, _ = learn(p, x0, sample_costs(inst, 20, seed=0))
+xs = [solve_via_compression(model, p, c).x for c in sample_costs(inst, 5, seed=0, stream=STREAM_TEST)]
+print(json.dumps([model.rank, x0.tobytes().hex(), model.U.tobytes().hex(), [x.tobytes().hex() for x in xs]]))
+"""
+
+
+def test_learned_models_and_serves_keep_their_bytes_under_one_and_two_blas_threads():
+    # the rest of the contract: a learn of 20 costs on randomlp-a under its
+    # law widened 30 times, and 5 serves of its model, give the same bytes
+    # of x0, U and every served x under 1 and 2 threads; this covers p.A @ U
+    # and the reduced LP, whose solves are at d <= _SPLIT_DIM
+    one, two = _under_threads(_LEARN_RANDOMLP, 1), _under_threads(_LEARN_RANDOMLP, 2)
+    assert 0 < one[0] <= lp_core._SPLIT_DIM
+    assert one == two
