@@ -19,6 +19,15 @@ and one QR of those columns gives its orthonormal basis.  Face LPs are
 needed only along the part of that null space outside the slice, which is
 empty for a single-vertex face and a few directions for the ties of integer
 costs, and they run in the face's own free coordinates.
+
+``check_exact`` applies the same rule at the served vertex x* = x0 + U z*
+before it pays for the full solve.  When x* has exactly d active rows,
+their multipliers y_B = A_B^-T (-c), one transposed basis solve, decide
+most checks: all strictly positive make x* the unique optimum, in the
+slice, and one clearly negative shows that x* is not optimal, though it is
+optimal over the slice, so the optimal face misses the slice.  Only
+multipliers between the two cutoffs, or degenerate or low-dimensional
+cases where the attempt would not pay, run ``contains_optimal_face``.
 """
 
 from __future__ import annotations
@@ -28,8 +37,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .lp_core import InternalError, Polytope, SolveResult, SolveStatus, VertexStart, _basis_solve, solve_lp
-from .tolerances import EPS_FEAS, FACE_SPAN, MULTIPLIER_TOL, TAU_CONTAIN, TAU_RANGE, TAU_RANK
+from .lp_core import (
+    _SPLIT_DIM,
+    InternalError,
+    Polytope,
+    SolveResult,
+    SolveStatus,
+    VertexStart,
+    _basis_solve,
+    _limits,
+    _magnitude,
+    solve_lp,
+)
+from .tolerances import EPS_FEAS, FACE_SPAN, MULTIPLIER_TOL, REDUCED_COST_TOL, TAU_CONTAIN, TAU_RANGE, TAU_RANK
 from . import linalg
 
 __all__ = [
@@ -325,8 +345,69 @@ def _free_face(model: CompressionModel, p: Polytope, res: SolveResult):
 
 
 def check_exact(model: CompressionModel, p: Polytope, c: np.ndarray) -> bool:
-    """True iff solving over the slice is exact for cost c (face containment)."""
-    return contains_optimal_face(model, p, c).contained
+    """True iff solving over the slice is exact for cost c (face containment).
+
+    Above ``_SPLIT_DIM`` it decides at the served vertex first
+    (``_verdict_at_served_vertex``), where one d x d basis solve settles
+    most checks; ``contains_optimal_face`` runs only when that cannot
+    decide.  Both give the same verdict wherever the first decides.
+    """
+    c = np.asarray(c, dtype=float)
+    verdict = _verdict_at_served_vertex(model, p, c)
+    return contains_optimal_face(model, p, c).contained if verdict is None else verdict
+
+
+def _verdict_at_served_vertex(model: CompressionModel, p: Polytope, c: np.ndarray) -> bool | None:
+    """Complementary slackness (Goldman & Tucker 1956) at the served vertex
+    x* = x0 + U z*: True or False when it decides exactness, else None.
+
+    Let B be the rows active at x*, by ``VertexStart.at``'s rule, and y_B =
+    A_B^-T (-c) their multipliers.  With exactly d rows in B:
+    min y_B > MULTIPLIER_TOL (1 + max|y_B|) makes x* the unique optimum,
+    and it lies in the slice: True (``_free_face``'s single-vertex rule).
+    min y_B < -tol_rc, the started solve's own optimality cut
+    (``lp_core._limits``), means x* is not optimal; x* is optimal over the
+    slice, so the optimal face misses it: False.  Anything else is None:
+    multipliers between the two cuts, |B| != d, a singular A_B, or a serve
+    that raises.
+
+    The attempt is made only where it pays, by properties of the inputs:
+    d above ``_SPLIT_DIM`` (below it a serve costs about as much as a
+    check) and an anchor x0 with exactly d active rows (at a degenerate
+    anchor the served points are degenerate too).  B's slacks are the
+    reduced LP's, (b - A x0) - (A U) z*.  When the serve ends on its
+    start's basis (x* = x0; always so at rank 0), B is the anchor's basis
+    and y_B is one product with its inverse, the started solve's stage one.
+    """
+    start = model.start
+    if p.d <= _SPLIT_DIM or start is None or not start.fits(p):
+        return None
+    tol = REDUCED_COST_TOL * (1.0 + start.scale)
+    serve = model.reduced if np.count_nonzero(np.abs(start.slack) <= tol) == p.d else None
+    if serve is None:
+        return None
+    try:
+        r = solve_lp(serve.p, model.U.T @ c, start=serve)
+    except InternalError:
+        return None
+    if r.status is not SolveStatus.OPTIMAL:
+        return None
+    if r.basis_id == tuple(serve.rows.tolist()):
+        y = start.inv @ -c
+    else:
+        rows = np.flatnonzero(np.abs(serve.p.b - serve.p.A @ r.x) <= tol)
+        if rows.size != p.d:
+            return None
+        try:
+            y = _basis_solve(p, rows, -c, transpose=True)
+        except np.linalg.LinAlgError:
+            return None
+    low = float(y.min())
+    if low > MULTIPLIER_TOL * (1.0 + float(np.max(np.abs(y)))):
+        return True
+    if low < -_limits(max(start.scale, _magnitude(c)), p.A.shape)[0]:
+        return False
+    return None
 
 
 def build_reduced_lp(model: CompressionModel, p: Polytope, c: np.ndarray):

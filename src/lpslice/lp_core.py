@@ -76,17 +76,21 @@ the thresholds of ``tolerances``.  Neither keeps state between calls:
 every result depends only on (p, c, start).
 
 Every d x d basis solve, the terminal x, a start's vertex and its inverse,
-and the free directions of ``compression``, goes through one function,
-``_basis_solve``.  Above ``_SPLIT_DIM`` it takes the singleton rows of A_B
-first (Suhl & Suhl 1990): each bound row fixes its coordinate by one
-division, and one LU solves the small block of the other rows on the
-unfixed coordinates.  On packing-360 that block is 24 x 24 against the
-360 x 360 LU it replaces.  At or below ``_SPLIT_DIM`` it is LAPACK's LU of
-the whole basis.
+and the free directions and the served vertex's multipliers of
+``compression``, goes through one function, ``_basis_solve``.  Above
+``_SPLIT_DIM`` it takes the singleton rows of A_B first (Suhl & Suhl
+1990): each bound row fixes its coordinate by one division, and one LU
+solves the small block of the other rows on the unfixed coordinates; the
+transposed solve, for multipliers, runs the same split backwards.  On
+packing-360 that block is 24 x 24 against the 360 x 360 LU it replaces.
+At or below ``_SPLIT_DIM`` it is LAPACK's LU of the whole basis.
 
 Status mapping: dual unbounded means the primal is infeasible; dual
 infeasible is split into primal Infeasible / Unbounded with one Farkas cone
-solve (or is Unbounded outright when the solve ran from a start).
+solve (or is Unbounded outright when the solve ran from a start).  A dual
+ray from a start contradicts X holding the start, so it can only be
+rounding (the closing phase two can find one after stage two ended
+optimal); the cold solve then runs instead.
 """
 
 from __future__ import annotations
@@ -456,17 +460,22 @@ def _from_basis(MS, W, basis, g, tol_rc, max_iter):
 _SPLIT_DIM = 64
 
 
-def _basis_solve(p: Polytope, rows: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+def _basis_solve(p: Polytope, rows: np.ndarray, rhs: np.ndarray | None = None, transpose: bool = False) -> np.ndarray:
     """A_B^-1 rhs for the basis B of the d ascending ``rows`` of p, rhs a
-    vector or a d x k matrix; without rhs, the C-contiguous inverse of
-    A_B^T, the dual basis inverse of ``VertexStart``.  LinAlgError when
-    A_B is singular.
+    vector or a d x k matrix; with ``transpose``, A_B^-T rhs, the basis
+    rows' multipliers for the cost -rhs, one per row in ``rows``' order;
+    without rhs, the C-contiguous inverse of A_B^T, the dual basis inverse
+    of ``VertexStart``.  LinAlgError when A_B is singular.
 
     Up to ``_SPLIT_DIM`` this is LAPACK's LU of A_B (of A_B^T for the
-    inverse).  Above it, each singleton row j of A_B (``p.singletons``)
-    fixes its coordinate, x_i = rhs_j / A_ji, and one LU solves the block
-    left over, the other rows on the unfixed coordinates, for rhs less
-    A[:, fixed] x_fixed (Suhl & Suhl 1990).  Two singleton rows on one
+    inverse and the transposed solve).  Above it, each singleton row j of
+    A_B (``p.singletons``) fixes its coordinate, x_i = rhs_j / A_ji, and
+    one LU solves the block left over, the other rows on the unfixed
+    coordinates, for rhs less A[:, fixed] x_fixed (Suhl & Suhl 1990).  The
+    transposed solve runs the same split backwards: the block's transpose
+    gives the other rows' multipliers from rhs on the unfixed coordinates,
+    and then each singleton row's multiplier is one division, y_j = (rhs_i
+    less the other rows' A[:, i] . y) / A_ji.  Two singleton rows on one
     coordinate make A_B singular.  The inverse is the transpose of the
     split's A_B^-1 I with the entries the fixed rows determine written
     directly: the row of A_B^-1 for x_i is 1/A_ji at row j's place and 0
@@ -479,7 +488,9 @@ def _basis_solve(p: Polytope, rows: np.ndarray, rhs: np.ndarray | None = None) -
     """
     A, d = p.A, p.d
     if d <= _SPLIT_DIM:
-        return np.linalg.inv(A.T[:, rows]) if rhs is None else np.linalg.solve(A[rows], rhs)
+        if rhs is None:
+            return np.linalg.inv(A.T[:, rows])
+        return np.linalg.solve(A.T[:, rows] if transpose else A[rows], rhs)
     col = p.singletons[rows]
     on = col >= 0
     fixed = col[on]
@@ -489,6 +500,11 @@ def _basis_solve(p: Polytope, rows: np.ndarray, rhs: np.ndarray | None = None) -
         raise np.linalg.LinAlgError("Singular matrix")
     piv = A[rows[on], fixed]
     rest = A[rows[~on]]
+    if transpose:
+        Y = np.empty(rhs.shape)
+        Y[~on] = np.linalg.solve(rest[:, free].T, rhs[free])
+        Y[on] = (rhs[fixed] - rest[:, fixed].T @ Y[~on]) / (piv if rhs.ndim == 1 else piv[:, None])
+        return Y
     if rhs is None:
         pos, recip = on.nonzero()[0], 1.0 / piv
         X = np.zeros((d, d))
@@ -708,7 +724,9 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
     and basis_id are bitwise the cold solve's whenever the terminal basis
     is the cold one, which it is when the optimum is a vertex with d active
     rows and positive multipliers.  On degenerate optima the two paths may
-    stop at different optimal bases.
+    stop at different optimal bases.  When the started solve ends on a
+    dual ray, which says X is empty though it holds the start, rounding
+    made it and the cold solve's result is returned instead.
 
     A cold solve of c = 0 (also from a point that is not a vertex) returns,
     with value 0.0 and y = 0, the vertex that minimizes -A^T w with
@@ -737,6 +755,8 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
         return SolveResult(SolveStatus.INFEASIBLE)
 
     out = None if start is None else _dual_simplex(A, b, c, start.rows, start.inv, start.slack, start.scale)
+    if out is not None and out[0] == _UNBOUNDED:  # a dual ray, though X holds the start: the cold solve decides
+        out = start = None
     if out is None and not c.any():
         proxy = -(np.arange(m, 0, -1.0) @ A)
         if proxy.any():
@@ -763,10 +783,7 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
             tuple(rows.tolist()),
             w,
         )
-    if status == _UNBOUNDED:
-        # dual unbounded below => primal infeasible
-        if start is not None:
-            raise InternalError("dual ray although X holds the start")
+    if status == _UNBOUNDED:  # dual unbounded below => primal infeasible
         return SolveResult(SolveStatus.INFEASIBLE)
 
     # dual infeasible: primal is either infeasible or unbounded (Farkas split)

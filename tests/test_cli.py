@@ -87,9 +87,13 @@ def test_learn_estimated_mode_writes_prior_and_composite(tmp_path):
     assert 0.0 <= cert["composite"] <= cert["bound"]
 
 
-def test_solve_through_model(tmp_path):
+def test_solve_through_model(tmp_path, monkeypatch):
     out = tmp_path / "run"
     main(["learn", "--preset", "example1", "--known-prior", "--n1", "50", "--out", str(out)])
+    # model.json stores no start; solve attaches the one at x0 before serving
+    started = []
+    real = cli.check_exact
+    monkeypatch.setattr(cli, "check_exact", lambda m, p, c: started.append(m.start is not None and m.start.fits(p)) or real(m, p, c))
     rc = main(
         [
             "solve", "--preset", "example1", "--model", str(out / "model.json"),
@@ -102,6 +106,7 @@ def test_solve_through_model(tmp_path):
     assert sol["full_value"] == pytest.approx(-1.6, abs=1e-12)
     assert sol["reduced_value"] == pytest.approx(-1.6, abs=1e-9)
     assert sol["exact"] is True
+    assert started == [True]
 
 
 def test_solve_from_test_stream(tmp_path):

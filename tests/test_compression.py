@@ -29,10 +29,11 @@ from lpslice.compression import (
     model_to_json,
     solve_via_compression,
 )
-from lpslice.instances import PRESETS, gen_instance, make_preset, sample_costs
+from lpslice.instances import PRESETS, STREAM_TEST, gen_instance, make_preset, sample_costs
 from lpslice.linalg import check_orthonormal
+from lpslice.lp_core import VertexStart
 from lpslice.oracle import exact_check_bruteforce
-from lpslice.tolerances import MULTIPLIER_TOL, TAU_CONTAIN
+from lpslice.tolerances import MULTIPLIER_TOL, REDUCED_COST_TOL, TAU_CONTAIN
 
 
 def vertical_slice() -> CompressionModel:
@@ -484,3 +485,94 @@ def test_model_json_round_trip(square):
     assert np.array_equal(m3.U, m.U) and np.array_equal(m3.Q, m.Q)
     with pytest.raises(ValueError, match="tolerances"):
         model_from_json({**doc, "tol": {**old, "tau_contain": 1e-3}})
+
+
+def _decision_case(name: str):
+    """(p, model, test costs) of a served-vertex decision case: packing-360
+    learned from 8 or 30 ``sample_costs``, and randomlp-a under its law with
+    R and R_C scaled by 30 (rank 7), whose costs move the optimum off x0."""
+    if name.startswith("packing-360"):
+        inst, n = make_preset("packing-360"), int(name.rsplit("-", 1)[1])
+    else:
+        params = PRESETS["randomlp-a"]["params"]
+        cost = {**params["cost"], "R": 30 * params["cost"]["R"], "R_C": 30 * params["cost"]["R_C"]}
+        inst, n = gen_instance("randomlp", {**params, "cost": cost}, 0), 60
+    p = inst.polytope
+    model, _ = learner.learn(p, make_anchor(p, inst.c0), sample_costs(inst, n, seed=0))
+    return p, model, sample_costs(inst, 60, seed=4, stream=STREAM_TEST)
+
+
+@pytest.mark.parametrize("name", ["packing-360-8", "packing-360-30", "randomlp-a-wide"])
+def test_verdicts_decided_at_the_served_vertex_are_those_of_face_containment(name):
+    # check_exact decides at the served vertex when one basis solve can, and
+    # asks contains_optimal_face otherwise: every verdict is the latter's
+    p, model, test = _decision_case(name)
+    decided = {True: 0, False: 0, None: 0}
+    for c in test:
+        want = contains_optimal_face(model, p, c).contained
+        verdict = compression._verdict_at_served_vertex(model, p, c)
+        decided[verdict] += 1
+        assert verdict is None or verdict == want
+        assert check_exact(model, p, c) == want
+    assert decided[True] + decided[False] >= 0.9 * len(test), decided
+
+
+@pytest.mark.parametrize("case", ["square", "grid-4", "maxflow-300", "packing-360"])
+def test_the_served_vertex_is_tried_only_above_the_split_dimension_at_a_nondegenerate_anchor(case, square, monkeypatch):
+    # at d <= 64 a serve costs about what the whole check does, and at an
+    # anchor with more than d active rows (maxflow-300 under its own law)
+    # the served points are degenerate: there check_exact neither serves
+    # nor solves for multipliers.  packing-360 shows that the spies see both
+    if case == "square":
+        p, costs = square, [np.array([-1.0, -2.0]), np.array([1.0, -2.0]), np.array([-1.0, 0.5])]
+        model, _ = learner.learn(p, np.array([1.0, 1.0]), costs)
+    else:
+        inst = make_preset(case)
+        p, costs = inst.polytope, sample_costs(inst, 8, seed=0)
+        model, _ = learner.learn(p, make_anchor(p, inst.c0), costs)
+    assert model.start is not None
+    active = np.count_nonzero(np.abs(model.start.slack) <= REDUCED_COST_TOL * (1.0 + model.start.scale))
+    assert (p.d > compression._SPLIT_DIM and active == p.d) == (case == "packing-360"), active
+    calls = []  # the reduced solves (fewer than d variables) and the transposed basis solves
+    solve, basis_solve = compression.solve_lp, compression._basis_solve
+
+    def spy_solve(q, cost, start=None):
+        if q.d < p.d:
+            calls.append("serve")
+        return solve(q, cost, start=start)
+
+    def spy_basis_solve(q, rows, rhs=None, transpose=False):
+        if transpose:
+            calls.append("transposed")
+        return basis_solve(q, rows, rhs, transpose)
+
+    monkeypatch.setattr(compression, "solve_lp", spy_solve)
+    monkeypatch.setattr(compression, "_basis_solve", spy_basis_solve)
+    for c in costs:
+        check_exact(model, p, c)
+    if case == "packing-360":
+        assert calls.count("serve") == len(costs) and "transposed" in calls
+    else:
+        assert calls == []
+
+
+def test_a_model_read_back_with_its_start_factors_once_and_answers_as_the_learned_model(monkeypatch):
+    # model.json stores no start; attaching VertexStart.at(p, x0) to the
+    # model read back (as `lpslice solve --model` does) makes its checks
+    # and serves factor no more than the learned model's: one inverse, the
+    # serve start on the first serve, and the learned model's bytes
+    inst = make_preset("grid-4")
+    p = inst.polytope
+    costs = sample_costs(inst, 30, seed=1)
+    model, _ = learner.learn(p, make_anchor(p, inst.c0), costs[:20])
+    read = dataclasses.replace(model_from_json(model_to_json(model)), start=VertexStart.at(p, model.x0))
+    assert read.start.rows.tobytes() == model.start.rows.tobytes()
+    inverses = []
+    real = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or real(a))
+    verdicts = [check_exact(read, p, c) for c in costs[20:]]
+    serves = [solve_via_compression(read, p, c) for c in costs[20:]]
+    assert len(inverses) == 1
+    monkeypatch.setattr(np.linalg, "inv", real)
+    assert verdicts == [check_exact(model, p, c) for c in costs[20:]]
+    assert all(_same_serve(r, solve_via_compression(model, p, c)) for r, c in zip(serves, costs[20:]))

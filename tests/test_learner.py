@@ -284,9 +284,10 @@ def test_a_non_vertex_anchor_tries_one_factorization_per_learn(monkeypatch):
 def test_a_large_learn_inverts_the_anchor_basis_once(monkeypatch):
     # on packing-360 (d > _SPLIT_DIM, so the basis solves are split ones) a
     # learn inverts the anchor basis once and forms its vertex once, and
-    # forms one x per training cost; a later check forms one x and inverts
-    # nothing; the first serve factors the reduced start at z = 0, and no
-    # serve solves a d x d basis
+    # forms one x per training cost; the first check factors the reduced
+    # start at z = 0 for its serve, and each check then serves and solves
+    # for the served vertex's multipliers, which refute all 8 test costs
+    # here, so no check forms a d x d x; no serve solves a d x d basis
     inst = make_preset("packing-360")
     p = inst.polytope
     x0 = make_anchor(p, inst.c0)
@@ -294,9 +295,9 @@ def test_a_large_learn_inverts_the_anchor_basis_once(monkeypatch):
     calls = []
     real = lp_core._basis_solve
 
-    def counted(q, rows, rhs=None):
-        calls.append((q.d, "inverse" if rhs is None else "x"))
-        return real(q, rows, rhs)
+    def counted(q, rows, rhs=None, transpose=False):
+        calls.append((q.d, "inverse" if rhs is None else "y" if transpose else "x"))
+        return real(q, rows, rhs, transpose)
 
     monkeypatch.setattr(lp_core, "_basis_solve", counted)
     monkeypatch.setattr(compression, "_basis_solve", counted)
@@ -305,11 +306,10 @@ def test_a_large_learn_inverts_the_anchor_basis_once(monkeypatch):
     r = model.rank
     assert sorted(calls) == sorted([(p.d, "inverse")] + [(p.d, "x")] * 9)
     calls.clear()
-    for c in costs[8:]:
-        check_exact(model, p, c)
-    assert calls == [(p.d, "x")] * 8
+    assert not any(check_exact(model, p, c) for c in costs[8:])
+    assert calls[:2] == [(r, "inverse"), (r, "x")]
+    assert calls[2:] == [(r, "x"), (p.d, "y")] * 8
     calls.clear()
     for c in costs[8:]:
         solve_via_compression(model, p, c)
-    assert calls[:2] == [(r, "inverse"), (r, "x")]
-    assert calls[2:] == [(r, "x")] * 8
+    assert calls == [(r, "x")] * 8

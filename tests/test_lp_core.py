@@ -487,9 +487,10 @@ def test_a_start_that_prices_out_returns_the_cold_x_bitwise(monkeypatch):
 
 def test_basis_solves_match_the_lu_referee_on_every_preset():
     # above _SPLIT_DIM the singleton rows are fixed first and one LU solves
-    # the rest: x, a block of columns of A_B^-1 and the inverse of A_B^T
-    # agree with LAPACK's LU of the whole basis to 1e-12 relative; at or
-    # below it they are LAPACK's, bit for bit
+    # the rest: x, a block of columns of A_B^-1, the inverse of A_B^T and
+    # the transposed solve for the multipliers of c0 (one vector, then a
+    # block of columns) agree with LAPACK's LU of the whole basis to 1e-12
+    # relative; at or below it they are LAPACK's, bit for bit
     split = 0
     for name in PRESETS:
         inst = make_preset(name)
@@ -502,6 +503,8 @@ def test_basis_solves_match_the_lu_referee_on_every_preset():
             (lp_core._basis_solve(p, rows, p.b[rows]), lu_basis_solve(p, rows, p.b[rows])),
             (lp_core._basis_solve(p, rows, cols), lu_basis_solve(p, rows, cols)),
             (inv, lu_basis_inverse(p, rows)),
+            (lp_core._basis_solve(p, rows, -inst.c0, transpose=True), np.linalg.solve(p.A[rows].T, -inst.c0)),
+            (lp_core._basis_solve(p, rows, cols, transpose=True), np.linalg.solve(p.A[rows].T, cols)),
         ]
         if p.d <= lp_core._SPLIT_DIM:
             assert all(got.tobytes() == want.tobytes() for got, want in pairs), name
@@ -554,9 +557,9 @@ def test_two_bound_rows_on_one_coordinate_above_the_split_dimension_are_no_basis
     x[-2:] = 0.5, 0.0
     rows = np.concatenate([np.arange(d - 2), [2 * d, 2 * d + 1]])
     assert np.flatnonzero(p.b - p.A @ x == 0.0).tolist() == rows.tolist()
-    for rhs in (None, p.b[rows]):
+    for rhs, transpose in ((None, False), (p.b[rows], False), (-p.A.sum(axis=0), True)):
         with pytest.raises(np.linalg.LinAlgError):
-            lp_core._basis_solve(p, rows, rhs)
+            lp_core._basis_solve(p, rows, rhs, transpose)
     assert VertexStart.at(p, x) is None
     calls = []
     real = lp_core._simplex

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from helpers import EPS_FACE, small_lp
-from lpslice import SolveStatus, check_exact, learn, make_anchor, solve_lp, solve_via_compression
-from lpslice.instances import make_preset, sample_costs
+from lpslice import SolveStatus, check_exact, compression, learn, lp_core, make_anchor, solve_lp, solve_via_compression
+from lpslice.instances import PRESETS, STREAM_TEST, gen_instance, make_preset, sample_costs
 from lpslice.linalg import complete_basis
 from lpslice.tolerances import TAU_CONTAIN
 
@@ -135,3 +135,52 @@ def test_certified_serves_on_a_learned_grid_match_highs():
         r = solve_via_compression(model, p, c)
         v = _highs_value(p, c)
         assert r.value == pytest.approx(v, abs=1e-7 * (1.0 + abs(v)))
+
+
+def _widened_randomlp(factor):
+    params = PRESETS["randomlp-a"]["params"]
+    cost = {**params["cost"], "R": factor * params["cost"]["R"], "R_C": factor * params["cost"]["R_C"]}
+    return gen_instance("randomlp", {**params, "cost": cost}, 0)
+
+
+@pytest.mark.parametrize("name,n", [("packing-360", 30), ("randomlp-a-wide", 8)])
+def test_verdicts_decided_at_the_served_vertex_agree_with_highs(name, n):
+    # a decided True certifies the served value as the optimum; a decided
+    # False says the serve is not optimal, so HiGHS must find a lower value.
+    # Models of n training costs, chosen so that both verdicts are decided
+    inst = make_preset(name) if name == "packing-360" else _widened_randomlp(30)
+    p = inst.polytope
+    model, _ = learn(p, make_anchor(p, inst.c0), sample_costs(inst, n, seed=0))
+    seen = set()
+    for c in sample_costs(inst, 20, seed=6, stream=STREAM_TEST):
+        verdict = compression._verdict_at_served_vertex(model, p, c)
+        if verdict is None:
+            continue
+        seen.add(verdict)
+        served, v = solve_via_compression(model, p, c).value, _highs_value(p, c)
+        if verdict:
+            assert served == pytest.approx(v, abs=1e-7 * (1.0 + abs(v)))
+        else:
+            assert v < served  # by 5.4e-6 on one randomlp cost, within the value tolerance above
+    assert seen == {True, False}
+
+
+def test_a_started_solve_that_ends_on_a_dual_ray_finishes_cold(monkeypatch):
+    # randomlp-a under its law widened 100 times (rank 22): the reduced
+    # LP's started dual simplex ends with y_B >= 0, but its closing pricing
+    # finds a reduced cost of -3.7e-6 and phase two reports a ray, which a
+    # reduced LP holding z = 0 cannot have.  The serve finishes with the
+    # cold solve, whose value is HiGHS's, and the check certifies it
+    inst = _widened_randomlp(100)
+    p = inst.polytope
+    model, _ = learn(p, make_anchor(p, inst.c0), sample_costs(inst, 60, seed=0))
+    assert model.rank == 22
+    c = sample_costs(inst, 1, 2, start=128, stream=STREAM_TEST)[0]
+    cold = []
+    real = lp_core._simplex
+    monkeypatch.setattr(lp_core, "_simplex", lambda *a: cold.append(a[0].shape) or real(*a))
+    r = solve_via_compression(model, p, c)
+    assert cold == [(model.rank, p.m)]  # A^T of the reduced LP
+    v = _highs_value(p, c)
+    assert r.value == pytest.approx(v, abs=1e-7 * (1.0 + abs(v)))
+    assert check_exact(model, p, c)
