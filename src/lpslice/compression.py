@@ -373,19 +373,19 @@ def _verdict_at_served_vertex(model: CompressionModel, p: Polytope, c: np.ndarra
 
     The attempt is made only where it pays, by properties of the inputs:
     d above ``_SPLIT_DIM`` (below it a serve costs about as much as a
-    check) and an anchor x0 with exactly d active rows (at a degenerate
-    anchor the served points are degenerate too).  B's slacks are the
+    check) and an anchor x0 with exactly d active rows (``VertexStart.active``;
+    at a degenerate anchor the served points are degenerate too).  B's slacks are the
     reduced LP's, (b - A x0) - (A U) z*.  When the serve ends on its
     start's basis (x* = x0; always so at rank 0), B is the anchor's basis
     and y_B is one product with its inverse, the started solve's stage one.
     """
     start = model.start
-    if p.d <= _SPLIT_DIM or start is None or not start.fits(p):
+    if p.d <= _SPLIT_DIM or start is None or start.active != p.d or not start.fits(p):
         return None
-    tol = REDUCED_COST_TOL * (1.0 + start.scale)
-    serve = model.reduced if np.count_nonzero(np.abs(start.slack) <= tol) == p.d else None
+    serve = model.reduced
     if serve is None:
         return None
+    tol = REDUCED_COST_TOL * (1.0 + start.scale)
     try:
         r = solve_lp(serve.p, model.U.T @ c, start=serve)
     except InternalError:

@@ -20,18 +20,37 @@ representation: the d x d inverse of the basis, updated in product form
 (Bartels & Golub 1969) beside the basic values.  Cold solves run two phases
 of the primal simplex (``_primal``) from a crash basis (Bixby 1992):
 coordinate i takes, in place of its artificial, the lowest-index row of A
-that is e_i when c_i <= 0 or -e_i when c_i > 0, and the inverse is still
-the identity.  In primal terms the solve starts at the corner that
-minimizes c over the bound rows, so phase one makes no pivots when every
-coordinate has such a row.  Pricing is Dantzig's rule (most negative reduced
-cost enters, lowest index among ties); after a run of ``_DEGENERATE_RUN``
-consecutive degenerate pivots it falls back to Bland's rule (lowest
-eligible index enters) until the next non-degenerate pivot.  The leaving
-row is the minimum ratio, lowest basic index among ties.  Bland's rule
-cannot cycle, so each degenerate run is finite, and the objective strictly
-falls between runs, so the simplex terminates.  A pivot reads A at most
-once and writes only the inverse and the reduced costs; a tableau pivot
-rewrote all d (m + d) of its entries.
+that is e_i when c_i <= 0 or -e_i when c_i > 0 (``Polytope.bound_rows``),
+and the inverse is diagonal with entries +-1.  In primal terms the solve
+starts at the corner that minimizes c over the bound rows, so phase one
+makes no pivots when every coordinate has such a row.  Pricing is Dantzig's
+rule (most negative reduced cost enters, lowest index among ties); after a
+run of ``_DEGENERATE_RUN`` consecutive degenerate pivots it falls back to
+Bland's rule (lowest eligible index enters) until the next non-degenerate
+pivot.  The leaving row is the minimum ratio, lowest basic index among
+ties.  A pivot reads A at most once and writes only the inverse and the
+reduced costs; a tableau pivot rewrote all d (m + d) of its entries.
+
+Above ``_SPLIT_DIM`` phase two flips bounds instead of pivoting on them,
+the bound-flipping ratio test of dual simplex codes (Maros 2003;
+Koberstein 2008).  In primal terms a violated row enters and x moves
+along an edge towards it; each breakpoint of the ratio test is a basis
+row leaving.  When that row bounds coordinate i and i has a bound of the
+other sign (its partner), x_i can pass to the partner's bound instead:
+the basis swaps the row for its partner, which divides one row of the
+inverse by the ratio of their coefficients and shifts the reduced costs.
+The step passes breakpoints in ratio order while the entering row stays
+violated (its reduced cost, less the shifts times the column's entries,
+below -tol_rc) and pivots at the first that fails; when all of them flip
+the entering row can never be met, a dual ray: X is empty.  A packing-360
+solve at c0 makes 24 pivots, 145 without flips.  Termination: no breakpoint
+flips once the Bland fallback runs, and Bland's rule cannot cycle, so
+each degenerate run is finite; each step of positive length, flips
+included, strictly lowers b.y (the dual bound -b.y on c.x rises), so no
+basis returns once the run ends.  Every pass of the pivot loop pivots,
+which counts toward the iteration limit, or returns (phase one may also
+zero a reduced cost made of rounding, at most once per column between
+pivots), so the simplex terminates.
 
 Pivots are hyper-sparse on the network and packing presets (Hall &
 McKinnon 2005; Bixby 2002): a cold packing-360 entering column B^-1 a_j is
@@ -100,6 +119,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,6 +152,70 @@ class InternalError(RuntimeError):
 
 class RejectedInstance(ValueError):
     """The general-form problem cannot be normalized (e.g. doubly free variable)."""
+
+
+def _singletons(A: np.ndarray) -> np.ndarray:
+    """For each row of A, the column of its one nonzero, or -1 when the
+    row has none or several.  Read-only."""
+    nonzero = A != 0.0
+    col = np.where(np.count_nonzero(nonzero, axis=1) == 1, nonzero.argmax(axis=1), -1)
+    col.setflags(write=False)
+    return col
+
+
+class BoundRows(NamedTuple):
+    """The bound rows of A x <= b, the rows with one nonzero a_ji, as the
+    cold simplex (``_simplex``) reads them.  Read-only arrays:
+
+    crash    2 x d: for each coordinate i, the lowest-index row equal to
+             e_i (row 0 of crash) or to -e_i (row 1), -1 where there is
+             none: the rows the crash basis takes
+    partner  for each bound row j on coordinate i, the tightest bound row
+             on i of the opposite sign (the least upper bound of a lower
+             row, the greatest lower bound of an upper one, ties to the
+             lowest index); -1 when there is none or j is no bound row
+    ratio    a_partner,i / a_ji (negative) where j has a partner: swapping
+             j for its partner in a basis divides j's row of the inverse
+             by it
+    shift    b_partner / ratio - b_j where j has a partner, -|a_ji| times
+             the width of the box between the two bounds: the swap lowers
+             the reduced costs by shift times j's row of B^-1 A^T
+    """
+
+    crash: np.ndarray
+    partner: np.ndarray
+    ratio: np.ndarray
+    shift: np.ndarray
+
+    @classmethod
+    def of(cls, A: np.ndarray, b: np.ndarray, col: np.ndarray) -> BoundRows:
+        """The table of A x <= b, with ``col`` its ``_singletons``."""
+        m, d = A.shape
+        on = (col >= 0).nonzero()[0]
+        i = col[on]
+        a = A[on, i]
+        crash = np.full((2, d), -1)
+        for s, unit in enumerate((1.0, -1.0)):
+            rows = on[a == unit]
+            cols, first = np.unique(col[rows], return_index=True)
+            crash[s, cols] = rows[first]
+        upper = a > 0.0
+        bound = b[on] / a
+        # per coordinate and side: the tightest bound first, then the lowest row
+        order = np.lexsort((on, np.where(upper, bound, -bound), upper, i))
+        side = 2 * i[order] + upper[order]
+        first = np.unique(side, return_index=True)[1]
+        tightest = np.full(2 * d, -1)
+        tightest[side[first]] = on[order[first]]
+        partner = np.full(m, -1)
+        partner[on] = tightest[2 * i + ~upper]
+        ratio, shift = np.ones(m), np.zeros(m)
+        j = (partner >= 0).nonzero()[0]
+        ratio[j] = A[partner[j], col[j]] / A[j, col[j]]
+        shift[j] = b[partner[j]] / ratio[j] - b[j]
+        for t in (crash, partner, ratio, shift):
+            t.setflags(write=False)
+        return cls(crash, partner, ratio, shift)
 
 
 @dataclass(frozen=True)
@@ -176,10 +260,13 @@ class Polytope:
         """For each row, the column of its one nonzero, or -1 when the row
         has none or several: the bound rows a basis solve fixes first
         (``_basis_solve``).  Read-only, computed on first use."""
-        nonzero = self.A != 0.0
-        col = np.where(np.count_nonzero(nonzero, axis=1) == 1, nonzero.argmax(axis=1), -1)
-        col.setflags(write=False)
-        return col
+        return _singletons(self.A)
+
+    @cached_property
+    def bound_rows(self) -> BoundRows:
+        """The bound rows' table that cold solves crash from and flip
+        (``BoundRows``).  Read-only, computed on first use."""
+        return BoundRows.of(self.A, self.b, self.singletons)
 
     def contains(self, x: np.ndarray) -> bool:
         """Componentwise feasibility with relative slack EPS_FEAS * (1 + |b|)."""
@@ -237,6 +324,28 @@ _ROW_BLOCK = 64
 # cold packing-360 pivot touches under 0.1% of its inverse.
 _SPARSE_FACTOR = 8
 
+# Dimension above which ``_basis_solve`` fixes the singleton rows first.
+# LAPACK's LU of the whole basis against the split, on the terminal basis at
+# a test cost, best of 10-200 runs at one OpenBLAS thread on a 2-core VM
+# (numpy 2.4), with the rows left to the LU:
+#   grid 5x5, d = 40 (24 left): x 28 -> 39 us, inverse 0.07 -> 0.09 ms
+#   grid 6x6, d = 60 (35 left): x 46 -> 51 us, inverse 0.12 -> 0.14 ms
+#   grid 8x8, d = 112 (63 left): x 118 -> 73 us, inverse 0.49 -> 0.32 ms
+#   randomlp-a, d = 140 (54 left): x 165 -> 53 us, inverse 0.66 -> 0.31 ms
+#   maxflow-300 (58 left): x 915 -> 65 us, inverse 4.6 -> 0.9 ms
+#   packing-360 (24 left): x 1442 -> 69 us, inverse 8.6 -> 1.2 ms
+#   mincostflow-360 (71 left): x 1952 -> 131 us, inverse 7.7 -> 1.5 ms
+#   grid-16, d = 480 (255 left): x 4526 -> 1248 us, inverse 16.5 -> 8.6 ms
+# At d <= 64 the split wins nothing, and LAPACK keeps the bits of the small
+# presets and of every face and reduced LP.
+#
+# The same cut gates the sparse products of started solves and the bound
+# flips of cold ones (``_primal``).  A flip pass costs more numpy calls than
+# the pivots it saves on small bases: with flips at d = 40, grid5-int's cold
+# solves (40 integer costs, best of 20) made 29.9 pivots instead of 38.1 but
+# took 1.07-1.14 ms instead of 0.85-0.93 ms, in three alternating processes.
+_SPLIT_DIM = 64
+
 
 def _eliminate(T: np.ndarray, r: int, col: np.ndarray) -> None:
     """T <- E T in place, for the elimination E that maps col to the unit
@@ -270,22 +379,29 @@ def _eliminate(T: np.ndarray, r: int, col: np.ndarray) -> None:
     T[r] = prow
 
 
+def _sparse_product(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v, from the columns of M where v is nonzero when those are under
+    a quarter of v's entries."""
+    nz = v.nonzero()[0]
+    return M[:, nz] @ v[nz] if 4 * nz.size < v.size else M @ v
+
+
 # Degenerate pivots in a row after which pricing falls back to Bland's rule.
 _DEGENERATE_RUN = 50
 
 
-def _primal(MS, W, basis, z, tol_rc, max_iter, bounded=False):
+def _primal(M, W, basis, z, tol_rc, max_iter, artificial=None, flips=None):
     """Primal simplex pivots until no reduced cost in z is below -tol_rc.
 
-    W = [B^-1 | x_B] holds the inverse of the basis ``basis`` of the system
-    [MS | I] w = q (MS is k x n; the k artificial columns are priced while z
-    is longer than n) and the basic values; once phase one has dropped
+    W = [B^-1 | x_B] holds the inverse of the basis ``basis`` of M w = q
+    (M is k x n) and the basic values; once phase one has dropped
     redundant rows, W keeps only their rows of B^-1.  W, basis and z change
     in place.  Returns the number of pivots, or -1 on an unbounded ray;
-    InternalError past max_iter.  With ``bounded`` (phase one, whose
-    objective is at least 0) there is no ray: a column that prices in
-    without an eligible entry has a reduced cost made of rounding, so it is
-    set to 0 and pricing goes on.
+    InternalError past max_iter.  In phase one ``artificial`` holds the
+    signs s of the artificial columns s_i e_i, which z prices after the n
+    columns of M; its objective is at least 0, so there is no ray: a
+    column that prices in without an eligible entry has a reduced cost
+    made of rounding, so it is set to 0 and pricing goes on.
 
     Pricing is Dantzig's rule: the most negative reduced cost enters, ties
     to the lowest index.  A pivot whose ratio-test step is 0 is degenerate;
@@ -293,14 +409,30 @@ def _primal(MS, W, basis, z, tol_rc, max_iter, bounded=False):
     rule (lowest eligible index enters) until the next non-degenerate pivot.
     The leaving row is the minimum ratio of x_B, clipped at 0, to the
     entering column B^-1 a_j over its entries above PIVOT_TOL times 1 +
-    its largest magnitude, ties to the lowest basic index.  Termination:
-    Bland's rule cannot cycle (Bland 1977), and each non-degenerate pivot
-    strictly lowers the objective.  Every choice depends only on the data
-    and the pivots made so far, so runs are deterministic.  z is updated
+    its largest magnitude, ties to the lowest basic index.  z is updated
     by the pivot row as a tableau's cost row is, and basic columns keep a
     reduced cost of exactly 0.
+
+    With ``flips`` (the ``BoundRows`` of A x <= b, in a cold phase two
+    above ``_SPLIT_DIM``) a leaving row whose basic column is a bound row
+    with a partner need not leave: when the entering reduced cost, less
+    the partner's shift times its entry of the column, stays below
+    -tol_rc, the breakpoint is passed by swapping the bound row for its
+    partner, x_i moving to its opposite bound, and so on along the later
+    breakpoints (``_flip``; Maros 2003, Koberstein 2008).  The pivot is at
+    the first breakpoint that does not flip; when every one flips, the
+    entering row stays violated however far the step goes: the ray.  No
+    breakpoint flips once the Bland fallback runs.
+
+    Termination: Bland's rule cannot cycle (Bland 1977), and each step of
+    positive length, flips included, strictly lowers the objective, so no
+    basis repeats after one.  Every pass of the loop pivots, which counts
+    toward max_iter, or returns; only in phase one may a pass instead set
+    a reduced cost made of rounding to 0, at most once per column between
+    pivots.  Every choice depends only on the data and the pivots made so
+    far, so runs are deterministic.
     """
-    k, n = MS.shape
+    k, n = M.shape
     if not W.shape[0]:  # every row was redundant: no column has an entry
         return -1 if (z < -tol_rc).any() else 0
     inv, xb = W[:, :k], W[:, k]
@@ -318,29 +450,36 @@ def _primal(MS, W, basis, z, tol_rc, max_iter, bounded=False):
                 return it
             j = int(cand[0])
         if j < n:
-            a = MS[:, j]
+            a = M[:, j]
             nz = a.nonzero()[0]
             col = inv[:, nz] @ a[nz]
         else:
-            col = inv[:, j - n].copy()
+            col = inv[:, j - n] * artificial[j - n]
         mag = np.abs(col)
         ratios.fill(np.inf)
         np.divide(np.maximum(xb, 0.0), col, out=ratios, where=col > PIVOT_TOL * (1.0 + mag[mag.argmax()]))
         rmin = ratios[ratios.argmin()]
         if rmin == np.inf:
-            if not bounded:
+            if artificial is None:
                 return -1
             z[j] = 0.0
             continue
         ties = (ratios == rmin).nonzero()[0]
         r = int(ties[basis[ties].argmin()])
-        ir = inv[r]
-        nz = ir.nonzero()[0]
-        row = ir[nz] @ MS[nz] if 4 * nz.size < k else ir @ MS
-        if z.size > n:
-            row = np.concatenate((row, ir))
-        row[basis[r]] = 1.0
-        z -= z[j] * (row / col[r])
+        u = basis[r]
+        flip = flips is not None and degenerate < _DEGENERATE_RUN and flips.partner[u] >= 0
+        if flip and z[j] - flips.shift[u] * col[r] < -tol_rc:  # the first breakpoint flips
+            r, zj, v = _flip(W, basis, z[j], col, ratios, flips, tol_rc)
+            if r < 0:
+                return -1
+            rmin = ratios[r]
+            z -= _sparse_product(M.T, v + (zj / col[r]) * inv[r])  # the flips' update and the pivot's in one product
+        else:
+            row = _sparse_product(M.T, inv[r])
+            if z.size > n:
+                row = np.concatenate((row, inv[r] * artificial))
+            row[u] = 1.0
+            z -= z[j] * (row / col[r])
         _eliminate(W, r, col)
         basis[r] = j
         z[basis] = 0.0
@@ -348,6 +487,37 @@ def _primal(MS, W, basis, z, tol_rc, max_iter, bounded=False):
         it += 1
         if it > max_iter:
             raise InternalError("simplex iteration limit exceeded")
+
+
+def _flip(W, basis, zj, col, ratios, flips, tol_rc):
+    """Pass the breakpoints of an entering column that flip a bound.
+
+    zj is the column's reduced cost, col = B^-1 a_j its column and ratios
+    its ratio test.  In ratio order, ties to the lowest basic index, each
+    breakpoint whose basic column is a bound row with a partner
+    (``BoundRows``) swaps that row for its partner while zj, less the
+    shifts times col[r] of the swaps so far, stays below -tol_rc.  A swap
+    divides its row of W = [B^-1 | x_B] and its entry of col by the
+    ratio.  Returns (the row to pivot on, zj after the swaps, v), v the
+    sum of the shifts times the swapped rows of B^-1 before the swaps,
+    by whose product with M the swaps lower the reduced costs; or (-1,
+    None, None) when every breakpoint flips: the ray.
+    """
+    elig = (ratios < np.inf).nonzero()[0]
+    order = elig[np.lexsort((basis[elig], ratios[elig]))]
+    u = basis[order]
+    slope = zj - np.cumsum(flips.shift[u] * col[order])
+    stop = ((flips.partner[u] < 0) | (slope >= -tol_rc)).nonzero()[0]
+    if stop.size == 0:
+        return -1, None, None
+    k = int(stop[0])
+    f, u = order[:k], u[:k]
+    v = flips.shift[u] @ W[f, :-1]
+    rho = flips.ratio[u]
+    W[f] /= rho[:, None]
+    col[f] /= rho
+    basis[f] = flips.partner[u]
+    return int(order[k]), slope[k - 1], v
 
 
 def _magnitude(a: np.ndarray) -> float:
@@ -361,22 +531,33 @@ def _limits(scale: float, shape) -> tuple:
     return REDUCED_COST_TOL * (1.0 + scale), 2000 + 60 * sum(shape)
 
 
-def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
+def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray, bounds: BoundRows | None = None):
     """min g.w  s.t.  M w = q, w >= 0, in two phases of ``_primal``.
 
-    Phase one scales the rows of M by the sign of q to MS and crashes a
-    basis: row i takes the lowest-index column of MS equal to the unit
-    vector e_i (one nonzero, exactly 1.0) and every other row its
-    artificial.  Either way B^-1 = I and x_B = |q| >= 0, so the crash is
+    M is A^T and g is b of A x <= b, whose bound rows ``bounds`` holds
+    (``BoundRows``; built from M and g when not given).  Phase one crashes
+    a basis: row i of M takes the lowest-index column equal to s_i e_i,
+    s_i the sign of q_i (the row of A that is e_i or -e_i, from
+    ``bounds.crash``), and every other row its artificial column s_i e_i.
+    Either way B^-1 = diag(s) and x_B = |q| >= 0, so the crash is
     feasible; phase one minimizes the sum of the artificials still basic,
     pricing the artificial columns too, and makes no pivot when every row
-    crashed.  Without a unit column the start is the all-artificial basis.
-    Residual artificials are then driven out of the basis;
+    crashed.  Residual artificials are then driven out of the basis;
     rows where none can leave are redundant and dropped, so the returned
     basis columns (of M, unsorted) can be fewer than M's rows.  Phase two
-    prices g over the n columns of M.  Returns (status, w, basis_columns).
+    prices g over the n columns of M, and above ``_SPLIT_DIM`` it flips
+    bound rows (``_primal``).  Returns (status, w, basis_columns).
+
+    The signs live in B^-1, not in a copy of M with its rows scaled by s:
+    every product of a row of B^-1 with a column of M multiplies by s_i
+    twice, so its bits are those of the scaled system.  M is still copied
+    C-contiguous, since the order of a product's sums follows the layout;
+    a plain transpose takes half the time of the scaled one (0.23 against
+    0.49 ms on packing-360).  Kept on the polytope, the copy would cost
+    nothing per solve, but it held 2 MiB on packing-360 and raised the
+    peak memory of its perfbench run by 4%.
     """
-    M = np.asarray(M, dtype=float)
+    M = np.ascontiguousarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
     g = np.asarray(g, dtype=float)
     p, n = M.shape
@@ -386,28 +567,24 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
         return _OPTIMAL, np.zeros(n), np.zeros(0, dtype=int)
 
     tol_rc, max_iter = _limits(max(_magnitude(M), _magnitude(q), _magnitude(g)), M.shape)
+    if bounds is None:
+        bounds = BoundRows.of(M.T, g, _singletons(M.T))
     sgn = np.where(q < 0.0, -1.0, 1.0)
-    MS = np.multiply(M, sgn[:, None], order="C")  # the one scaled copy of M
     W = np.zeros((p, p + 1))
-    np.fill_diagonal(W, 1.0)
+    np.fill_diagonal(W, sgn)
     W[:, p] = q * sgn
-    z = np.zeros(n + p)
-    colsum = MS.sum(axis=0)
     basis = np.arange(n, n + p)
+    crash = np.where(q < 0.0, bounds.crash[1], bounds.crash[0])
+    rows = (crash >= 0).nonzero()[0]
+    basis[rows] = crash[rows]
+    # phase one's costs are 1 on the artificials: the basic ones price the
+    # columns of M at minus their signed rows' sum, the others at 1
+    art = basis >= n
+    z = np.zeros(n + p)
+    z[:n] = -np.multiply(M[art], sgn[art, None], order="C").sum(axis=0)
+    z[n + rows] = 1.0
 
-    # crash: row i takes the lowest-index column of MS equal to e_i; the
-    # reduced costs are those of the artificials still basic (their sum over
-    # a crashed column is a sum of zeros, so basic columns price at 0)
-    unit = np.flatnonzero((colsum == 1.0) & (np.count_nonzero(MS, axis=0) == 1))
-    rows, first = np.unique(MS[:, unit].argmax(axis=0), return_index=True)
-    if rows.size:
-        basis[rows] = unit[first]
-        z[:n] = -MS[basis >= n].sum(axis=0)
-        z[n + rows] = 1.0
-    else:
-        z[:n] = -colsum
-
-    _primal(MS, W, basis, z, tol_rc, max_iter, bounded=True)
+    _primal(M, W, basis, z, tol_rc, max_iter, artificial=sgn)
     if float(W[basis >= n, p].sum()) > PHASE_ONE_TOL * (1.0 + float(np.abs(q).sum())):
         return _INFEASIBLE, None, None
 
@@ -416,48 +593,31 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray):
     in_basis[basis[basis < n]] = True
     keep = basis < n
     for r in np.flatnonzero(~keep):
-        t = W[r, :p] @ MS
+        t = W[r, :p] @ M
         row = np.where(in_basis, 0.0, np.abs(t))
         jbest = int(row.argmax())
         if row[jbest] > DRIVE_OUT_TOL * (1.0 + _magnitude(t)):
-            _eliminate(W, r, W[:, :p] @ MS[:, jbest])
+            _eliminate(W, r, W[:, :p] @ M[:, jbest])
             in_basis[jbest] = True
             basis[r] = jbest
             keep[r] = True
     if not keep.all():
         W, basis = W[keep], basis[keep]
-    return _from_basis(MS, W, basis, g, tol_rc, max_iter)
+    return _from_basis(M, W, basis, g, tol_rc, max_iter, bounds if p > _SPLIT_DIM else None)
 
 
-def _from_basis(MS, W, basis, g, tol_rc, max_iter):
+def _from_basis(M, W, basis, g, tol_rc, max_iter, flips=None):
     """Phase two, the last phase of both paths: from the feasible basis
     ``basis`` with W = [B^-1 | x_B] (see ``_primal``), price g over the
-    columns of MS, pivot until none prices in and read off
-    (status, w, basis)."""
-    z = g - (g[basis] @ W[:, : MS.shape[0]]) @ MS
+    columns of M, pivot until none prices in, flipping bound rows by
+    ``flips``, and read off (status, w, basis)."""
+    z = g - (g[basis] @ W[:, : M.shape[0]]) @ M
     z[basis] = 0.0
-    if _primal(MS, W, basis, z, tol_rc, max_iter) < 0:
+    if _primal(M, W, basis, z, tol_rc, max_iter, flips=flips) < 0:
         return _UNBOUNDED, None, None
-    w = np.zeros(MS.shape[1])
+    w = np.zeros(M.shape[1])
     w[basis] = W[:, -1]
     return _OPTIMAL, w, basis.copy()
-
-
-# Dimension above which ``_basis_solve`` fixes the singleton rows first.
-# LAPACK's LU of the whole basis against the split, on the terminal basis at
-# a test cost, best of 10-200 runs at one OpenBLAS thread on a 2-core VM
-# (numpy 2.4), with the rows left to the LU:
-#   grid 5x5, d = 40 (24 left): x 28 -> 39 us, inverse 0.07 -> 0.09 ms
-#   grid 6x6, d = 60 (35 left): x 46 -> 51 us, inverse 0.12 -> 0.14 ms
-#   grid 8x8, d = 112 (63 left): x 118 -> 73 us, inverse 0.49 -> 0.32 ms
-#   randomlp-a, d = 140 (54 left): x 165 -> 53 us, inverse 0.66 -> 0.31 ms
-#   maxflow-300 (58 left): x 915 -> 65 us, inverse 4.6 -> 0.9 ms
-#   packing-360 (24 left): x 1442 -> 69 us, inverse 8.6 -> 1.2 ms
-#   mincostflow-360 (71 left): x 1952 -> 131 us, inverse 7.7 -> 1.5 ms
-#   grid-16, d = 480 (255 left): x 4526 -> 1248 us, inverse 16.5 -> 8.6 ms
-# At d <= 64 the split wins nothing, and LAPACK keeps the bits of the small
-# presets and of every face and reduced LP.
-_SPLIT_DIM = 64
 
 
 def _basis_solve(p: Polytope, rows: np.ndarray, rhs: np.ndarray | None = None, transpose: bool = False) -> np.ndarray:
@@ -548,6 +708,8 @@ class VertexStart:
            reduced costs the solves price the start's basis with
     scale  the largest magnitude in A and b, the cost-free part of the
            simplex's scale (``_limits``)
+    active how many rows are active at x0 by the rule of ``rows``: d
+           exactly when no more rows than the basis pass through it
 
     The arrays are read-only, and a start is a deterministic function of
     (p, point): it holds no state that depends on the solves made from it.
@@ -559,6 +721,7 @@ class VertexStart:
     x: np.ndarray
     slack: np.ndarray
     scale: float
+    active: int
 
     @classmethod
     def at(cls, p: Polytope, x: np.ndarray) -> VertexStart | None:
@@ -575,6 +738,7 @@ class VertexStart:
             raise ValueError("start is not a point of X")
         scale = max(_magnitude(A), _magnitude(b))
         rows = np.flatnonzero(np.abs(slack) <= REDUCED_COST_TOL * (1.0 + scale))
+        active = rows.size
         if rows.size > d:  # a zero row is in no basis
             rows = rows[A[rows].any(axis=1)]
         if rows.size > d:
@@ -590,18 +754,11 @@ class VertexStart:
             return None
         for a in (rows, inv, vertex, slack):
             a.setflags(write=False)
-        return cls(p, rows, inv, vertex, slack, scale)
+        return cls(p, rows, inv, vertex, slack, scale, active)
 
     def fits(self, p: Polytope) -> bool:
         """Was this start built on p, or on a polytope with p's A and b?"""
         return self.p is p or (np.array_equal(self.p.A, p.A) and np.array_equal(self.p.b, p.b))
-
-
-def _sparse_product(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M @ v, from the columns of M where v is nonzero when those are under
-    a quarter of v's entries (the gate of ``_primal``'s pivot row)."""
-    nz = v.nonzero()[0]
-    return M[:, nz] @ v[nz] if 4 * nz.size < v.size else M @ v
 
 
 def _dual_simplex(A, b, c, rows, inv, slack, scale):
@@ -764,7 +921,7 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
             if r.status is not SolveStatus.OPTIMAL:
                 return r  # Infeasible: the proxy is never unbounded
             return SolveResult(SolveStatus.OPTIMAL, 0.0, r.x, r.basis_id, np.zeros(m))
-    status, w, basis = out if out is not None else _simplex(A.T, -c, b)
+    status, w, basis = out if out is not None else _simplex(p.A.T, -c, b, p.bound_rows)
     if status == _OPTIMAL:
         if start is not None and basis is start.rows:
             rows, x = basis, start.x  # checked feasible when the start was built
@@ -789,7 +946,7 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
     # dual infeasible: primal is either infeasible or unbounded (Farkas split)
     if start is not None:
         return SolveResult(SolveStatus.UNBOUNDED)  # X holds start
-    status0, _, _ = _simplex(A.T, np.zeros(d), b)
+    status0, _, _ = _simplex(p.A.T, np.zeros(d), b, p.bound_rows)
     if status0 == _UNBOUNDED:
         return SolveResult(SolveStatus.INFEASIBLE)
     return SolveResult(SolveStatus.UNBOUNDED)

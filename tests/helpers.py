@@ -1,4 +1,4 @@
-"""Shared test utilities: a small random LP builder, the dense pivot
+"""Shared test utilities: small random LP builders, the dense pivot
 update that the solver's sparse one must match bitwise, the dense tableau
 simplex that the solver's revised cold path must match, the started dual
 simplex with dense pivot products that its sparse ones must match, the LU
@@ -43,6 +43,57 @@ def small_lp(rng: np.random.Generator, d: int, m_struct: int) -> Polytope:
     eye = np.eye(d)
     box_rows = np.vstack([r for j in range(d) for r in (eye[j : j + 1], -eye[j : j + 1])])
     return Polytope(np.vstack([A, box_rows]), np.concatenate([b, np.full(2 * d, L)]))
+
+
+# Bound rows of each coordinate kind of ``boxed_lp``: (coefficient, side)
+# pairs, side "hi" for a row a x_i <= a u_i and "lo" for a x_i <= a l_i.
+BOUND_KINDS = {
+    "box": ((1.0, "hi"), (-1.0, "lo")),
+    "scaled": ((2.0, "hi"), (-3.0, "lo")),  # 2 x_i <= 2 u_i, -3 x_i <= -3 l_i
+    "fixed": ((1.0, "hi"), (-1.0, "lo")),  # l_i = u_i: a box of width 0
+    "upper": ((1.0, "hi"),),
+    "lower": ((-1.0, "lo"),),
+    "twice": ((1.0, "wide"), (1.0, "hi"), (-1.0, "lo")),  # a looser upper row first
+}
+
+
+def boxed_lp(rng: np.random.Generator, d: int, m_struct: int, kinds=tuple(BOUND_KINDS)) -> Polytope:
+    """Bounded nonempty polytope: m_struct sparse random rows with positive
+    slack at an interior point xbar, then the bound rows of a kind drawn
+    from ``kinds`` (of ``BOUND_KINDS``) for each coordinate.  A coordinate
+    with only an upper (lower) bound is bounded on its other side by one
+    row over all of its kind, sum x_i >= sum xbar_i - 1 (<= sum xbar_i +
+    1).  A box of width 0 puts two active rows on its coordinate, so no
+    optimum of a polytope with one has d active rows."""
+    xbar = rng.uniform(-1.0, 1.0, d)
+    kinds = rng.choice(list(kinds), d)
+    S = rng.standard_normal((m_struct, d)) * (rng.random((m_struct, d)) < 0.1)
+    rows, rhs = list(S), list(S @ xbar + rng.uniform(0.1, 1.0, m_struct))
+    for i, kind in enumerate(kinds):
+        lo, hi = xbar[i] - rng.uniform(0.5, 2.0), xbar[i] + rng.uniform(0.5, 2.0)
+        if kind == "fixed":
+            lo = hi = xbar[i]
+        for a, side in BOUND_KINDS[kind]:
+            rows.append(a * np.eye(d)[i])
+            rhs.append(a * {"hi": hi, "lo": lo, "wide": hi + 0.5}[side])
+    for kind, s in (("upper", -1.0), ("lower", 1.0)):
+        mask = kinds == kind
+        if mask.any():
+            rows.append(s * mask)
+            rhs.append(s * xbar[mask].sum() + 1.0)
+    return Polytope(np.array(rows), np.array(rhs))
+
+
+def every_breakpoint_flips_lp(rng: np.random.Generator, d: int):
+    """(p, c): a box l <= x <= u of unit rows and the row sum x_i >= sum
+    u_i + 1, which no point of the box meets; c > 0.  The crash takes the
+    lower rows, so phase one makes no pivot and phase two starts at the
+    corner l, where that row alone is violated.  Each of its breakpoints
+    is a lower row whose partner, the upper row, the box holds, and after
+    all of them the row is still violated by 1."""
+    lo, hi = rng.uniform(-2.0, 0.0, d), rng.uniform(0.5, 2.0, d)
+    A = np.vstack([np.eye(d), -np.eye(d), -np.ones((1, d))])
+    return Polytope(A, np.concatenate([hi, -lo, [-hi.sum() - 1.0]])), rng.uniform(0.5, 1.5, d)
 
 
 def dense_eliminate(T: np.ndarray, r: int, col: np.ndarray) -> None:
@@ -105,11 +156,14 @@ def _tableau_iterate(T, basis, n_priced, tol_rc, max_iter, bounded=False):
             raise InternalError("simplex iteration limit exceeded")
 
 
-def tableau_simplex(M, q, g):
+def tableau_simplex(M, q, g, bounds=None):
     """min g.w s.t. M w = q, w >= 0 on a dense two-phase tableau: the
     reference for ``lp_core._simplex``, with its thresholds, limits and
     return value (status, w, basis columns).  Every pivot rewrites the
-    whole (p + 1) x (n + p + 1) tableau with ``dense_eliminate``."""
+    whole (p + 1) x (n + p + 1) tableau with ``dense_eliminate``.  It
+    takes ``_simplex``'s arguments but ignores ``bounds``, the bound rows
+    the revised path crashes from and flips: the tableau starts from the
+    all-artificial basis and pivots at every breakpoint."""
     M = np.asarray(M, dtype=float)
     q = np.asarray(q, dtype=float)
     g = np.asarray(g, dtype=float)

@@ -219,6 +219,9 @@ def test_bench_config_file_can_set_known_prior(tmp_path):
 
 # csv_sha256_stable of `bench --preset example1` with the default config
 EXAMPLE1_DEFAULT_HASH = "d6fd4f7b07c1e8a7a7e622b471a5050b6dc505be20d188c848f6c65b20b92c59"
+# the same for grid-4, the degenerate preset (integer ties make optimal
+# faces that are not vertices): pricing changes must keep its bits too
+GRID4_DEFAULT_HASH = "49e0678603d85490555a1be9f0a3cccaa65223bffe0ab07683b68d41af94db2e"
 
 
 def test_bench_learns_each_stream_once(tmp_path, monkeypatch):
@@ -253,3 +256,9 @@ def test_bench_example1_default_hash_at_two_jobs(tmp_path):
     out = tmp_path / "run"
     assert main(["bench", "--preset", "example1", "--jobs", "2", "--out", str(out)]) == 0
     assert read_json(out / "summary.json")["csv_sha256_stable"] == EXAMPLE1_DEFAULT_HASH
+
+
+def test_bench_grid4_default_hash(tmp_path):
+    out = tmp_path / "run"
+    assert main(["bench", "--preset", "grid-4", "--jobs", "1", "--out", str(out)]) == 0
+    assert read_json(out / "summary.json")["csv_sha256_stable"] == GRID4_DEFAULT_HASH

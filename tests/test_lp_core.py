@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    BOUND_KINDS,
+    boxed_lp,
     dense_dual_simplex,
     dense_eliminate,
+    every_breakpoint_flips_lp,
     lu_basis_inverse,
     lu_basis_solve,
     small_lp,
@@ -371,6 +374,8 @@ def test_vertex_start_degenerate_and_singular_active_sets(square, monkeypatch):
     # first two independent ones, rows 0 and 3, start the solve
     A = np.vstack([square.A[:1], square.A, [1.0, 1.0]])
     p = Polytope(A, np.concatenate([[1.0], square.b, [2.0]]))
+    assert VertexStart.at(p, np.array([1.0, 1.0])).active == 4
+    assert VertexStart.at(square, np.array([1.0, 1.0])).active == 2
     calls = []
     real = lp_core._simplex
     monkeypatch.setattr(lp_core, "_simplex", lambda *a: calls.append(1) or real(*a))
@@ -892,19 +897,21 @@ def test_partial_crashes_match_the_tableau_referee(monkeypatch):
             want_crashed.append([int((cost > 0.0).sum())])
         cases.append((f"unbounded-{seed}", *_recession_lp(rng, d, 2 * d)))
         want_crashed.append([0, 0])  # the solve and the Farkas split
-    crashed = []  # rows of each phase one's start basis that are columns of MS
+    crashed = []  # rows of each phase one's start basis that are columns of M
     real = lp_core._primal
 
-    def spy(MS, W, basis, z, *args, **kwargs):
-        if kwargs.get("bounded"):
-            # the cost of phase one is 1 on each artificial; B^-1 = I, so
-            # z = that cost - (its basic part) [MS | I]
-            art = basis >= MS.shape[1]
-            want = np.concatenate((-MS[art].sum(axis=0), np.where(art, 0.0, 1.0)))
+    def spy(M, W, basis, z, *args, **kwargs):
+        s = kwargs.get("artificial")
+        if s is not None:
+            # the cost of phase one is 1 on each artificial s_i e_i; B^-1 =
+            # diag(s), so z = that cost - (its basic part) diag(s) [M | diag(s)]
+            art = basis >= M.shape[1]
+            want = np.concatenate((-(M[art] * s[art, None]).sum(axis=0), np.where(art, 0.0, 1.0)))
             want[basis] = 0.0
-            assert np.array_equal(z, want) and np.array_equal(W, np.column_stack((np.eye(len(basis)), W[:, -1])))
+            assert np.array_equal(z, want) and np.array_equal(W, np.column_stack((np.diag(s), W[:, -1])))
+            assert set(s.tolist()) <= {-1.0, 1.0}
             crashed.append(int((~art).sum()))
-        return real(MS, W, basis, z, *args, **kwargs)
+        return real(M, W, basis, z, *args, **kwargs)
 
     monkeypatch.setattr(lp_core, "_primal", spy)
     for (label, p, c), want in zip(cases, want_crashed):
@@ -926,7 +933,7 @@ def test_phase_one_makes_no_pivots_at_c0_where_every_coordinate_has_bound_rows(m
 
     def counted(*args, **kwargs):
         it = real(*args, **kwargs)
-        pivots.append((bool(kwargs.get("bounded")), it))
+        pivots.append((kwargs.get("artificial") is not None, it))
         return it
 
     monkeypatch.setattr(lp_core, "_primal", counted)
@@ -941,6 +948,96 @@ def test_phase_one_makes_no_pivots_at_c0_where_every_coordinate_has_bound_rows(m
         assert solve_lp(inst.polytope, inst.c0).status is SolveStatus.OPTIMAL, name
         assert [it for phase_one, it in pivots if phase_one] == [0], name
     assert len(PRESETS) >= 9 and {"example1", "randomlp-d", "grid-16"} <= set(PRESETS)
+
+
+def _spy_flips(monkeypatch):
+    """Record, for each ``_flip`` call, (the row it returned, the ratios and
+    the shifts of the bound rows it swapped out)."""
+    log = []
+    real = lp_core._flip
+
+    def spy(W, basis, zj, col, ratios, flips, tol_rc):
+        before = basis.copy()
+        out = real(W, basis, zj, col, ratios, flips, tol_rc)
+        out_rows = before[before != basis]
+        log.append((out[0], flips.ratio[out_rows].tolist(), flips.shift[out_rows].tolist()))
+        return out
+
+    monkeypatch.setattr(lp_core, "_flip", spy)
+    return log
+
+
+def test_cold_solves_that_flip_bounds_match_the_tableau_referee(monkeypatch):
+    # boxed LPs above _SPLIT_DIM whose bound rows have coefficients other
+    # than +-1 (2 x_i <= 2 u_i, -3 x_i <= -3 l_i), boxes of width 0, one
+    # bound only, and two upper rows on one coordinate; then a box with a
+    # row no point of it meets, whose every breakpoint flips: the ray.
+    # The tableau referee pivots at every breakpoint
+    log = _spy_flips(monkeypatch)
+    cases = []
+    for seed in range(6):
+        rng = np.random.default_rng(300 + seed)
+        d = int(rng.integers(lp_core._SPLIT_DIM + 1, 90))
+        # without boxes of width 0 the optima have one basis: bitwise x
+        p = boxed_lp(rng, d, d // 2, [k for k in BOUND_KINDS if seed % 2 or k != "fixed"])
+        cases += [(f"boxed-{seed}-{k}", p, rng.standard_normal(d)) for k in range(2)]
+    cases.append(("every-breakpoint-flips", *every_breakpoint_flips_lp(np.random.default_rng(7), 70)))
+    statuses, exact = _match_referee(monkeypatch, cases[:-1])
+    assert statuses == {SolveStatus.OPTIMAL} and exact == 6
+    ratios = {x for _, rs, _ in log for x in rs}
+    assert {-1.0, -1.5, -2 / 3} <= ratios  # the scaled rows flipped too
+    assert 0.0 in {x for _, _, ss in log for x in ss}  # and boxes of width 0
+    assert all(r >= 0 for r, _, _ in log)
+    log.clear()
+    assert _match_referee(monkeypatch, cases[-1:]) == ({SolveStatus.INFEASIBLE}, 0)
+    assert [r for r, _, _ in log] == [-1]
+
+
+def test_bound_flips_run_only_above_the_split_dimension_and_before_bland(monkeypatch):
+    # at d = _SPLIT_DIM cold solves pivot at every breakpoint, as before;
+    # one dimension up the same kind of LP flips, but not on Bland's rule
+    # (run 0 puts it there from the first pivot), where flips could cycle
+    log = _spy_flips(monkeypatch)
+    for d in (lp_core._SPLIT_DIM, lp_core._SPLIT_DIM + 1):
+        rng = np.random.default_rng(d)
+        p = boxed_lp(rng, d, d // 2)
+        costs = rng.standard_normal((3, d))
+        log.clear()
+        values = [solve_lp(p, c).value for c in costs]
+        assert bool(log) == (d > lp_core._SPLIT_DIM)
+    with monkeypatch.context() as mp:
+        mp.setattr(lp_core, "_DEGENERATE_RUN", 0)
+        log.clear()
+        bland = [solve_lp(p, c).value for c in costs]
+        assert log == []
+    assert bland == pytest.approx(values, rel=VALUE_TOL)
+
+
+def test_bound_rows_pair_each_bound_with_the_tightest_opposite_one():
+    # x0 <= 3, x0 <= 2, -x0 <= 0 (two uppers), 2 x1 <= 4, -3 x1 <= 0
+    # (scaled), a structural row, x2 <= 1 (no lower row) and x3 fixed at 1
+    A = np.zeros((9, 4))
+    A[[0, 1, 2, 3, 4, 6, 7, 8], [0, 0, 0, 1, 1, 2, 3, 3]] = [1.0, 1.0, -1.0, 2.0, -3.0, 1.0, 1.0, -1.0]
+    A[5] = [1.0, 1.0, 1.0, 0.0]
+    p = Polytope(A, np.array([3.0, 2.0, 0.0, 4.0, 0.0, 5.0, 1.0, 1.0, -1.0]))
+    t = p.bound_rows
+    assert t.crash.tolist() == [[0, -1, 6, 7], [2, -1, -1, 8]]  # unit rows only, the lowest index first
+    assert t.partner.tolist() == [2, 2, 1, 4, 3, -1, -1, 8, 7]
+    # shift = -|a| (u - l): the box of x0 is [0, 3] from row 0 and [0, 2] from row 2
+    want = {0: (-1.0, -3.0), 1: (-1.0, -2.0), 2: (-1.0, -2.0), 3: (-1.5, -4.0), 4: (-2 / 3, -6.0), 7: (-1.0, 0.0), 8: (-1.0, 0.0)}
+    for j, (ratio, shift) in want.items():
+        assert t.ratio[j] == pytest.approx(ratio) and t.shift[j] == pytest.approx(shift), j
+    assert not t.partner.flags.writeable and p.bound_rows is t
+
+
+def test_a_cold_packing_solve_flips_its_box_instead_of_pivoting(monkeypatch):
+    # 145 pivots at c0 when every breakpoint pivoted, 24 with flips
+    pivots = []
+    real = lp_core._primal
+    monkeypatch.setattr(lp_core, "_primal", lambda *a, **k: pivots.append(real(*a, **k)) or pivots[-1])
+    inst = make_preset("packing-360")
+    assert solve_lp(inst.polytope, inst.c0).status is SolveStatus.OPTIMAL
+    assert 0 < sum(pivots) <= 40
 
 
 _COLD_RANDOMLP = """

@@ -6,7 +6,7 @@ scipy is a test-only dependency: without it this module is skipped.
 import numpy as np
 import pytest
 
-from helpers import EPS_FACE, small_lp
+from helpers import EPS_FACE, boxed_lp, every_breakpoint_flips_lp, small_lp
 from lpslice import SolveStatus, check_exact, compression, learn, lp_core, make_anchor, solve_lp, solve_via_compression
 from lpslice.instances import PRESETS, STREAM_TEST, gen_instance, make_preset, sample_costs
 from lpslice.linalg import complete_basis
@@ -55,6 +55,22 @@ def test_random_bounded_lps_match_highs(d):
     for _ in range(3):
         p = small_lp(rng, d, 2 * d)
         _assert_matches_highs(p, rng.standard_normal(d))
+
+
+def test_cold_solves_that_flip_bounds_match_highs():
+    # boxed LPs above lp_core._SPLIT_DIM, where cold solves flip bound
+    # rows: scaled bound rows, boxes of width 0, one-sided bounds and two
+    # upper rows on one coordinate; and a box whose every breakpoint flips
+    for seed in range(4):
+        rng = np.random.default_rng(400 + seed)
+        d = int(rng.integers(lp_core._SPLIT_DIM + 1, 90))
+        p = boxed_lp(rng, d, d // 2)
+        for _ in range(2):
+            _assert_matches_highs(p, rng.standard_normal(d))
+    p, c = every_breakpoint_flips_lp(np.random.default_rng(8), 80)
+    assert solve_lp(p, c).status is SolveStatus.INFEASIBLE
+    res = optimize.linprog(c, A_ub=p.A, b_ub=p.b, bounds=(None, None), method="highs")
+    assert res.status == 2  # HiGHS: infeasible
 
 
 def _highs_face_deviation(p, c, band, model):
