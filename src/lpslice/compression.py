@@ -46,7 +46,6 @@ from .lp_core import (
     VertexStart,
     _basis_solve,
     _limits,
-    _magnitude,
     solve_lp,
 )
 from .tolerances import EPS_FEAS, FACE_SPAN, MULTIPLIER_TOL, REDUCED_COST_TOL, TAU_CONTAIN, TAU_RANGE, TAU_RANK
@@ -144,7 +143,8 @@ class CompressionModel:
         <= b - A x0} over ``start.p``, built once, on first use, for this
         model's U; None when there is no ``start``, when z = 0 is not a
         vertex, or when z = 0 is outside the reduced LP by its own rule (then
-        every serve raises, as the one-shot serve of a model read back does).
+        every serve raises, as the one-shot serve of a model read back does;
+        ``learn`` refuses such an x0).
         A function of (start, U) alone, so a model grown by
         ``append_direction`` derives its own."""
         if self.start is None:
@@ -385,7 +385,7 @@ def _verdict_at_served_vertex(model: CompressionModel, p: Polytope, c: np.ndarra
     serve = model.reduced
     if serve is None:
         return None
-    tol = REDUCED_COST_TOL * (1.0 + start.scale)
+    tol = REDUCED_COST_TOL * (1.0 + p.scale)
     try:
         r = solve_lp(serve.p, model.U.T @ c, start=serve)
     except InternalError:
@@ -405,7 +405,7 @@ def _verdict_at_served_vertex(model: CompressionModel, p: Polytope, c: np.ndarra
     low = float(y.min())
     if low > MULTIPLIER_TOL * (1.0 + float(np.max(np.abs(y)))):
         return True
-    if low < -_limits(max(start.scale, _magnitude(c)), p.A.shape)[0]:
+    if low < -_limits(p, c)[0]:
         return False
     return None
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .compression import CompressionModel, _contains_given_solve, append_direction
 from .lp_core import InternalError, Polytope, SolveStatus, VertexStart, solve_lp
+from .tolerances import EPS_FEAS
 
 __all__ = [
     "LearnTrace",
@@ -92,11 +93,17 @@ def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
     caller's to add.  Every full solve starts from one ``VertexStart`` built
     at x0, which the model keeps as ``start``; when x0 is not a vertex
     there is none and every solve is cold.  ValueError when x0 is not a
-    point of X, by the ``Polytope.contains`` rule.  The model's serve start
+    point of X, by the ``Polytope.contains`` rule, or when z = 0 is not a
+    point of the reduced LP {z : (A U) z <= b - A x0} by the same rule,
+    which is stricter, since that LP's right-hand side is the slack itself:
+    every serve of the model would raise.  The model's serve start
     (``CompressionModel.reduced``) is left to its first serve.
     """
     x0 = np.asarray(x0, dtype=float)
     start = VertexStart.at(p, x0)
+    slack = p.b - p.A @ x0  # (A U) 0 <= slack + EPS_FEAS (1 + |slack|), for every U
+    if not (slack >= -EPS_FEAS * (1.0 + np.abs(slack))).all():
+        raise ValueError("x0 is outside the reduced LP of every slice: its serves would raise")
     model = CompressionModel.empty(x0, start)
     trace = LearnTrace()
     d = p.d

@@ -85,14 +85,17 @@ inverse.  Above ``_SPLIT_DIM`` the leaving row and the entering column
 are products over their sparse factor's nonzeros (``_sparse_product``),
 while y_B = B^-1 q is formed afresh after each pivot.  In
 primal terms every pivot moves along an edge of X from the start towards
-the optimum.  A closing pricing applies the cold optimality test; only
-when rounding makes it fail does the cold path's phase two run from that
-basis and its inverse.  The terminal basis goes through the cold
-post-processing, x = A_B^-1 b_B on its sorted rows (the start's x is that
-formula's result for its own rows), so whenever it is the cold terminal
-basis, x, value and basis_id are bitwise the cold ones.  Both paths share
-the thresholds of ``tolerances``.  Neither keeps state between calls:
-every result depends only on (p, c, start).
+the optimum.  A closing pricing applies the cold optimality test.  When
+rounding makes it fail, the started solve gives up and the cold solve
+runs instead: the one way out of a started solve that rounding derails.
+The terminal basis goes through the cold post-processing, x = A_B^-1 b_B
+on its sorted rows (the start's x is that formula's result for its own
+rows), so whenever it is the cold terminal basis, x, value and basis_id
+are bitwise the cold ones.  Both paths form their thresholds in one
+place, ``_limits``, from the constants of ``tolerances``, the cost and
+the polytope's own scale (``Polytope.scale``, formed once per polytope).
+Neither keeps state between calls: every result depends only on (p, c,
+start).
 
 Every d x d basis solve, the terminal x, a start's vertex and its inverse,
 and the free directions and the served vertex's multipliers of
@@ -106,10 +109,9 @@ At or below ``_SPLIT_DIM`` it is LAPACK's LU of the whole basis.
 
 Status mapping: dual unbounded means the primal is infeasible; dual
 infeasible is split into primal Infeasible / Unbounded with one Farkas cone
-solve (or is Unbounded outright when the solve ran from a start).  A dual
-ray from a start contradicts X holding the start, so it can only be
-rounding (the closing phase two can find one after stage two ended
-optimal); the cold solve then runs instead.
+solve (or is Unbounded outright when the solve ran from a start).  A
+started solve ends optimal or dual infeasible, never on a dual ray, which
+would contradict X holding the start.
 """
 
 from __future__ import annotations
@@ -154,15 +156,6 @@ class RejectedInstance(ValueError):
     """The general-form problem cannot be normalized (e.g. doubly free variable)."""
 
 
-def _singletons(A: np.ndarray) -> np.ndarray:
-    """For each row of A, the column of its one nonzero, or -1 when the
-    row has none or several.  Read-only."""
-    nonzero = A != 0.0
-    col = np.where(np.count_nonzero(nonzero, axis=1) == 1, nonzero.argmax(axis=1), -1)
-    col.setflags(write=False)
-    return col
-
-
 class BoundRows(NamedTuple):
     """The bound rows of A x <= b, the rows with one nonzero a_ji, as the
     cold simplex (``_simplex``) reads them.  Read-only arrays:
@@ -188,8 +181,9 @@ class BoundRows(NamedTuple):
     shift: np.ndarray
 
     @classmethod
-    def of(cls, A: np.ndarray, b: np.ndarray, col: np.ndarray) -> BoundRows:
-        """The table of A x <= b, with ``col`` its ``_singletons``."""
+    def of(cls, p: Polytope) -> BoundRows:
+        """The table of p."""
+        A, b, col = p.A, p.b, p.singletons
         m, d = A.shape
         on = (col >= 0).nonzero()[0]
         i = col[on]
@@ -260,13 +254,23 @@ class Polytope:
         """For each row, the column of its one nonzero, or -1 when the row
         has none or several: the bound rows a basis solve fixes first
         (``_basis_solve``).  Read-only, computed on first use."""
-        return _singletons(self.A)
+        nonzero = self.A != 0.0
+        col = np.where(np.count_nonzero(nonzero, axis=1) == 1, nonzero.argmax(axis=1), -1)
+        col.setflags(write=False)
+        return col
 
     @cached_property
     def bound_rows(self) -> BoundRows:
         """The bound rows' table that cold solves crash from and flip
         (``BoundRows``).  Read-only, computed on first use."""
-        return BoundRows.of(self.A, self.b, self.singletons)
+        return BoundRows.of(self)
+
+    @cached_property
+    def scale(self) -> float:
+        """max(max |A_ij|, max |b_j|): the cost-free part of every solve's
+        scale (``_limits``) and the scale of a start's active rows
+        (``VertexStart.at``).  Computed on first use."""
+        return max(_magnitude(self.A), _magnitude(self.b))
 
     def contains(self, x: np.ndarray) -> bool:
         """Componentwise feasibility with relative slack EPS_FEAS * (1 + |b|)."""
@@ -525,20 +529,23 @@ def _magnitude(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min())) if a.size else 0.0
 
 
-def _limits(scale: float, shape) -> tuple:
-    """(tol_rc, max_iter) of min g.w s.t. M w = q, w >= 0 of this shape,
-    on both paths; scale is the largest magnitude in M, q and g."""
-    return REDUCED_COST_TOL * (1.0 + scale), 2000 + 60 * sum(shape)
+def _limits(p: Polytope, c: np.ndarray) -> tuple:
+    """(tol_rc, max_iter) of a solve of min c.x over p, on both paths and
+    in the served-vertex verdict of ``compression``: the one place a
+    solve's thresholds are formed.  The scale is the largest magnitude in
+    A, b and c, of which p holds the part that no cost changes
+    (``Polytope.scale``)."""
+    return REDUCED_COST_TOL * (1.0 + max(p.scale, _magnitude(c))), 2000 + 60 * (p.m + p.d)
 
 
-def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray, bounds: BoundRows | None = None):
-    """min g.w  s.t.  M w = q, w >= 0, in two phases of ``_primal``.
+def _simplex(p: Polytope, c: np.ndarray):
+    """min g.w  s.t.  M w = q, w >= 0, with M = A^T, q = -c and g = b of
+    p, in two phases of ``_primal``: the dual of min c.x over p, for d >= 1.
 
-    M is A^T and g is b of A x <= b, whose bound rows ``bounds`` holds
-    (``BoundRows``; built from M and g when not given).  Phase one crashes
-    a basis: row i of M takes the lowest-index column equal to s_i e_i,
-    s_i the sign of q_i (the row of A that is e_i or -e_i, from
-    ``bounds.crash``), and every other row its artificial column s_i e_i.
+    Phase one crashes a basis from p's bound rows (``Polytope.bound_rows``):
+    row i of M takes the lowest-index column equal to s_i e_i, s_i the
+    sign of q_i (the row of A that is e_i or -e_i, from the table's
+    ``crash``), and every other row its artificial column s_i e_i.
     Either way B^-1 = diag(s) and x_B = |q| >= 0, so the crash is
     feasible; phase one minimizes the sum of the artificials still basic,
     pricing the artificial columns too, and makes no pivot when every row
@@ -557,35 +564,27 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray, bounds: BoundRows | No
     nothing per solve, but it held 2 MiB on packing-360 and raised the
     peak memory of its perfbench run by 4%.
     """
-    M = np.ascontiguousarray(M, dtype=float)
-    q = np.asarray(q, dtype=float)
-    g = np.asarray(g, dtype=float)
-    p, n = M.shape
-    if p == 0:
-        if (g < 0.0).any():
-            return _UNBOUNDED, None, None
-        return _OPTIMAL, np.zeros(n), np.zeros(0, dtype=int)
-
-    tol_rc, max_iter = _limits(max(_magnitude(M), _magnitude(q), _magnitude(g)), M.shape)
-    if bounds is None:
-        bounds = BoundRows.of(M.T, g, _singletons(M.T))
+    tol_rc, max_iter = _limits(p, c)
+    bounds = p.bound_rows
+    M, q, g = np.ascontiguousarray(p.A.T), -c, p.b
+    d, n = M.shape
     sgn = np.where(q < 0.0, -1.0, 1.0)
-    W = np.zeros((p, p + 1))
+    W = np.zeros((d, d + 1))
     np.fill_diagonal(W, sgn)
-    W[:, p] = q * sgn
-    basis = np.arange(n, n + p)
+    W[:, d] = q * sgn
+    basis = np.arange(n, n + d)
     crash = np.where(q < 0.0, bounds.crash[1], bounds.crash[0])
     rows = (crash >= 0).nonzero()[0]
     basis[rows] = crash[rows]
     # phase one's costs are 1 on the artificials: the basic ones price the
     # columns of M at minus their signed rows' sum, the others at 1
     art = basis >= n
-    z = np.zeros(n + p)
+    z = np.zeros(n + d)
     z[:n] = -np.multiply(M[art], sgn[art, None], order="C").sum(axis=0)
     z[n + rows] = 1.0
 
     _primal(M, W, basis, z, tol_rc, max_iter, artificial=sgn)
-    if float(W[basis >= n, p].sum()) > PHASE_ONE_TOL * (1.0 + float(np.abs(q).sum())):
+    if float(W[basis >= n, d].sum()) > PHASE_ONE_TOL * (1.0 + float(np.abs(q).sum())):
         return _INFEASIBLE, None, None
 
     # drive residual artificials out of the basis; drop redundant rows
@@ -593,24 +592,24 @@ def _simplex(M: np.ndarray, q: np.ndarray, g: np.ndarray, bounds: BoundRows | No
     in_basis[basis[basis < n]] = True
     keep = basis < n
     for r in np.flatnonzero(~keep):
-        t = W[r, :p] @ M
+        t = W[r, :d] @ M
         row = np.where(in_basis, 0.0, np.abs(t))
         jbest = int(row.argmax())
         if row[jbest] > DRIVE_OUT_TOL * (1.0 + _magnitude(t)):
-            _eliminate(W, r, W[:, :p] @ M[:, jbest])
+            _eliminate(W, r, W[:, :d] @ M[:, jbest])
             in_basis[jbest] = True
             basis[r] = jbest
             keep[r] = True
     if not keep.all():
         W, basis = W[keep], basis[keep]
-    return _from_basis(M, W, basis, g, tol_rc, max_iter, bounds if p > _SPLIT_DIM else None)
+    return _from_basis(M, W, basis, g, tol_rc, max_iter, bounds if d > _SPLIT_DIM else None)
 
 
 def _from_basis(M, W, basis, g, tol_rc, max_iter, flips=None):
-    """Phase two, the last phase of both paths: from the feasible basis
-    ``basis`` with W = [B^-1 | x_B] (see ``_primal``), price g over the
-    columns of M, pivot until none prices in, flipping bound rows by
-    ``flips``, and read off (status, w, basis)."""
+    """Phase two of the cold solve: from the feasible basis ``basis`` with
+    W = [B^-1 | x_B] (see ``_primal``), price g over the columns of M,
+    pivot until none prices in, flipping bound rows by ``flips``, and read
+    off (status, w, basis)."""
     z = g - (g[basis] @ W[:, : M.shape[0]]) @ M
     z[basis] = 0.0
     if _primal(M, W, basis, z, tol_rc, max_iter, flips=flips) < 0:
@@ -691,12 +690,12 @@ class VertexStart:
 
     p      the polytope it belongs to; ``solve_lp`` refuses any other
     rows   the d basis rows, ascending: the rows active at the point x0,
-           |b_j - A_j x0| at most REDUCED_COST_TOL * (1 + the largest
-           magnitude in A and b); all of them when there are exactly d, or
-           exactly d nonzero ones, else the first d independent ones in
-           index order (``linalg.first_independent``); none at d = 0,
-           where the one point of R^0 is the vertex (the reduced LP of a
-           rank-0 model)
+           |b_j - A_j x0| at most REDUCED_COST_TOL * (1 + ``p.scale``,
+           the largest magnitude in A and b); all of them when there are
+           exactly d, or exactly d nonzero ones, else the first d
+           independent ones in index order (``linalg.first_independent``);
+           none at d = 0, where the one point of R^0 is the vertex (the
+           reduced LP of a rank-0 model)
     inv    the inverse of A[rows]^T, C-contiguous: LAPACK's at d <=
            ``_SPLIT_DIM``, else the transpose of A[rows]^-1 from the
            singleton-first split (``_basis_solve``)
@@ -706,8 +705,6 @@ class VertexStart:
            start was built
     slack  b - A x0 at the point x0 the start was built from: the
            reduced costs the solves price the start's basis with
-    scale  the largest magnitude in A and b, the cost-free part of the
-           simplex's scale (``_limits``)
     active how many rows are active at x0 by the rule of ``rows``: d
            exactly when no more rows than the basis pass through it
 
@@ -720,7 +717,6 @@ class VertexStart:
     inv: np.ndarray
     x: np.ndarray
     slack: np.ndarray
-    scale: float
     active: int
 
     @classmethod
@@ -736,8 +732,7 @@ class VertexStart:
         slack = b - A @ x
         if not (slack >= -EPS_FEAS * (1.0 + np.abs(b))).all():
             raise ValueError("start is not a point of X")
-        scale = max(_magnitude(A), _magnitude(b))
-        rows = np.flatnonzero(np.abs(slack) <= REDUCED_COST_TOL * (1.0 + scale))
+        rows = np.flatnonzero(np.abs(slack) <= REDUCED_COST_TOL * (1.0 + p.scale))
         active = rows.size
         if rows.size > d:  # a zero row is in no basis
             rows = rows[A[rows].any(axis=1)]
@@ -754,18 +749,21 @@ class VertexStart:
             return None
         for a in (rows, inv, vertex, slack):
             a.setflags(write=False)
-        return cls(p, rows, inv, vertex, slack, scale, active)
+        return cls(p, rows, inv, vertex, slack, active)
 
     def fits(self, p: Polytope) -> bool:
         """Was this start built on p, or on a polytope with p's A and b?"""
         return self.p is p or (np.array_equal(self.p.A, p.A) and np.array_equal(self.p.b, p.b))
 
 
-def _dual_simplex(A, b, c, rows, inv, slack, scale):
-    """min b.w  s.t.  A^T w = -c, w >= 0, from the factored basis ``rows``
-    (the fields of ``VertexStart``; stages one and two of the module
-    docstring).  Returns (status, w, basis) as ``_simplex`` does; the basis
-    is ``rows`` itself when the start is optimal.
+def _dual_simplex(start: VertexStart, c: np.ndarray):
+    """min b.w  s.t.  A^T w = -c, w >= 0, from the factored basis of
+    ``start`` (stages one and two of the module docstring), under the
+    thresholds of ``_limits``.  Returns (status, w, basis) as ``_simplex``
+    does, the basis being ``start.rows`` itself when the start is optimal,
+    or None when the closing pricing fails: the basis where stage two ended
+    has a reduced cost below -tol_rc, which only rounding makes, and the
+    cold solve decides instead.
 
     Stage two runs the dual simplex on B^-1, the inverse of A_B^T: each
     pivot forms the leaving row of B^-1 A^T (every basic column set to its
@@ -789,10 +787,11 @@ def _dual_simplex(A, b, c, rows, inv, slack, scale):
     the dual of Bland's rule cannot cycle, and each non-degenerate pivot
     strictly raises the dual objective.
     """
+    A, b, inv = start.p.A, start.p.b, start.inv
     q = -c
-    tol_rc, max_iter = _limits(max(scale, _magnitude(q)), A.shape)
+    tol_rc, max_iter = _limits(start.p, c)
     product = _sparse_product if A.shape[1] > _SPLIT_DIM else np.matmul
-    basis, z = rows, slack
+    basis, z = start.rows, start.slack
     y_B = inv @ q
     it = 0
     degenerate = 0
@@ -830,19 +829,11 @@ def _dual_simplex(A, b, c, rows, inv, slack, scale):
             raise InternalError("simplex iteration limit exceeded")
     if it:
         z = b - A @ (b[basis] @ inv)
-    return _close(A, b, inv, basis, y_B, z, tol_rc, max_iter)
-
-
-def _close(A, b, inv, basis, y_B, z, tol_rc, max_iter):
-    """The cold optimality test closing a started solve: the dual basis
-    ``basis`` with inverse ``inv`` and basic values y_B is optimal when no
-    reduced cost z is below -tol_rc.  Only when rounding makes it fail does
-    phase two (``_from_basis``) run from that basis, on copies of it."""
-    if float(z.min()) >= -tol_rc:
-        w = np.zeros(A.shape[0])
-        w[basis] = y_B
-        return _OPTIMAL, w, basis
-    return _from_basis(A.T, np.column_stack((inv, y_B)), basis.copy(), b, tol_rc, max_iter)
+    if float(z.min()) < -tol_rc:  # the cold optimality test fails
+        return None
+    w = np.zeros(A.shape[0])
+    w[basis] = y_B
+    return _OPTIMAL, w, basis
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +858,8 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
 
     Its thresholds (EPS_FEAS for the start and the returned x, the
     simplex's, which also pick the rows active at a start) are constants
-    of ``tolerances``.
+    of ``tolerances``, scaled by the data: the simplex's by ``p.scale``
+    and the cost (``_limits``).
 
     ``start`` is optional: a ``VertexStart`` built on p (ValueError when it
     was built on a polytope with another A or b), or a point of X, which
@@ -881,9 +873,9 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
     and basis_id are bitwise the cold solve's whenever the terminal basis
     is the cold one, which it is when the optimum is a vertex with d active
     rows and positive multipliers.  On degenerate optima the two paths may
-    stop at different optimal bases.  When the started solve ends on a
-    dual ray, which says X is empty though it holds the start, rounding
-    made it and the cold solve's result is returned instead.
+    stop at different optimal bases.  When the closing optimality test
+    fails, which only rounding makes happen, the started solve gives up and
+    the cold solve's result is returned instead.
 
     A cold solve of c = 0 (also from a point that is not a vertex) returns,
     with value 0.0 and y = 0, the vertex that minimizes -A^T w with
@@ -911,17 +903,18 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
             return SolveResult(SolveStatus.OPTIMAL, 0.0, np.zeros(0), (), np.zeros(m))
         return SolveResult(SolveStatus.INFEASIBLE)
 
-    out = None if start is None else _dual_simplex(A, b, c, start.rows, start.inv, start.slack, start.scale)
-    if out is not None and out[0] == _UNBOUNDED:  # a dual ray, though X holds the start: the cold solve decides
-        out = start = None
-    if out is None and not c.any():
-        proxy = -(np.arange(m, 0, -1.0) @ A)
-        if proxy.any():
-            r = solve_lp(p, proxy)
-            if r.status is not SolveStatus.OPTIMAL:
-                return r  # Infeasible: the proxy is never unbounded
-            return SolveResult(SolveStatus.OPTIMAL, 0.0, r.x, r.basis_id, np.zeros(m))
-    status, w, basis = out if out is not None else _simplex(p.A.T, -c, b, p.bound_rows)
+    out = None if start is None else _dual_simplex(start, c)
+    if out is None:  # no start, or rounding derailed the started solve: the cold solve decides
+        start = None
+        if not c.any():
+            proxy = -(np.arange(m, 0, -1.0) @ A)
+            if proxy.any():
+                r = solve_lp(p, proxy)
+                if r.status is not SolveStatus.OPTIMAL:
+                    return r  # Infeasible: the proxy is never unbounded
+                return SolveResult(SolveStatus.OPTIMAL, 0.0, r.x, r.basis_id, np.zeros(m))
+        out = _simplex(p, c)
+    status, w, basis = out
     if status == _OPTIMAL:
         if start is not None and basis is start.rows:
             rows, x = basis, start.x  # checked feasible when the start was built
@@ -946,7 +939,7 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
     # dual infeasible: primal is either infeasible or unbounded (Farkas split)
     if start is not None:
         return SolveResult(SolveStatus.UNBOUNDED)  # X holds start
-    status0, _, _ = _simplex(p.A.T, np.zeros(d), b, p.bound_rows)
+    status0, _, _ = _simplex(p, np.zeros(d))
     if status0 == _UNBOUNDED:
         return SolveResult(SolveStatus.INFEASIBLE)
     return SolveResult(SolveStatus.UNBOUNDED)
@@ -964,7 +957,9 @@ def check_feasible_bounded(p: Polytope) -> FeasibilityStatus:
       every dual pivot degenerate);
     - rank(A) = d, counted by Gram-Schmidt over the rows of A with the
       cutoff TAU_RANK relative to the largest row norm;
-    - one phase-one LP for y = 1 + u, u >= 0, A^T u = -A^T 1.
+    - one LP, min (A^T 1).r over the recession cone {r : A r <= 0}, whose
+      dual is the phase-one LP for y = 1 + u, u >= 0, A^T u = -A^T 1: it
+      is optimal exactly when such a y exists.
     """
     ones_cost = -p.A.sum(axis=0)
     if solve_lp(p, ones_cost).status is SolveStatus.INFEASIBLE:
@@ -973,7 +968,7 @@ def check_feasible_bounded(p: Polytope) -> FeasibilityStatus:
         return FeasibilityStatus.FEASIBLE_BOUNDED
     if orthonormal_columns(p.A.T).shape[1] < p.d:
         return FeasibilityStatus.UNBOUNDED
-    if _simplex(p.A.T, ones_cost, np.zeros(p.m))[0] != _OPTIMAL:
+    if _simplex(Polytope(p.A, np.zeros(p.m)), -ones_cost)[0] != _OPTIMAL:
         return FeasibilityStatus.UNBOUNDED
     return FeasibilityStatus.FEASIBLE_BOUNDED
 

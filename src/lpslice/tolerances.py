@@ -21,10 +21,11 @@ TAU_CONTAIN = 1e-6
 # An entry may pivot when it exceeds PIVOT_TOL times 1 + the largest
 # magnitude in its column (row, for the dual ratio test).  A reduced cost
 # below -REDUCED_COST_TOL * scale prices in, and on the vertex path a basic
-# value below the same bound leaves; scale is 1 + the largest magnitude of
-# the data (see lp_core._limits).  A row is active at a start when its
+# value below the same bound leaves; scale is 1 + the largest magnitude in
+# A, b and c (see lp_core._limits).  A row is active at a start when its
 # slack is at most REDUCED_COST_TOL times 1 + the largest magnitude in A
-# and b, which leaves out the cost, so one start serves every cost.
+# and b (Polytope.scale), which leaves out the cost, so one start serves
+# every cost.
 # Phase one ends feasible when its
 # objective is at most PHASE_ONE_TOL * (1 + sum|q|).  A residual artificial
 # is driven out of the basis on an entry above DRIVE_OUT_TOL times 1 + the

@@ -156,24 +156,18 @@ def _tableau_iterate(T, basis, n_priced, tol_rc, max_iter, bounded=False):
             raise InternalError("simplex iteration limit exceeded")
 
 
-def tableau_simplex(M, q, g, bounds=None):
-    """min g.w s.t. M w = q, w >= 0 on a dense two-phase tableau: the
-    reference for ``lp_core._simplex``, with its thresholds, limits and
+def tableau_simplex(poly, c):
+    """min g.w s.t. M w = q, w >= 0, with M = A^T, q = -c and g = b of
+    ``poly``, on a dense two-phase tableau: the reference for
+    ``lp_core._simplex``, with its arguments, thresholds, limits and
     return value (status, w, basis columns).  Every pivot rewrites the
     whole (p + 1) x (n + p + 1) tableau with ``dense_eliminate``.  It
-    takes ``_simplex``'s arguments but ignores ``bounds``, the bound rows
-    the revised path crashes from and flips: the tableau starts from the
-    all-artificial basis and pivots at every breakpoint."""
-    M = np.asarray(M, dtype=float)
-    q = np.asarray(q, dtype=float)
-    g = np.asarray(g, dtype=float)
+    ignores the polytope's bound rows, which the revised path crashes from
+    and flips: the tableau starts from the all-artificial basis and pivots
+    at every breakpoint."""
+    M, q, g = poly.A.T, -c, poly.b
     p, n = M.shape
-    if p == 0:
-        if np.any(g < 0.0):
-            return "unbounded", None, None
-        return "optimal", np.zeros(n), np.zeros(0, dtype=int)
-    scale = max(np.max(np.abs(a), initial=0.0) for a in (M, q, g))
-    tol_rc, max_iter = lp_core._limits(scale, M.shape)
+    tol_rc, max_iter = lp_core._limits(poly, c)
     sgn = np.where(q < 0.0, -1.0, 1.0)
     T = np.zeros((p + 1, n + p + 1))
     T[:p, :n] = M * sgn[:, None]
@@ -212,14 +206,15 @@ def tableau_simplex(M, q, g, bounds=None):
     return "optimal", w, basis.copy()
 
 
-def dense_dual_simplex(A, b, c, rows, inv, slack, scale):
+def dense_dual_simplex(start, c):
     """The referee of ``lp_core._dual_simplex``: the same started dual
     simplex with each pivot's leaving row A (B^-1)_r and entering column
     B^-1 a_j formed as dense products over all of their terms, as every
     started solve pivoted before those products skipped zero factors."""
+    A, b, inv = start.p.A, start.p.b, start.inv
     q = -c
-    tol_rc, max_iter = lp_core._limits(max(scale, lp_core._magnitude(q)), A.shape)
-    basis, z = rows, slack
+    tol_rc, max_iter = lp_core._limits(start.p, c)
+    basis, z = start.rows, start.slack
     y_B = inv @ q
     it = 0
     degenerate = 0
@@ -255,7 +250,11 @@ def dense_dual_simplex(A, b, c, rows, inv, slack, scale):
             raise InternalError("simplex iteration limit exceeded")
     if it:
         z = b - A @ (b[basis] @ inv)
-    return lp_core._close(A, b, inv, basis, y_B, z, tol_rc, max_iter)
+    if float(z.min()) < -tol_rc:
+        return None
+    w = np.zeros(A.shape[0])
+    w[basis] = y_B
+    return lp_core._OPTIMAL, w, basis
 
 
 def lu_basis_solve(p: Polytope, rows, rhs) -> np.ndarray:

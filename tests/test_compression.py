@@ -531,7 +531,7 @@ def test_the_served_vertex_is_tried_only_above_the_split_dimension_at_a_nondegen
         p, costs = inst.polytope, sample_costs(inst, 8, seed=0)
         model, _ = learner.learn(p, make_anchor(p, inst.c0), costs)
     assert model.start is not None
-    active = np.count_nonzero(np.abs(model.start.slack) <= REDUCED_COST_TOL * (1.0 + model.start.scale))
+    active = np.count_nonzero(np.abs(model.start.slack) <= REDUCED_COST_TOL * (1.0 + p.scale))
     assert (p.d > compression._SPLIT_DIM and active == p.d) == (case == "packing-360"), active
     calls = []  # the reduced solves (fewer than d variables) and the transposed basis solves
     solve, basis_solve = compression.solve_lp, compression._basis_solve

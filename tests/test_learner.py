@@ -79,19 +79,18 @@ def test_learn_requires_feasible_anchor(square):
             learn(square, np.array(x0), costs())
 
 
-def test_an_anchor_outside_the_reduced_rule_learns_and_serves_raise():
+def test_learn_refuses_an_anchor_outside_the_reduced_rule():
     # the box [-1000, 1000]^2 and x0 2e-7 past a face: a vertex of X by the
     # start's rule, which scales with |b|, but z = 0 is outside the reduced
-    # LP, whose right-hand side is the slack b - A x0.  The model derives no
-    # serve start, and the serve raises as it does one-shot on a model read
-    # back
+    # LP, whose right-hand side is the slack b - A x0.  Every serve of a
+    # model anchored there raises, so learn refuses the anchor
     box = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.full(4, 1000.0))
     x0 = np.array([1000.0 + 2e-7, 1000.0])
-    model, _ = learn(box, x0, [np.array([-1.0, -1.0])])
-    assert model.start is not None and model.reduced is None
-    for m in (model, compression.model_from_json(compression.model_to_json(model))):
-        with pytest.raises(ValueError, match="not a point of X"):
-            solve_via_compression(m, box, np.array([-1.0, -1.0]))
+    assert box.contains(x0)
+    with pytest.raises(ValueError, match="outside the reduced LP"):
+        learn(box, x0, [np.array([-1.0, -1.0])])
+    with pytest.raises(ValueError, match="not a point of X"):
+        solve_via_compression(compression.CompressionModel.empty(x0), box, np.array([-1.0, -1.0]))
 
 
 def test_learn_accepts_custom_ids(square):

@@ -26,6 +26,7 @@ from lpslice import (
     Polytope,
     RejectedInstance,
     SolveStatus,
+    check_exact,
     check_feasible_bounded,
     contains_optimal_face,
     learn,
@@ -333,7 +334,7 @@ def test_phase_one_reports_no_ray_when_its_objective_is_already_zero():
     M = np.zeros((100, 2))
     M[:, 0] = -1.0
     M[:, 1] = 0.9e-10
-    status, w, _ = lp_core._simplex(M, np.zeros(100), np.ones(2))
+    status, w, _ = lp_core._simplex(Polytope(M.T, np.ones(2)), np.zeros(100))
     assert status == "optimal"
     assert np.array_equal(w, np.zeros(2))
 
@@ -416,17 +417,19 @@ def test_vertex_start_matches_cold_on_random_lps(run, monkeypatch):
     # run 0 puts the dual simplex on Bland's rule from the first pivot
     monkeypatch.setattr(lp_core, "_DEGENERATE_RUN", run)
     closings, primal_pivots = [], []
-    real_close, real_primal = lp_core._close, lp_core._primal
+    real_dual, real_primal = lp_core._dual_simplex, lp_core._primal
 
     def close(*args):
-        closings.append(1)
-        return real_close(*args)
+        out = real_dual(*args)
+        if out is not None:  # the closing pricing passed
+            closings.append(1)
+        return out
 
     def counted(*args, **kwargs):
         primal_pivots.append(real_primal(*args, **kwargs))
         return primal_pivots[-1]
 
-    monkeypatch.setattr(lp_core, "_close", close)
+    monkeypatch.setattr(lp_core, "_dual_simplex", close)
     monkeypatch.setattr(lp_core, "_primal", counted)
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -770,10 +773,11 @@ def test_a_polytope_whose_rows_are_all_redundant():
     assert check_feasible_bounded(empty) is FeasibilityStatus.INFEASIBLE
 
 
-def test_close_runs_phase_two_from_a_dual_feasible_basis_that_is_not_optimal(monkeypatch):
+def test_from_basis_runs_phase_two_from_a_dual_feasible_basis_that_is_not_optimal(monkeypatch):
     # the box corner picked by the signs of c is a dual basis with y_B = |c|
     # >= 0, but the corner violates some random row: its slack is negative,
-    # so _close's pricing fails and its phase two must pivot to the cold optimum
+    # so the closing pricing of a started solve would fail there, and the
+    # cold path's phase two must pivot from it to the cold optimum
     phase_two = []
     real = lp_core._from_basis
     monkeypatch.setattr(lp_core, "_from_basis", lambda *a: phase_two.append(1) or real(*a))
@@ -789,10 +793,10 @@ def test_close_runs_phase_two_from_a_dual_feasible_basis_that_is_not_optimal(mon
         slack = p.b - p.A @ np.linalg.solve(p.A[rows], p.b[rows])
         assert np.all(y_B > 0.0) and slack.min() < 0.0
         cold = solve_lp(p, c)
-        scale = max(np.abs(p.A).max(), np.abs(p.b).max(), np.abs(c).max())
-        tol_rc, max_iter = lp_core._limits(scale, p.A.shape)
+        tol_rc, max_iter = lp_core._limits(p, c)
+        assert slack.min() < -tol_rc
         phase_two.clear()
-        status, w, basis = lp_core._close(p.A, p.b, inv, rows.copy(), y_B, slack, tol_rc, max_iter)
+        status, w, basis = lp_core._from_basis(p.A.T, np.column_stack((inv, y_B)), rows.copy(), p.b, tol_rc, max_iter)
         assert phase_two == [1]
         assert status == "optimal"
         basis = np.sort(basis)
@@ -1028,6 +1032,29 @@ def test_bound_rows_pair_each_bound_with_the_tightest_opposite_one():
     for j, (ratio, shift) in want.items():
         assert t.ratio[j] == pytest.approx(ratio) and t.shift[j] == pytest.approx(shift), j
     assert not t.partner.flags.writeable and p.bound_rows is t
+
+
+def test_solves_read_the_scale_of_a_and_b_from_the_polytope(monkeypatch):
+    # Polytope.scale is max |A_ij| and |b_j|, formed on first use: after a
+    # polytope's first solve, cold and started solves and check_exact form
+    # their thresholds from it and the cost, and scan no array of A's or
+    # b's size for them
+    for name in PRESETS:
+        p = make_preset(name).polytope
+        assert p.scale == max(np.abs(p.A).max(), np.abs(p.b).max()), name
+    inst = make_preset("packing-360")
+    p = inst.polytope
+    model, _ = learn(p, make_anchor(p, inst.c0), sample_costs(inst, 8, seed=0))
+    test = sample_costs(inst, 4, seed=1, stream=STREAM_TEST)
+    check_exact(model, p, test[0])  # the first serve builds the reduced LP
+    sizes = []
+    real = lp_core._magnitude
+    monkeypatch.setattr(lp_core, "_magnitude", lambda a: sizes.append(a.size) or real(a))
+    for c in test:
+        solve_lp(p, c)
+        solve_lp(p, c, start=model.start)
+        check_exact(model, p, c)
+    assert sizes and not {p.A.size, p.m} & set(sizes), sorted(set(sizes))
 
 
 def test_a_cold_packing_solve_flips_its_box_instead_of_pivoting(monkeypatch):

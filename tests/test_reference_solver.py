@@ -181,12 +181,12 @@ def test_verdicts_decided_at_the_served_vertex_agree_with_highs(name, n):
     assert seen == {True, False}
 
 
-def test_a_started_solve_that_ends_on_a_dual_ray_finishes_cold(monkeypatch):
+def test_a_started_solve_that_rounding_derails_finishes_cold(monkeypatch):
     # randomlp-a under its law widened 100 times (rank 22): the reduced
     # LP's started dual simplex ends with y_B >= 0, but its closing pricing
-    # finds a reduced cost of -3.7e-6 and phase two reports a ray, which a
-    # reduced LP holding z = 0 cannot have.  The serve finishes with the
-    # cold solve, whose value is HiGHS's, and the check certifies it
+    # finds a reduced cost of -3.7e-6, which only rounding makes.  The serve
+    # finishes with exactly one cold solve, whose value is HiGHS's, and the
+    # check certifies it
     inst = _widened_randomlp(100)
     p = inst.polytope
     model, _ = learn(p, make_anchor(p, inst.c0), sample_costs(inst, 60, seed=0))
@@ -194,7 +194,7 @@ def test_a_started_solve_that_ends_on_a_dual_ray_finishes_cold(monkeypatch):
     c = sample_costs(inst, 1, 2, start=128, stream=STREAM_TEST)[0]
     cold = []
     real = lp_core._simplex
-    monkeypatch.setattr(lp_core, "_simplex", lambda *a: cold.append(a[0].shape) or real(*a))
+    monkeypatch.setattr(lp_core, "_simplex", lambda *a: cold.append(a[0].A.T.shape) or real(*a))
     r = solve_via_compression(model, p, c)
     assert cold == [(model.rank, p.m)]  # A^T of the reduced LP
     v = _highs_value(p, c)
