@@ -10,7 +10,6 @@ manifest; wall-clock columns are excluded from the stable content hash.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -40,7 +39,7 @@ from .instances import (
     sample_costs,
 )
 from .learner import certificate_bound, learn, make_anchor, trace_to_json
-from .lp_core import SolveStatus, VertexStart, dump_json, load_json, solve_lp
+from .lp_core import SolveStatus, dump_json, load_json, solve_lp
 from .oracle import ScaleError, dir_star, enumerate_vertices, prior_spec_from_dict, reachable_vertices
 from .prior import (
     anchor_cost,
@@ -262,8 +261,6 @@ def cmd_solve(args) -> int:
     print(f"full: {full.status.value}" + (f" value={full.value:.10g}" if full.value is not None else ""))
     if args.model:
         model = model_from_json(load_json(args.model))
-        # the file stores no start: factor the anchor's basis once for the serve and the check
-        model = dataclasses.replace(model, start=VertexStart.at(inst.polytope, model.x0))
         red = solve_via_compression(model, inst.polytope, c)
         exact = check_exact(model, inst.polytope, c)
         report["reduced_value"] = red.value

@@ -32,6 +32,7 @@ cases where the attempt would not pay, run ``contains_optimal_face``.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,11 +45,13 @@ from .lp_core import (
     SolveResult,
     SolveStatus,
     VertexStart,
+    _active_tol,
     _basis_solve,
     _limits,
+    _twins,
     solve_lp,
 )
-from .tolerances import EPS_FEAS, FACE_SPAN, MULTIPLIER_TOL, REDUCED_COST_TOL, TAU_CONTAIN, TAU_RANGE, TAU_RANK
+from .tolerances import EPS_FEAS, FACE_SPAN, MULTIPLIER_TOL, TAU_CONTAIN, TAU_RANGE, TAU_RANK
 from . import linalg
 
 __all__ = [
@@ -101,30 +104,24 @@ class CompressionModel:
     on packing-360, 698 against 686 on grid5-int.  Q gives the residuals
     w - Q(Q^T w) that ``in_range`` and the containment test measure.
 
-    ``start`` is the ``VertexStart`` that ``learn`` built at x0 on its
-    polytope, or None (x0 is not a vertex, or the model was made otherwise).
-    ``contains_optimal_face`` solves from it whenever it fits the polytope
-    at hand, so the basis at x0 is factored once per model instead of once
-    per check; every other route starts at the point x0 itself, which
-    ``solve_lp`` turns into the same start one-shot.  ``reduced`` is the
-    serve start, the start at z = 0 of the reduced LP, built once on the
-    model's first serve on a polytope that ``start`` fits, grown models
-    included; ``solve_via_compression`` serves from it, so A U, b - A x0 and
-    the basis at z = 0 are built once per model instead of once per serve.
-    Both are derived data: ``model_to_json`` does not write them, and a
-    model read back has neither.
+    The starts that serves, checks and containment tests solve from are
+    data a model derives for the polytope it is asked about (``_Starts``),
+    kept for the last one; ``model_to_json`` does not write them.  So the
+    basis at x0 is factored once per model and polytope instead of once
+    per check, and A U, b - A x0 and the basis at z = 0 are built once
+    instead of once per serve, however the model was made.
     """
 
     x0: np.ndarray
     U: np.ndarray
     Q: np.ndarray
     provenance: dict = field(default_factory=dict)
-    start: VertexStart | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "x0", _ro(self.x0))
         object.__setattr__(self, "U", _ro(self.U))
         object.__setattr__(self, "Q", _ro(self.Q))
+        object.__setattr__(self, "_starts", None)  # see _starts
         d = self.x0.shape[0]
         if self.U.ndim != 2 or self.U.shape[0] != d:
             raise ValueError("U must be d x r")
@@ -137,34 +134,16 @@ class CompressionModel:
     def d(self) -> int:
         return self.x0.shape[0]
 
-    @cached_property
-    def reduced(self) -> VertexStart | None:
-        """The ``VertexStart`` at z = 0 (x0) of the reduced LP {z : (A U) z
-        <= b - A x0} over ``start.p``, built once, on first use, for this
-        model's U; None when there is no ``start``, when z = 0 is not a
-        vertex, or when z = 0 is outside the reduced LP by its own rule (then
-        every serve raises, as the one-shot serve of a model read back does;
-        ``learn`` refuses such an x0).
-        A function of (start, U) alone, so a model grown by
-        ``append_direction`` derives its own."""
-        if self.start is None:
-            return None
-        try:  # b - A x0 is the start's slack
-            return VertexStart.at(Polytope(self.start.p.A @ self.U, self.start.slack), np.zeros(self.rank))
-        except ValueError:
-            return None
-
     @property
     def rank(self) -> int:
         return self.U.shape[1]
 
     @classmethod
-    def empty(cls, x0: np.ndarray, start: VertexStart | None = None):
+    def empty(cls, x0: np.ndarray):
         """Rank-0 model anchored at x0 (the slice is the single point x0),
         with an empty provenance."""
-        x0 = np.asarray(x0, dtype=float)
-        d = x0.shape[0]
-        return cls(x0, np.zeros((d, 0)), np.zeros((d, 0)), start=start)
+        d = len(x0)
+        return cls(x0, np.zeros((d, 0)), np.zeros((d, 0)))
 
     @classmethod
     def create(cls, x0: np.ndarray, U: np.ndarray, provenance: dict | None = None):
@@ -178,6 +157,49 @@ class CompressionModel:
         if Q.shape[1] != U.shape[1]:
             raise ValueError("U does not have full column rank")
         return cls(x0, U, Q, provenance or {})
+
+
+class _Starts:
+    """What a model derives on one polytope p: the starts its solves run from.
+
+    anchor   ``VertexStart.at(p, x0)``, the start of full solves, built
+             first; None when x0 is not a vertex (ValueError when it is
+             not a point of X)
+    reduced  the reduced polytope {z : (A U) z <= b - A x0}, built on
+             first use
+    serve    ``VertexStart.at(reduced, 0)``, the start of serves at z = 0
+             (x0), built on first use; None when z = 0 is not a vertex of
+             the reduced polytope, ValueError when it is not a point of it
+             by its own rule (``learn`` refuses such an x0)
+    """
+
+    def __init__(self, p: Polytope, model: CompressionModel, anchor: VertexStart | None):
+        self.p, self.anchor, self._x0, self._U = p, anchor, model.x0, model.U
+
+    @cached_property
+    def reduced(self) -> Polytope:
+        return Polytope(self.p.A @ self._U, self.p.b - self.p.A @ self._x0)
+
+    @cached_property
+    def serve(self) -> VertexStart | None:
+        return VertexStart.at(self.reduced, np.zeros(self._U.shape[1]))
+
+
+def _starts(model: CompressionModel, p: Polytope) -> _Starts:
+    """The model's ``_Starts`` on p.  They are kept for the last polytope
+    the model was asked about and reused when p is that object or its twin
+    (the same A and b, ``lp_core._twins``, the rule ``solve_lp`` holds a
+    start to); on a twin they are re-pointed at p, so later calls with p
+    compare no arrays."""
+    kept = model._starts
+    if kept is None or not _twins(kept.p, p):
+        if p.d != model.d:
+            raise ValueError("model and polytope dimensions differ")
+        kept = _Starts(p, model, VertexStart.at(p, model.x0))
+        object.__setattr__(model, "_starts", kept)
+    elif kept.p is not p:
+        kept.p, kept.anchor = p, kept.anchor and dataclasses.replace(kept.anchor, p=p)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -212,7 +234,8 @@ def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel
     Precondition: x - x0 is outside the current range (RankError otherwise).
     The first rank(U) columns of the new Q equal the old Q bitwise, which is
     what makes replays of the learner reproduce models exactly.  The new
-    model keeps ``start`` and derives its own ``reduced`` for the new U.
+    model takes over the old one's anchor start and derives the reduced
+    polytope and the serve start of its own U.
     """
     x = np.asarray(x, dtype=float)
     w = x - model.x0
@@ -223,15 +246,18 @@ def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel
     except ValueError as e:  # between TAU_RANK and TAU_RANGE: treat as rank failure
         raise RankError(str(e)) from e
     U = np.column_stack([model.U, w])
-    return CompressionModel(model.x0, U, Q, dict(model.provenance), model.start)
+    grown = CompressionModel(model.x0, U, Q, dict(model.provenance))
+    if model._starts is not None:
+        object.__setattr__(grown, "_starts", _Starts(model._starts.p, grown, model._starts.anchor))
+    return grown
 
 
 def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -> ContainmentResult:
     """Does the slice contain the whole optimal face of min c.x over X?
 
-    One full solve, started from the anchor x0 (``model.start`` when it
-    fits p, else x0 itself), gives a vertex optimizer
-    x* and multipliers y.  A face point x leaves the slice when the
+    One full solve, started from the anchor x0 (the model's anchor start
+    on p; cold when x0 is not a vertex), gives a vertex optimizer x* and
+    multipliers y.  A face point x leaves the slice when the
     residual of x - x0 off range(U) is longer than tau = TAU_CONTAIN *
     (1 + ||x0||).  The test looks only at what can leave the slice, in
     three steps:
@@ -264,10 +290,7 @@ def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -
     so an F with no rows or an unbounded face LP raises InternalError.
     """
     c = np.asarray(c, dtype=float)
-    if p.d != model.d:
-        raise ValueError("model and polytope dimensions differ")
-    start = model.start if model.start is not None and model.start.fits(p) else model.x0
-    return _contains_given_solve(model, p, c, solve_lp(p, c, start=start))
+    return _contains_given_solve(model, p, c, solve_lp(p, c, start=_starts(model, p).anchor))
 
 
 def _contains_given_solve(model: CompressionModel, p: Polytope, c: np.ndarray, res: SolveResult) -> ContainmentResult:
@@ -379,23 +402,25 @@ def _verdict_at_served_vertex(model: CompressionModel, p: Polytope, c: np.ndarra
     start's basis (x* = x0; always so at rank 0), B is the anchor's basis
     and y_B is one product with its inverse, the started solve's stage one.
     """
-    start = model.start
-    if p.d <= _SPLIT_DIM or start is None or start.active != p.d or not start.fits(p):
+    if p.d <= _SPLIT_DIM:
         return None
-    serve = model.reduced
-    if serve is None:
+    starts = _starts(model, p)
+    anchor = starts.anchor
+    if anchor is None or anchor.active != p.d:
         return None
-    tol = REDUCED_COST_TOL * (1.0 + p.scale)
     try:
+        serve = starts.serve
+        if serve is None:
+            return None
         r = solve_lp(serve.p, model.U.T @ c, start=serve)
-    except InternalError:
+    except (ValueError, InternalError):  # ValueError: z = 0 is outside the reduced LP
         return None
     if r.status is not SolveStatus.OPTIMAL:
         return None
     if r.basis_id == tuple(serve.rows.tolist()):
-        y = start.inv @ -c
+        y = anchor.inv @ -c
     else:
-        rows = np.flatnonzero(np.abs(serve.p.b - serve.p.A @ r.x) <= tol)
+        rows = np.flatnonzero(np.abs(serve.p.b - serve.p.A @ r.x) <= _active_tol(p))
         if rows.size != p.d:
             return None
         try:
@@ -413,26 +438,14 @@ def _verdict_at_served_vertex(model: CompressionModel, p: Polytope, c: np.ndarra
 def build_reduced_lp(model: CompressionModel, p: Polytope, c: np.ndarray):
     """Reduced data over slice coordinates: ({z : (A U) z <= b - A x0}, U^T c, c . x0).
 
-    The polytope is that of the model's serve start (``reduced.p``) when
-    its start fits p, else built here; both are the same arrays bit for bit.
+    The polytope is the one the model derives on p (``_Starts.reduced``),
+    built on the first call and the same object on every later one.
     For rank 0 the reduced polytope has zero variables; solve_lp handles that
     case directly (value 0 when feasible), so the identity
     full value = offset + reduced value still holds.
     """
     c = np.asarray(c, dtype=float)
-    start = _serve_start(model, p)
-    if start is not None:
-        reduced = start.p
-    elif p.d != model.d:
-        raise ValueError("model and polytope dimensions differ")
-    else:
-        reduced = Polytope(p.A @ model.U, p.b - p.A @ model.x0)
-    return reduced, model.U.T @ c, float(c @ model.x0)
-
-
-def _serve_start(model: CompressionModel, p: Polytope) -> VertexStart | None:
-    """``model.reduced`` when the model's start fits p, else None."""
-    return model.reduced if model.start is not None and model.start.fits(p) else None
+    return _starts(model, p).reduced, model.U.T @ c, float(c @ model.x0)
 
 
 def lift(model: CompressionModel, z: np.ndarray) -> np.ndarray:
@@ -449,16 +462,15 @@ def solve_via_compression(model: CompressionModel, p: Polytope, c: np.ndarray) -
     The reduced problem holds z = 0 (x0; ValueError when x0 is not in X)
     and is bounded whenever X is bounded, so any other status is an
     internal error.  z = 0 is a vertex of it when x0 is a vertex of X, and
-    the solve starts there: from ``model.reduced`` when the model's start
-    fits p, built on the first such serve, so every later one costs U^T c,
-    c . x0, the started solve and the lift; else from the point z = 0,
-    which ``solve_lp`` turns into the same start one-shot.
-    The returned multipliers are those of the reduced solve; its rows are in
-    one-to-one correspondence with the rows of p.
+    the solve starts there, from the serve start the model derives on p
+    (``_Starts.serve``; cold when z = 0 is not a vertex).  It is built on
+    the first serve, so every later one costs U^T c, c . x0, the started
+    solve and the lift.  The returned multipliers are those of the
+    reduced solve; its rows are in one-to-one correspondence with the
+    rows of p.
     """
     reduced, c_red, offset = build_reduced_lp(model, p, c)
-    start = _serve_start(model, p)
-    r = solve_lp(reduced, c_red, start=np.zeros(model.rank) if start is None else start)
+    r = solve_lp(reduced, c_red, start=_starts(model, p).serve)
     if r.status is not SolveStatus.OPTIMAL:
         raise InternalError(f"reduced LP reported {r.status.value} though the anchor is feasible")
     x = lift(model, r.x)

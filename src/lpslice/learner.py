@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import CompressionModel, _contains_given_solve, append_direction
-from .lp_core import InternalError, Polytope, SolveStatus, VertexStart, solve_lp
-from .tolerances import EPS_FEAS
+from .compression import CompressionModel, _contains_given_solve, _starts, append_direction
+from .lp_core import InternalError, Polytope, SolveStatus, solve_lp
 
 __all__ = [
     "LearnTrace",
@@ -90,21 +89,20 @@ def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
     :mod:`lpslice.tolerances`.  The model's provenance holds only
     ``hard_indices`` and the trace's ``anchor_provenance`` is empty, so a
     replay returns an equal model; labels such as the instance name are the
-    caller's to add.  Every full solve starts from one ``VertexStart`` built
-    at x0, which the model keeps as ``start``; when x0 is not a vertex
-    there is none and every solve is cold.  ValueError when x0 is not a
-    point of X, by the ``Polytope.contains`` rule, or when z = 0 is not a
-    point of the reduced LP {z : (A U) z <= b - A x0} by the same rule,
-    which is stricter, since that LP's right-hand side is the slack itself:
-    every serve of the model would raise.  The model's serve start
-    (``CompressionModel.reduced``) is left to its first serve.
+    caller's to add.  Every full solve starts from the model's anchor start
+    on p, the ``VertexStart`` at x0, which each grown model takes over, so
+    the returned model serves and checks on p without factoring it again;
+    when x0 is not a vertex there is none and every solve is cold.
+    ValueError when x0 is not a point of X, by the ``Polytope.contains``
+    rule, or when z = 0 is not a point of the reduced LP {z : (A U) z <=
+    b - A x0} by the same rule, which is stricter, since that LP's
+    right-hand side is the slack itself: every serve of the model would
+    raise.  The model's serve start is left to its first serve.
     """
-    x0 = np.asarray(x0, dtype=float)
-    start = VertexStart.at(p, x0)
-    slack = p.b - p.A @ x0  # (A U) 0 <= slack + EPS_FEAS (1 + |slack|), for every U
-    if not (slack >= -EPS_FEAS * (1.0 + np.abs(slack))).all():
+    model = CompressionModel.empty(x0)
+    start = _starts(model, p).anchor
+    if not _starts(model, p).reduced.contains(np.zeros(0)):  # (A U) 0 = 0: z = 0 of every slice
         raise ValueError("x0 is outside the reduced LP of every slice: its serves would raise")
-    model = CompressionModel.empty(x0, start)
     trace = LearnTrace()
     d = p.d
     total_appends = 0

@@ -70,13 +70,11 @@ A started solve skips phase one.  Its start is a ``VertexStart``, the one
 state a started solve runs from: a vertex of X with d of its active rows
 as the dual basis and the inverse of that basis, factored once per
 (polytope, vertex) by ``VertexStart.at`` and reused by every solve from
-it.  A point start is shorthand for ``VertexStart.at`` at that point, and
-a point that is not a vertex gives no start and a cold solve.  The active
-rows' reduced costs are the slacks, nonnegative for every cost c, so the
-dual simplex (Lemke, 1954) runs from the start in revised form (Bartels &
-Golub, 1969), in two stages.  Stage one is one d x d product: when the basic values
-y_B = -A_B^{-T} c are nonnegative and the start's slacks price out, the
-start is optimal and its own x is returned.  Otherwise stage two pivots:
+it.  The active rows' reduced costs are the slacks, nonnegative for every
+cost c, so the dual simplex (Lemke, 1954) runs from the start in revised
+form (Bartels & Golub, 1969), in two stages.  Stage one is one d x d
+product: when the basic values y_B = -A_B^{-T} c are nonnegative and the
+start's slacks price out, the start is optimal and its own x is returned.  Otherwise stage two pivots:
 the most negative basic value leaves, lowest basic index among ties; the
 leaving row of B^-1 A^T is formed and its minimum-ratio column enters,
 lowest index among ties; the same Bland fallback applies to the leaving
@@ -538,6 +536,13 @@ def _limits(p: Polytope, c: np.ndarray) -> tuple:
     return REDUCED_COST_TOL * (1.0 + max(p.scale, _magnitude(c))), 2000 + 60 * (p.m + p.d)
 
 
+def _active_tol(p: Polytope) -> float:
+    """REDUCED_COST_TOL * (1 + ``p.scale``): the slack up to which a row of
+    p is active at a point, for the rows of a start (``VertexStart.at``)
+    and of the served vertex's basis in ``compression``."""
+    return REDUCED_COST_TOL * (1.0 + p.scale)
+
+
 def _simplex(p: Polytope, c: np.ndarray):
     """min g.w  s.t.  M w = q, w >= 0, with M = A^T, q = -c and g = b of
     p, in two phases of ``_primal``: the dual of min c.x over p, for d >= 1.
@@ -684,15 +689,13 @@ class VertexStart:
     """A vertex of X with its dual basis factored: the start of started solves.
 
     ``VertexStart.at(p, x)`` builds it once; ``solve_lp(p, c, start)`` then
-    solves from it for any c without factoring again.  ``solve_lp`` turns a
-    point start into ``VertexStart.at(p, point)`` itself, so both give the
-    same result; passing the start saves the factorization.  Fields:
+    solves from it for any c without factoring again.  Fields:
 
-    p      the polytope it belongs to; ``solve_lp`` refuses any other
+    p      the polytope it belongs to; ``solve_lp`` refuses any but p
+           and its twins, polytopes with p's A and b (``_twins``)
     rows   the d basis rows, ascending: the rows active at the point x0,
-           |b_j - A_j x0| at most REDUCED_COST_TOL * (1 + ``p.scale``,
-           the largest magnitude in A and b); all of them when there are
-           exactly d, or exactly d nonzero ones, else the first d
+           |b_j - A_j x0| at most ``_active_tol(p)``; all of them when
+           there are exactly d, or exactly d nonzero ones, else the first d
            independent ones in index order (``linalg.first_independent``);
            none at d = 0, where the one point of R^0 is the vertex (the
            reduced LP of a rank-0 model)
@@ -732,7 +735,7 @@ class VertexStart:
         slack = b - A @ x
         if not (slack >= -EPS_FEAS * (1.0 + np.abs(b))).all():
             raise ValueError("start is not a point of X")
-        rows = np.flatnonzero(np.abs(slack) <= REDUCED_COST_TOL * (1.0 + p.scale))
+        rows = np.flatnonzero(np.abs(slack) <= _active_tol(p))
         active = rows.size
         if rows.size > d:  # a zero row is in no basis
             rows = rows[A[rows].any(axis=1)]
@@ -751,9 +754,11 @@ class VertexStart:
             a.setflags(write=False)
         return cls(p, rows, inv, vertex, slack, active)
 
-    def fits(self, p: Polytope) -> bool:
-        """Was this start built on p, or on a polytope with p's A and b?"""
-        return self.p is p or (np.array_equal(self.p.A, p.A) and np.array_equal(self.p.b, p.b))
+
+def _twins(q: Polytope, p: Polytope) -> bool:
+    """Is q the object p, or a polytope with p's A and b?  A start built
+    on either serves the other (``solve_lp``)."""
+    return q is p or (np.array_equal(q.A, p.A) and np.array_equal(q.b, p.b))
 
 
 def _dual_simplex(start: VertexStart, c: np.ndarray):
@@ -841,7 +846,7 @@ def _dual_simplex(start: VertexStart, c: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None = None) -> SolveResult:
+def solve_lp(p: Polytope, c: np.ndarray, start: VertexStart | None = None) -> SolveResult:
     """Minimize c.x over X = {A x <= b}.
 
     Deterministic: the same (p, c, start) always yields the same basis_id
@@ -856,20 +861,18 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
     equal bytes.  For feasible bounded directions the optimizer is a vertex
     of X (guaranteed whenever X has vertices, i.e. rank(A) = d).
 
-    Its thresholds (EPS_FEAS for the start and the returned x, the
-    simplex's, which also pick the rows active at a start) are constants
-    of ``tolerances``, scaled by the data: the simplex's by ``p.scale``
-    and the cost (``_limits``).
+    Its thresholds (EPS_FEAS for the returned x, and the simplex's) are
+    constants of ``tolerances``, scaled by the data: the simplex's by
+    ``p.scale`` and the cost (``_limits``).
 
     ``start`` is optional: a ``VertexStart`` built on p (ValueError when it
-    was built on a polytope with another A or b), or a point of X, which
-    is shorthand for ``VertexStart.at(p, point)``: ValueError when it is
-    not a point of X, by the ``Polytope.contains`` rule, and a cold solve
-    when it is not a vertex.  A started solve skips
-    phase one and runs the two stages of the module docstring from the
-    start's basis, ending under the cold path's optimality test.  When
-    stage one finds the start optimal, x is the start's own, which is
-    bitwise what the cold post-processing computes for its rows.  x, value
+    was built on a polytope with another A or b; ``VertexStart.at`` builds
+    one at a point, or gives None, a cold solve, when the point is not a
+    vertex).  A started solve skips phase one and runs the two stages of
+    the module docstring from the start's basis, ending under the cold
+    path's optimality test.  When stage one finds the start optimal, x is
+    the start's own, which is bitwise what the cold post-processing
+    computes for its rows.  x, value
     and basis_id are bitwise the cold solve's whenever the terminal basis
     is the cold one, which it is when the optimum is a vertex with d active
     rows and positive multipliers.  On degenerate optima the two paths may
@@ -877,13 +880,13 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
     fails, which only rounding makes happen, the started solve gives up and
     the cold solve's result is returned instead.
 
-    A cold solve of c = 0 (also from a point that is not a vertex) returns,
-    with value 0.0 and y = 0, the vertex that minimizes -A^T w with
-    w = (m, m - 1, ..., 1).  Every point of X is optimal for c = 0 and
-    every basis of its dual is degenerate, so the simplex would search for
-    a vertex with no objective to guide it.  The weighted cost is bounded
-    (y = w is dual feasible), and unequal weights keep opposite rows, such
-    as the two halves of an equality, from cancelling.
+    A cold solve of c = 0 returns, with value 0.0 and y = 0, the vertex
+    that minimizes -A^T w with w = (m, m - 1, ..., 1).  Every point of X
+    is optimal for c = 0 and every basis of its dual is degenerate, so the
+    simplex would search for a vertex with no objective to guide it.  The
+    weighted cost is bounded (y = w is dual feasible), and unequal weights
+    keep opposite rows, such as the two halves of an equality, from
+    cancelling.
     """
     A, b = p.A, p.b
     m, d = A.shape
@@ -892,11 +895,8 @@ def solve_lp(p: Polytope, c: np.ndarray, start: np.ndarray | VertexStart | None 
         raise ValueError(f"cost vector has shape {c.shape}, expected ({d},)")
     if not np.isfinite(c).all():
         raise ValueError("cost vector must be finite")
-    if isinstance(start, VertexStart):
-        if not start.fits(p):
-            raise ValueError("start was built on another polytope")
-    elif start is not None:
-        start = VertexStart.at(p, start)  # None when the point is not a vertex: a cold solve
+    if start is not None and not (isinstance(start, VertexStart) and _twins(start.p, p)):
+        raise ValueError("start is not a VertexStart of p or of another polytope with its A and b")
 
     if d == 0:
         if start is not None or p.contains(np.zeros(0)):  # a start is a point of X

@@ -24,8 +24,8 @@ TAU_CONTAIN = 1e-6
 # value below the same bound leaves; scale is 1 + the largest magnitude in
 # A, b and c (see lp_core._limits).  A row is active at a start when its
 # slack is at most REDUCED_COST_TOL times 1 + the largest magnitude in A
-# and b (Polytope.scale), which leaves out the cost, so one start serves
-# every cost.
+# and b (Polytope.scale; lp_core._active_tol), which leaves out the cost,
+# so one start serves every cost.
 # Phase one ends feasible when its
 # objective is at most PHASE_ONE_TOL * (1 + sum|q|).  A residual artificial
 # is driven out of the basis on an entry above DRIVE_OUT_TOL times 1 + the

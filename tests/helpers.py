@@ -18,6 +18,7 @@ import numpy as np
 from lpslice import ContainmentResult, InternalError, Polytope, SolveResult, SolveStatus, lp_core, solve_lp
 from lpslice.compression import _residual
 from lpslice.linalg import _project_out, complete_basis, orthonormal_columns
+from lpslice.lp_core import VertexStart
 from lpslice.tolerances import (
     DRIVE_OUT_TOL,
     FACE_SPAN,
@@ -354,7 +355,7 @@ def referee(model, p: Polytope, c, res: SolveResult | None = None) -> Containmen
     """
     c = np.asarray(c, dtype=float)
     if res is None:
-        res = solve_lp(p, c, start=model.x0)
+        res = solve_lp(p, c, start=VertexStart.at(p, model.x0))
     if res.status is not SolveStatus.OPTIMAL:
         raise ValueError(f"containment requires a feasible bounded LP, got {res.status.value}")
     if model.rank == model.d:

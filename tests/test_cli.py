@@ -8,7 +8,7 @@ import lpslice.cli as cli
 import lpslice.instances as instances
 from lpslice.cli import CSV_HEADER, main
 from lpslice.learner import certificate_bound
-from lpslice.lp_core import load_json
+from lpslice.lp_core import VertexStart, load_json
 
 
 def read_json(path: Path) -> dict:
@@ -90,10 +90,12 @@ def test_learn_estimated_mode_writes_prior_and_composite(tmp_path):
 def test_solve_through_model(tmp_path, monkeypatch):
     out = tmp_path / "run"
     main(["learn", "--preset", "example1", "--known-prior", "--n1", "50", "--out", str(out)])
-    # model.json stores no start; solve attaches the one at x0 before serving
-    started = []
-    real = cli.check_exact
-    monkeypatch.setattr(cli, "check_exact", lambda m, p, c: started.append(m.start is not None and m.start.fits(p)) or real(m, p, c))
+    # model.json stores no start: the model read back factors its anchor
+    # basis once, for the command's check and serve together (the serve
+    # start is on the rank-1 reduced LP)
+    dims = []
+    real = VertexStart.at
+    monkeypatch.setattr(VertexStart, "at", lambda q, x: dims.append(q.d) or real(q, x))
     rc = main(
         [
             "solve", "--preset", "example1", "--model", str(out / "model.json"),
@@ -106,7 +108,7 @@ def test_solve_through_model(tmp_path, monkeypatch):
     assert sol["full_value"] == pytest.approx(-1.6, abs=1e-12)
     assert sol["reduced_value"] == pytest.approx(-1.6, abs=1e-9)
     assert sol["exact"] is True
-    assert started == [True]
+    assert dims.count(2) == 1 and dims.count(1) == 1
 
 
 def test_solve_from_test_stream(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 import helpers
 import lpslice.compression as compression
 import lpslice.learner as learner
+import lpslice.lp_core as lp_core
 from helpers import referee, small_lp
 from lpslice import (
     CompressionModel,
@@ -31,9 +32,9 @@ from lpslice.compression import (
 )
 from lpslice.instances import PRESETS, STREAM_TEST, gen_instance, make_preset, sample_costs
 from lpslice.linalg import check_orthonormal
-from lpslice.lp_core import VertexStart
+from lpslice.lp_core import VertexStart, _active_tol
 from lpslice.oracle import exact_check_bruteforce
-from lpslice.tolerances import MULTIPLIER_TOL, REDUCED_COST_TOL, TAU_CONTAIN
+from lpslice.tolerances import MULTIPLIER_TOL, TAU_CONTAIN
 
 
 def vertical_slice() -> CompressionModel:
@@ -236,8 +237,9 @@ def test_free_directions_from_the_basis_inverse_match_the_gram_schmidt_referee(r
     anchor = CompressionModel.empty(x0)
     learned, _ = learner.learn(p, x0, list(costs[:40]))
     faces = witnesses = 0
+    start = VertexStart.at(p, x0)
     for c in costs[40:]:
-        res = solve_lp(p, c, start=x0)
+        res = solve_lp(p, c, start=start)
         thr = MULTIPLIER_TOL * (1.0 + float(np.max(res.y)))
         assert set(np.flatnonzero(res.y > thr).tolist()) <= set(res.basis_id)
         # over the rank-0 slice B spans N, so both return N whenever the
@@ -367,9 +369,10 @@ def test_restriction_exactness_and_monotonicity_properties():
 
 @pytest.mark.parametrize("preset", ["packing-360", "grid-4"])
 def test_the_carried_start_gives_the_bits_of_a_model_read_back_without_it(preset):
-    # learn keeps the start it built at x0; a model read back from JSON has
-    # none and starts each solve at x0 itself, one-shot: same bits.  grid-4
-    # with integer costs has a degenerate anchor and ties, so face LPs run
+    # learn hands its model the anchor start it built at x0; a model read
+    # back from JSON has none and derives it on its first check: same bits.
+    # grid-4 with integer costs has a degenerate anchor and ties, so face
+    # LPs run
     inst = make_preset(preset)
     p = inst.polytope
     x0 = learner.make_anchor(p, inst.c0)
@@ -378,7 +381,7 @@ def test_the_carried_start_gives_the_bits_of_a_model_read_back_without_it(preset
         costs = np.round(costs)
     model, _ = learner.learn(p, x0, costs[:8])
     read = model_from_json(model_to_json(model))
-    assert model.start is not None and read.start is None
+    assert "anchor" in vars(model._starts) and read._starts is None
     assert model.U.tobytes() == read.U.tobytes() and model.Q.tobytes() == read.Q.tobytes()
     for c in costs[8:]:
         a, b = contains_optimal_face(model, p, c), contains_optimal_face(read, p, c)
@@ -386,24 +389,27 @@ def test_the_carried_start_gives_the_bits_of_a_model_read_back_without_it(preset
         assert (a.witness is None) == (b.witness is None)
         assert a.witness is None or a.witness.tobytes() == b.witness.tobytes()
         assert check_exact(model, p, c) == check_exact(read, p, c) == a.contained
+    carried, derived = compression._starts(model, p).anchor, compression._starts(read, p).anchor
+    assert carried.rows.tobytes() == derived.rows.tobytes() and carried.inv.tobytes() == derived.inv.tobytes()
 
 
 def test_a_start_from_another_polytope_is_not_used(square):
     model, _ = learner.learn(square, np.array([1.0, 1.0]), [np.array([-1.0, -2.0]), np.array([1.0, -2.0])])
-    assert model.start is not None and model.start.p is square
+    assert compression._starts(model, square).anchor.p is square
     wider = Polytope(square.A, 2.0 * square.b)  # same d: x0 is still a point of it
     c = np.array([1.0, -2.0])
     assert contains_optimal_face(model, wider, c).contained == contains_optimal_face(model_from_json(model_to_json(model)), wider, c).contained
+    assert compression._starts(model, wider).anchor is None  # x0 is inside wider: the solve is cold
 
 
-def _learned(case: str):
-    """(p, model learned from 8 costs, 4 test costs) of a serve case."""
+def _learned(case: str, n_test: int = 4):
+    """(p, model learned from 8 costs, n_test test costs) of a serve case."""
     if case == "randomlp":  # a rank-0 model: every cost is optimal at x0
         inst = gen_instance("randomlp", {**PRESETS["randomlp-a"]["params"], "d": 40, "rows": 40}, 0)
     else:
         inst = make_preset(case.removesuffix("-int"))
     p = inst.polytope
-    costs = sample_costs(inst, 12, seed=1)
+    costs = sample_costs(inst, 8 + n_test, seed=1)
     if case.endswith("-int"):  # ties: degenerate reduced LPs
         costs = np.round(costs)
     model, _ = learner.learn(p, learner.make_anchor(p, inst.c0), costs[:8])
@@ -416,44 +422,51 @@ def _same_serve(a, b) -> bool:
 
 @pytest.mark.parametrize("case,rank", [("packing-360", None), ("grid-4-int", None), ("example1", 1), ("randomlp", 0)])
 def test_serves_from_the_carried_reduced_lp_give_the_bits_of_a_model_read_back_without_it(case, rank):
-    # a learned model builds the reduced LP and its start at z = 0 on its
-    # first serve; a model read back from JSON has no start at x0, so it
-    # has neither and builds both one-shot on every serve
+    # a model builds the reduced LP and its start at z = 0 on its first
+    # serve, whether learn made it or it was read back from JSON without
+    # any start, and serves every later cost from them
     p, model, test = _learned(case)
     assert rank is None or model.rank == rank
-    assert model.reduced is not None and model.reduced.p.d == model.rank
+    assert "serve" not in vars(model._starts)  # learn leaves it to the first serve
     read = model_from_json(model_to_json(model))
-    assert read.reduced is None
+    assert read._starts is None
     for c in test:
-        assert build_reduced_lp(model, p, c)[0] is model.reduced.p
         assert _same_serve(solve_via_compression(model, p, c), solve_via_compression(read, p, c))
+        for m in (model, read):
+            starts = compression._starts(m, p)
+            assert build_reduced_lp(m, p, c)[0] is starts.reduced is starts.serve.p
+    learned, derived = compression._starts(model, p).serve, compression._starts(read, p).serve
+    assert learned.p.d == model.rank and learned.p.A.tobytes() == derived.p.A.tobytes()
 
 
 def test_a_model_grown_after_learn_serves_from_its_own_start():
-    # the serve start is a function of (start, U): a grown model keeps the
-    # start at x0 and derives the reduced LP of its own U
+    # the serve start is a function of (anchor, U): a grown model takes
+    # over the anchor start and derives the reduced LP of its own U
     p, model, test = _learned("packing-360")
     x = next(r.x for r in (solve_lp(p, -c) for c in test) if not in_range(model, r.x - model.x0))
-    old = model.reduced
+    old = compression._starts(model, p).serve
     grown = append_direction(model, x)
-    assert grown.start is model.start and model.reduced is old
-    assert grown.reduced.p.d == grown.rank == model.rank + 1
-    assert grown.reduced.p.A.tobytes() == (p.A @ grown.U).tobytes()
+    kept, mine = compression._starts(model, p), compression._starts(grown, p)
+    assert mine.anchor is kept.anchor and kept.serve is old
+    assert mine.serve.p.d == grown.rank == model.rank + 1
+    assert mine.reduced.A.tobytes() == (p.A @ grown.U).tobytes()
     read = model_from_json(model_to_json(grown))
     for c in test:
-        assert build_reduced_lp(grown, p, c)[0] is grown.reduced.p
+        assert build_reduced_lp(grown, p, c)[0] is mine.reduced
         assert _same_serve(solve_via_compression(grown, p, c), solve_via_compression(read, p, c))
 
 
 def test_a_model_pickled_before_its_first_serve_serves_the_bytes_of_one_pickled_after():
     # --jobs workers receive pickled models: one pickled fresh from learn
     # builds its serve start in the worker, one pickled after a serve
-    # carries it; the start's polytope is then a copy that fits p
+    # carries it; its starts' polytope is then a copy that fits p
     p, model, test = _learned("grid-4-int")
     before = pickle.loads(pickle.dumps(model))
     served = [solve_via_compression(model, p, c) for c in test]
     after = pickle.loads(pickle.dumps(model))
-    assert after.reduced is not model.reduced and after.reduced.p.A.tobytes() == model.reduced.p.A.tobytes()
+    assert "serve" in vars(after._starts) and after._starts.p is not p
+    carried, own = compression._starts(after, p).serve, compression._starts(model, p).serve
+    assert carried is not own and carried.p.A.tobytes() == own.p.A.tobytes()
     for m in (before, after):
         assert all(_same_serve(solve_via_compression(m, p, c), r) for c, r in zip(test, served))
 
@@ -463,10 +476,13 @@ def test_a_twin_polytope_reuses_the_carried_reduced_lp_and_another_b_does_not():
     read = model_from_json(model_to_json(model))
     twin = Polytope(p.A.copy(), p.b.copy())
     wider = Polytope(p.A, p.b + 1.0)  # x0 is still a point of it
+    reduced = build_reduced_lp(model, p, test[0])[0]
     for c in test:
-        assert build_reduced_lp(model, twin, c)[0] is model.reduced.p
+        assert build_reduced_lp(model, twin, c)[0] is reduced
+        assert compression._starts(model, twin).anchor.p is twin  # re-pointed
         assert _same_serve(solve_via_compression(model, twin, c), solve_via_compression(model, p, c))
-        assert build_reduced_lp(model, wider, c)[0] is not model.reduced.p
+    for c in test:
+        assert build_reduced_lp(model, wider, c)[0] is not reduced
         assert _same_serve(solve_via_compression(model, wider, c), solve_via_compression(read, wider, c))
 
 
@@ -530,8 +546,9 @@ def test_the_served_vertex_is_tried_only_above_the_split_dimension_at_a_nondegen
         inst = make_preset(case)
         p, costs = inst.polytope, sample_costs(inst, 8, seed=0)
         model, _ = learner.learn(p, make_anchor(p, inst.c0), costs)
-    assert model.start is not None
-    active = np.count_nonzero(np.abs(model.start.slack) <= REDUCED_COST_TOL * (1.0 + p.scale))
+    anchor = compression._starts(model, p).anchor
+    assert anchor is not None
+    active = np.count_nonzero(np.abs(anchor.slack) <= _active_tol(p))
     assert (p.d > compression._SPLIT_DIM and active == p.d) == (case == "packing-360"), active
     calls = []  # the reduced solves (fewer than d variables) and the transposed basis solves
     solve, basis_solve = compression.solve_lp, compression._basis_solve
@@ -556,23 +573,40 @@ def test_the_served_vertex_is_tried_only_above_the_split_dimension_at_a_nondegen
         assert calls == []
 
 
-def test_a_model_read_back_with_its_start_factors_once_and_answers_as_the_learned_model(monkeypatch):
-    # model.json stores no start; attaching VertexStart.at(p, x0) to the
-    # model read back (as `lpslice solve --model` does) makes its checks
-    # and serves factor no more than the learned model's: one inverse, the
-    # serve start on the first serve, and the learned model's bytes
-    inst = make_preset("grid-4")
-    p = inst.polytope
-    costs = sample_costs(inst, 30, seed=1)
-    model, _ = learner.learn(p, make_anchor(p, inst.c0), costs[:20])
-    read = dataclasses.replace(model_from_json(model_to_json(model)), start=VertexStart.at(p, model.x0))
-    assert read.start.rows.tobytes() == model.start.rows.tobytes()
-    inverses = []
-    real = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: inverses.append(a.shape) or real(a))
-    verdicts = [check_exact(read, p, c) for c in costs[20:]]
-    serves = [solve_via_compression(read, p, c) for c in costs[20:]]
-    assert len(inverses) == 1
-    monkeypatch.setattr(np.linalg, "inv", real)
-    assert verdicts == [check_exact(model, p, c) for c in costs[20:]]
-    assert all(_same_serve(r, solve_via_compression(model, p, c)) for r, c in zip(serves, costs[20:]))
+@pytest.mark.parametrize("how", ["json", "pickle"])
+@pytest.mark.parametrize("case", ["packing-360", "grid-4", "grid-4-int"])
+def test_a_model_read_back_or_pickled_derives_its_starts_once_and_answers_as_the_learned_model(case, how):
+    # a model read back from model.json carries no starts, and one pickled
+    # into a bench worker, served on a pickled copy of p, carries starts on
+    # another object: after its first check and serve it makes no call
+    # that the learned model on its own p does not make.  That is none,
+    # but on grid-4 with integer costs, where each check builds its face
+    # LPs' polytope and start.  Answers are the learned model's
+    p, model, test = _learned(case, n_test=21)
+    if how == "json":
+        other, q = model_from_json(model_to_json(model)), p
+    else:
+        other, q = pickle.loads(pickle.dumps(model)), pickle.loads(pickle.dumps(p))
+    calls = []
+    inv, first, post_init, equal = np.linalg.inv, lp_core.first_independent, Polytope.__post_init__, np.array_equal
+
+    def spied(m, q):
+        check_exact(m, q, test[0])
+        solve_via_compression(m, q, test[0])
+        calls.clear()
+        with pytest.MonkeyPatch.context() as spy:
+            spy.setattr(np.linalg, "inv", lambda a: calls.append(("inv", a.shape)) or inv(a))
+            spy.setattr(lp_core, "first_independent", lambda M, k: calls.append(("first", M.shape)) or first(M, k))
+            spy.setattr(Polytope, "__post_init__", lambda s: post_init(s) or calls.append(("polytope", s.A.shape)))
+            spy.setattr(np, "array_equal", lambda a, b, **k: calls.append(("equal", np.shape(a))) or equal(a, b, **k))
+            verdicts = [check_exact(m, q, c) for c in test[1:]]
+            serves = [solve_via_compression(m, q, c) for c in test[1:]]
+        return verdicts, serves, list(calls)
+
+    verdicts, serves, made = spied(model, p)
+    assert (made == []) == (case != "grid-4-int")
+    assert not {("polytope", p.A.shape), ("polytope", (p.m, model.rank)), ("equal", p.A.shape)} & set(made)
+    got = spied(other, q)
+    assert got[2] == made
+    assert got[0] == verdicts
+    assert all(_same_serve(a, b) for a, b in zip(got[1], serves))

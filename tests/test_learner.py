@@ -20,6 +20,7 @@ from lpslice.learner import (
     trace_from_json,
     trace_to_json,
 )
+from lpslice.lp_core import VertexStart
 
 
 def test_make_anchor_returns_vertex(square):
@@ -198,7 +199,7 @@ def test_trace_json_round_trip(square):
     # the optima of learn's full solves stay in memory, out of trace.json
     assert len(trace.optima) == len(trace.processed)
     for c, x in zip(costs, trace.optima):
-        assert x.tobytes() == solve_lp(square, c, start=x0).x.tobytes()
+        assert x.tobytes() == solve_lp(square, c, start=VertexStart.at(square, x0)).x.tobytes()
     doc = trace_to_json(trace)
     assert set(doc) == {"processed", "hard", "appends_per_sample", "final_rank", "anchor_provenance"}
     t2 = trace_from_json(doc)
@@ -273,7 +274,8 @@ def test_a_non_vertex_anchor_tries_one_factorization_per_learn(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", lambda *a: calls.append("inv") or real_inv(*a))
     model, trace = learn(p, x0, costs)
     assert calls == ["inv"]
-    assert model.start is None and model.reduced is None
+    starts = compression._starts(model, p)
+    assert starts.anchor is None and "serve" not in vars(starts)
     monkeypatch.undo()
     assert trace.hard and model.rank > 0
     for c, x in zip(costs, trace.optima):

@@ -34,7 +34,7 @@ from lpslice import (
     solve_lp,
     solve_via_compression,
 )
-from lpslice import lp_core
+from lpslice import compression, lp_core
 from lpslice.lp_core import (
     VertexStart,
     dump_json,
@@ -355,7 +355,7 @@ def test_vertex_start_on_square(square, monkeypatch):
     monkeypatch.setattr(lp_core, "_simplex", lambda *a: calls.append(1) or real(*a))
     c = np.array([-1.5, 0.3])
     for v in ([1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]):
-        r = solve_lp(square, c, start=np.array(v))
+        r = solve_lp(square, c, start=VertexStart.at(square, np.array(v)))
         assert r.basis_id == (0, 3)
         assert np.array_equal(r.x, [1.0, -1.0])
     assert calls == []  # no phase one from a vertex
@@ -363,11 +363,13 @@ def test_vertex_start_on_square(square, monkeypatch):
     cold = solve_lp(square, c)
     assert len(calls) == 1
     for x in ([1.0, 0.0], [0.0, 0.0]):
-        assert _same_result(solve_lp(square, c, start=np.array(x)), cold)
+        assert _same_result(solve_lp(square, c, start=VertexStart.at(square, np.array(x))), cold)
     with pytest.raises(ValueError):
-        solve_lp(square, c, start=np.array([1.5, 0.0]))
+        VertexStart.at(square, np.array([1.5, 0.0]))
     with pytest.raises(ValueError):
-        solve_lp(square, c, start=np.zeros(3))
+        VertexStart.at(square, np.zeros(3))
+    with pytest.raises(ValueError, match="not a VertexStart"):
+        solve_lp(square, c, start=np.array([1.0, 1.0]))  # a point is no start
 
 
 def test_vertex_start_degenerate_and_singular_active_sets(square, monkeypatch):
@@ -381,7 +383,7 @@ def test_vertex_start_degenerate_and_singular_active_sets(square, monkeypatch):
     real = lp_core._simplex
     monkeypatch.setattr(lp_core, "_simplex", lambda *a: calls.append(1) or real(*a))
     for c in (np.array([-1.0, -2.0]), np.array([1.0, 0.5]), np.array([-1.0, 3.0])):
-        warm = solve_lp(p, c, start=np.array([1.0, 1.0]))
+        warm = solve_lp(p, c, start=VertexStart.at(p, np.array([1.0, 1.0])))
         assert calls == []
         cold = solve_lp(p, c)
         calls.clear()
@@ -391,25 +393,26 @@ def test_vertex_start_degenerate_and_singular_active_sets(square, monkeypatch):
     # basis: the start is not a vertex, so the solve is the cold one
     edge = np.array([1.0, 0.0])
     c = np.array([0.3, -1.0])
-    assert _same_result(solve_lp(p, c, start=edge), solve_lp(p, c))
+    assert _same_result(solve_lp(p, c, start=VertexStart.at(p, edge)), solve_lp(p, c))
 
 
 def test_vertex_start_reports_unbounded_without_the_farkas_solve(monkeypatch):
     quadrant = Polytope(np.array([[-1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
     monkeypatch.setattr(lp_core, "_simplex", None)  # the vertex path must not need it
-    assert solve_lp(quadrant, np.array([-1.0, 0.5]), start=np.zeros(2)).status is SolveStatus.UNBOUNDED
-    assert solve_lp(quadrant, np.array([1.0, 0.5]), start=np.zeros(2)).value == 0.0
+    start = VertexStart.at(quadrant, np.zeros(2))
+    assert solve_lp(quadrant, np.array([-1.0, 0.5]), start=start).status is SolveStatus.UNBOUNDED
+    assert solve_lp(quadrant, np.array([1.0, 0.5]), start=start).value == 0.0
 
 
 def test_vertex_start_on_dimension_zero():
     p = Polytope(np.zeros((1, 0)), np.array([1.0]))
-    assert solve_lp(p, np.zeros(0), start=np.zeros(0)).status is SolveStatus.OPTIMAL
     # the one point of R^0 is a vertex with no basis rows: the reduced LP of a rank-0 model
     start = VertexStart.at(p, np.zeros(0))
     assert start.rows.size == 0 and start.x.shape == (0,)
-    assert _same_result(solve_lp(p, np.zeros(0), start=start), solve_lp(p, np.zeros(0), start=np.zeros(0)))
+    assert solve_lp(p, np.zeros(0), start=start).status is SolveStatus.OPTIMAL
+    assert _same_result(solve_lp(p, np.zeros(0), start=start), solve_lp(p, np.zeros(0)))
     with pytest.raises(ValueError):
-        solve_lp(Polytope(np.zeros((1, 0)), np.array([-1.0])), np.zeros(0), start=np.zeros(0))
+        VertexStart.at(Polytope(np.zeros((1, 0)), np.array([-1.0])), np.zeros(0))
 
 
 @pytest.mark.parametrize("run", [lp_core._DEGENERATE_RUN, 0])
@@ -435,13 +438,13 @@ def test_vertex_start_matches_cold_on_random_lps(run, monkeypatch):
         rng = np.random.default_rng(seed)
         d = int(rng.integers(2, 6))
         p = small_lp(rng, d, int(rng.integers(d + 1, 3 * d)))
-        x0 = solve_lp(p, rng.standard_normal(d)).x
+        start = VertexStart.at(p, solve_lp(p, rng.standard_normal(d)).x)
         for _ in range(3):
             c = rng.standard_normal(d)
             cold = solve_lp(p, c)
             closings.clear()
             primal_pivots.clear()
-            warm = solve_lp(p, c, start=x0)
+            warm = solve_lp(p, c, start=start)
             # the dual simplex ends optimal: the closing cold optimality
             # test runs once and prices out, so no primal pass follows
             assert closings == [1]
@@ -486,10 +489,9 @@ def test_a_start_that_prices_out_returns_the_cold_x_bitwise(monkeypatch):
         cold = solve_lp(p, c)
         start = VertexStart.at(p, cold.x)
         pivots.clear()
-        for s in (start, cold.x):  # a carried start and a one-shot one
-            warm = solve_lp(p, c, start=s)
-            assert warm.x.tobytes() == cold.x.tobytes()
-            assert (warm.value, warm.basis_id) == (cold.value, cold.basis_id)
+        warm = solve_lp(p, c, start=start)
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert (warm.value, warm.basis_id) == (cold.value, cold.basis_id)
         assert pivots == []
 
 
@@ -544,11 +546,10 @@ def test_started_solves_above_the_split_dimension_return_the_cold_x_bitwise(name
     for c in costs:
         cold = solve_lp(p, c)
         moved += cold.basis_id != tuple(start.rows.tolist())
-        for s0 in (start, x0):
-            warm = solve_lp(p, c, start=s0)
-            assert warm.basis_id == cold.basis_id
-            assert warm.x.tobytes() == cold.x.tobytes()
-            assert warm.value == cold.value
+        warm = solve_lp(p, c, start=start)
+        assert warm.basis_id == cold.basis_id
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert warm.value == cold.value
     assert moved >= 3
 
 
@@ -573,7 +574,7 @@ def test_two_bound_rows_on_one_coordinate_above_the_split_dimension_are_no_basis
     real = lp_core._simplex
     monkeypatch.setattr(lp_core, "_simplex", lambda *a: calls.append(1) or real(*a))
     c = -np.arange(1.0, d + 1.0)
-    assert _same_result(solve_lp(p, c, start=x), solve_lp(p, c))
+    assert _same_result(solve_lp(p, c, start=VertexStart.at(p, x)), solve_lp(p, c))
     assert calls == [1, 1]  # both solves are cold
 
 
@@ -701,7 +702,7 @@ def _started_case(name):
         inst = make_preset(name)
         p = inst.polytope
         model, _ = learn(p, make_anchor(p, inst.c0), sample_costs(inst, 8, seed=0))
-        return p, model.start, sample_costs(inst, 20, seed=3, stream=STREAM_TEST)
+        return p, compression._starts(model, p).anchor, sample_costs(inst, 20, seed=3, stream=STREAM_TEST)
     if name == "randomlp-a-wide":
         params = PRESETS["randomlp-a"]["params"]
         cost = {**params["cost"], "R": 30 * params["cost"]["R"], "R_C": 30 * params["cost"]["R_C"]}
@@ -1052,7 +1053,7 @@ def test_solves_read_the_scale_of_a_and_b_from_the_polytope(monkeypatch):
     monkeypatch.setattr(lp_core, "_magnitude", lambda a: sizes.append(a.size) or real(a))
     for c in test:
         solve_lp(p, c)
-        solve_lp(p, c, start=model.start)
+        solve_lp(p, c, start=compression._starts(model, p).anchor)
         check_exact(model, p, c)
     assert sizes and not {p.A.size, p.m} & set(sizes), sorted(set(sizes))
 

@@ -10,6 +10,7 @@ from helpers import EPS_FACE, boxed_lp, every_breakpoint_flips_lp, small_lp
 from lpslice import SolveStatus, check_exact, compression, learn, lp_core, make_anchor, solve_lp, solve_via_compression
 from lpslice.instances import PRESETS, STREAM_TEST, gen_instance, make_preset, sample_costs
 from lpslice.linalg import complete_basis
+from lpslice.lp_core import VertexStart
 from lpslice.tolerances import TAU_CONTAIN
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -124,9 +125,9 @@ def _assert_started_matches_highs(p, c, start):
 def test_vertex_started_solves_match_highs(preset):
     inst = make_preset(preset)
     p = inst.polytope
-    x0 = make_anchor(p, inst.c0)
+    start = VertexStart.at(p, make_anchor(p, inst.c0))
     for c in sample_costs(inst, 5, seed=11):
-        _assert_started_matches_highs(p, c, x0)
+        _assert_started_matches_highs(p, c, start)
 
 
 def test_vertex_started_solves_from_a_degenerate_anchor_match_highs():
@@ -135,8 +136,9 @@ def test_vertex_started_solves_from_a_degenerate_anchor_match_highs():
     x0 = make_anchor(p, inst.c0)
     active = np.abs(p.b - p.A @ x0) <= 1e-9 * (1.0 + np.abs(p.b))
     assert active.sum() > p.d  # more active rows than a basis holds
+    start = VertexStart.at(p, x0)
     for c in np.round(sample_costs(inst, 8, seed=12)):
-        _assert_started_matches_highs(p, c, x0)
+        _assert_started_matches_highs(p, c, start)
 
 
 def test_certified_serves_on_a_learned_grid_match_highs():

@@ -10,6 +10,7 @@ import pytest
 
 from lpslice import Polytope, SolveStatus, solve_lp
 from lpslice import lp_core
+from lpslice.lp_core import VertexStart
 from lpslice.oracle import enumerate_vertices
 from lpslice.tolerances import MULTIPLIER_TOL
 
@@ -68,16 +69,16 @@ def test_vertex_started_solves_match_cold_solves(case):
         exact = _unique_nondegenerate(p, cold)
         V = enumerate_vertices(p).vertices
         for v in V:
-            warm = solve_lp(p, c, start=v)
+            warm = solve_lp(p, c, start=VertexStart.at(p, v))
             assert warm.value == pytest.approx(cold.value, abs=1e-9)
             assert _is_vertex(p, warm.x)
             if exact:
                 assert warm.x.tobytes() == cold.x.tobytes()
                 assert warm.basis_id == cold.basis_id
         if len(V) > 1:  # a midpoint of two vertices is not a vertex
-            mid = solve_lp(p, c, start=0.5 * (V[0] + V[-1]))
+            mid = solve_lp(p, c, start=VertexStart.at(p, 0.5 * (V[0] + V[-1])))
             assert mid.x.tobytes() == cold.x.tobytes()
             assert (mid.value, mid.basis_id) == (cold.value, cold.basis_id)
             assert mid.y.tobytes() == cold.y.tobytes()
         with pytest.raises(ValueError):
-            solve_lp(p, c, start=V[0] + 100.0 * np.eye(p.d)[0])
+            VertexStart.at(p, V[0] + 100.0 * np.eye(p.d)[0])

@@ -14,7 +14,8 @@ read-only: no bytecode is written), its model is learned, and one line
     full         status, value, x, y and basis_id of the cold solve of every test cost
     json-model, json-serve, json-check
                  the same three for the model written by model_to_json and
-                 read back by model_from_json
+                 read back by model_from_json; each must equal its
+                 counterpart above, and the CI bits step fails otherwise
 
 A call that raises InternalError is hashed as that.  Two checkouts
 compute the same bits exactly when they print the same lines, so a diff
