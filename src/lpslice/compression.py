@@ -106,10 +106,12 @@ class CompressionModel:
 
     The starts that serves, checks and containment tests solve from are
     data a model derives for the polytope it is asked about (``_Starts``),
-    kept for the last one; ``model_to_json`` does not write them.  So the
-    basis at x0 is factored once per model and polytope instead of once
-    per check, and A U, b - A x0 and the basis at z = 0 are built once
-    instead of once per serve, however the model was made.
+    kept for the last one; neither ``model_to_json`` nor pickle writes
+    them.  So the basis at x0 is factored once per model and polytope
+    instead of once per check, and A U, b - A x0 and the basis at z = 0
+    are built once instead of once per serve, however the model was made.
+    A pickled packing-360 model ships 49 KB, not the 3.3 MB of its starts
+    (a copy of A and the 360 x 360 anchor inverse).
     """
 
     x0: np.ndarray
@@ -129,6 +131,9 @@ class CompressionModel:
             raise ValueError("Q must have the shape of U")
         if not linalg.check_orthonormal(self.Q):
             raise ValueError("Q is not orthonormal")
+
+    def __getstate__(self):
+        return {**vars(self), "_starts": None}
 
     @property
     def d(self) -> int:
@@ -159,26 +164,56 @@ class CompressionModel:
         return cls(x0, U, Q, provenance or {})
 
 
+# A reduced LP drops its dead rows when it has at least this many, rank
+# >= 1 and a live row.  A zero row of A U with slack b_j - A_j x0 >= 0 holds
+# for every z, so it never enters a basis or prices in: dropping it changes
+# no pivot, only the cost of each, which is a product over every row.  On
+# packing-360 (rank 8) 659 of 744 rows are dead; at d = 1,200 (rank 40)
+# 2,090 of 2,480.  Where fewer rows are dead the index maps cost about what
+# the rows save: dropping them all the same left grid5-int serves (58 dead
+# of 130) as fast and made example1's (2 of 4) 4-7% slower, in-process.  A
+# rank-0 serve makes no pivot, so there the maps are all the cost: randomlp-a
+# serves (392 dead of 420) were 25-33% slower.
+_DEAD_ROWS = 64
+
+
 class _Starts:
     """What a model derives on one polytope p: the starts its solves run from.
 
     anchor   ``VertexStart.at(p, x0)``, the start of full solves, built
              first; None when x0 is not a vertex (ValueError when it is
              not a point of X)
-    reduced  the reduced polytope {z : (A U) z <= b - A x0}, built on
-             first use
+    reduced  the reduced polytope {z : (A U) z <= b - A x0} on its live
+             rows, built on first use.  A row is dead when its row of A U
+             is exactly zero and its slack b_j - A_j x0 is nonnegative: no
+             z moves it.  With rank >= 1, at least ``_DEAD_ROWS`` dead
+             rows and a live one the reduced polytope keeps the live rows
+             only; else it keeps every row
+    live     p's indices of the reduced polytope's rows, ascending, or
+             None when it keeps every row; set with ``reduced``
+    dead_active  a mask over p's rows of the dropped rows active at x0
+             (slack at most ``_active_tol(p)``), which are active at every
+             served point; None with ``live``
     serve    ``VertexStart.at(reduced, 0)``, the start of serves at z = 0
              (x0), built on first use; None when z = 0 is not a vertex of
              the reduced polytope, ValueError when it is not a point of it
              by its own rule (``learn`` refuses such an x0)
     """
 
+    live = dead_active = None
+
     def __init__(self, p: Polytope, model: CompressionModel, anchor: VertexStart | None):
         self.p, self.anchor, self._x0, self._U = p, anchor, model.x0, model.U
 
     @cached_property
     def reduced(self) -> Polytope:
-        return Polytope(self.p.A @ self._U, self.p.b - self.p.A @ self._x0)
+        AU, slack = self.p.A @ self._U, self.p.b - self.p.A @ self._x0
+        dead = ~AU.any(axis=1) & (slack >= 0.0)
+        if self._U.shape[1] and _DEAD_ROWS <= np.count_nonzero(dead) < dead.size:
+            self.live = (~dead).nonzero()[0]
+            self.dead_active = dead & (slack <= _active_tol(self.p))
+            AU, slack = AU[self.live], slack[self.live]
+        return Polytope(AU, slack)
 
     @cached_property
     def serve(self) -> VertexStart | None:
@@ -398,7 +433,8 @@ def _verdict_at_served_vertex(model: CompressionModel, p: Polytope, c: np.ndarra
     d above ``_SPLIT_DIM`` (below it a serve costs about as much as a
     check) and an anchor x0 with exactly d active rows (``VertexStart.active``;
     at a degenerate anchor the served points are degenerate too).  B's slacks are the
-    reduced LP's, (b - A x0) - (A U) z*.  When the serve ends on its
+    reduced LP's, (b - A x0) - (A U) z*, and B takes in the dropped rows
+    active at x0 (``_Starts.dead_active``), which no z moves.  When the serve ends on its
     start's basis (x* = x0; always so at rank 0), B is the anchor's basis
     and y_B is one product with its inverse, the started solve's stage one.
     """
@@ -420,7 +456,12 @@ def _verdict_at_served_vertex(model: CompressionModel, p: Polytope, c: np.ndarra
     if r.basis_id == tuple(serve.rows.tolist()):
         y = anchor.inv @ -c
     else:
-        rows = np.flatnonzero(np.abs(serve.p.b - serve.p.A @ r.x) <= _active_tol(p))
+        active = np.abs(serve.p.b - serve.p.A @ r.x) <= _active_tol(p)
+        if starts.live is not None:  # with the dropped rows active at x0, which no z moves
+            on_p = starts.dead_active.copy()
+            on_p[starts.live] = active
+            active = on_p
+        rows = np.flatnonzero(active)
         if rows.size != p.d:
             return None
         try:
@@ -439,7 +480,10 @@ def build_reduced_lp(model: CompressionModel, p: Polytope, c: np.ndarray):
     """Reduced data over slice coordinates: ({z : (A U) z <= b - A x0}, U^T c, c . x0).
 
     The polytope is the one the model derives on p (``_Starts.reduced``),
-    built on the first call and the same object on every later one.
+    built on the first call and the same object on every later one.  It
+    keeps the live rows only when the dead ones, zero rows of A U with
+    nonnegative slack, number at least ``_DEAD_ROWS`` at rank >= 1 (see
+    ``_Starts``); those rows hold for every z, so the set is the same.
     For rank 0 the reduced polytope has zero variables; solve_lp handles that
     case directly (value 0 when feasible), so the identity
     full value = offset + reduced value still holds.
@@ -466,15 +510,23 @@ def solve_via_compression(model: CompressionModel, p: Polytope, c: np.ndarray) -
     (``_Starts.serve``; cold when z = 0 is not a vertex).  It is built on
     the first serve, so every later one costs U^T c, c . x0, the started
     solve and the lift.  The returned multipliers are those of the
-    reduced solve; its rows are in one-to-one correspondence with the
-    rows of p.
+    reduced solve, one per row of p: when the reduced polytope keeps only
+    its live rows (``_Starts.live``), basis_id is mapped back to p's row
+    indices and y is scattered onto p's rows, 0 on the dropped ones, which
+    are in no basis.  So the result has the bytes it has when every row
+    is kept.
     """
     reduced, c_red, offset = build_reduced_lp(model, p, c)
-    r = solve_lp(reduced, c_red, start=_starts(model, p).serve)
+    starts = _starts(model, p)
+    r = solve_lp(reduced, c_red, start=starts.serve)
     if r.status is not SolveStatus.OPTIMAL:
         raise InternalError(f"reduced LP reported {r.status.value} though the anchor is feasible")
     x = lift(model, r.x)
-    return SolveResult(SolveStatus.OPTIMAL, offset + r.value, x, r.basis_id, r.y)
+    if starts.live is None:
+        return SolveResult(SolveStatus.OPTIMAL, offset + r.value, x, r.basis_id, r.y)
+    y = np.zeros(p.m)
+    y[starts.live] = r.y
+    return SolveResult(SolveStatus.OPTIMAL, offset + r.value, x, tuple(starts.live[list(r.basis_id)].tolist()), y)
 
 
 # ---------------------------------------------------------------------------

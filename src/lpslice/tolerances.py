@@ -35,6 +35,14 @@ REDUCED_COST_TOL = 1e-9
 PHASE_ONE_TOL = 1e-8
 DRIVE_OUT_TOL = 1e-9
 
+# A started solve whose first run of degenerate pivots reaches
+# lp_core._DEGENERATE_RUN raises the slack of each nonbasic row j at or below
+# the reduced-cost threshold by STALL_SHIFT * (1 + scale) * (1 + u_j), u_j in
+# [0, 1) a fixed function of j and scale the largest magnitude in A and b
+# (Polytope.scale): the cost perturbation of the dual simplex.  The closing
+# pricing judges the end basis at the true b.
+STALL_SHIFT = 1e-6
+
 # A multiplier above MULTIPLIER_TOL * (1 + max|y|) counts as strictly
 # positive: its row is active on the whole optimal face.
 MULTIPLIER_TOL = 1e-7

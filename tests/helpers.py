@@ -25,6 +25,7 @@ from lpslice.tolerances import (
     MULTIPLIER_TOL,
     PHASE_ONE_TOL,
     PIVOT_TOL,
+    STALL_SHIFT,
     TAU_CONTAIN,
     TAU_RANK,
 )
@@ -211,7 +212,11 @@ def dense_dual_simplex(start, c):
     """The referee of ``lp_core._dual_simplex``: the same started dual
     simplex with each pivot's leaving row A (B^-1)_r and entering column
     B^-1 a_j formed as dense products over all of their terms, as every
-    started solve pivoted before those products skipped zero factors."""
+    started solve pivoted before those products skipped zero factors.  Its
+    stall rule is the solver's: the first run of ``lp_core._DEGENERATE_RUN``
+    degenerate pivots raises the slack of each nonbasic row j at or below
+    tol_rc by STALL_SHIFT (1 + scale) (1 + frac(j (sqrt 5 - 1) / 2)), and
+    the next falls back to Bland's rule."""
     A, b, inv = start.p.A, start.p.b, start.inv
     q = -c
     tol_rc, max_iter = lp_core._limits(start.p, c)
@@ -219,6 +224,7 @@ def dense_dual_simplex(start, c):
     y_B = inv @ q
     it = 0
     degenerate = 0
+    shifted = False
     while True:
         r = int(y_B.argmin())
         if y_B[r] >= -tol_rc:
@@ -227,6 +233,11 @@ def dense_dual_simplex(start, c):
             inv, basis = inv.copy(), basis.copy()
             z = z.copy()
             z[basis] = 0.0
+        if degenerate >= lp_core._DEGENERATE_RUN and not shifted:
+            for j in range(z.size):
+                if z[j] <= tol_rc and j not in basis:
+                    z[j] += STALL_SHIFT * (1.0 + start.p.scale) * (1.0 + math.fmod(j * (math.sqrt(5.0) - 1.0) / 2.0, 1.0))
+            shifted, degenerate = True, 0
         ties = (y_B == y_B[r] if degenerate < lp_core._DEGENERATE_RUN else y_B < -tol_rc).nonzero()[0]
         r = int(ties[basis[ties].argmin()])
         row = A @ inv[r]

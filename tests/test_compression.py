@@ -34,7 +34,7 @@ from lpslice.instances import PRESETS, STREAM_TEST, gen_instance, make_preset, s
 from lpslice.linalg import check_orthonormal
 from lpslice.lp_core import VertexStart, _active_tol
 from lpslice.oracle import exact_check_bruteforce
-from lpslice.tolerances import MULTIPLIER_TOL, TAU_CONTAIN
+from lpslice.tolerances import MULTIPLIER_TOL, TAU_CONTAIN, VALUE_TOL
 
 
 def vertical_slice() -> CompressionModel:
@@ -449,7 +449,13 @@ def test_a_model_grown_after_learn_serves_from_its_own_start():
     kept, mine = compression._starts(model, p), compression._starts(grown, p)
     assert mine.anchor is kept.anchor and kept.serve is old
     assert mine.serve.p.d == grown.rank == model.rank + 1
-    assert mine.reduced.A.tobytes() == (p.A @ grown.U).tobytes()
+    # the reduced LP keeps the live rows of A U: the dropped ones are
+    # exactly the zero rows with nonnegative slack at x0
+    AU, slack = p.A @ grown.U, p.b - p.A @ grown.x0
+    dropped = np.setdiff1d(np.arange(p.m), mine.live)
+    assert np.array_equal(dropped, np.flatnonzero(~AU.any(axis=1) & (slack >= 0.0)))
+    assert mine.reduced.A.tobytes() == AU[mine.live].tobytes()
+    assert mine.reduced.b.tobytes() == slack[mine.live].tobytes()
     read = model_from_json(model_to_json(grown))
     for c in test:
         assert build_reduced_lp(grown, p, c)[0] is mine.reduced
@@ -457,18 +463,95 @@ def test_a_model_grown_after_learn_serves_from_its_own_start():
 
 
 def test_a_model_pickled_before_its_first_serve_serves_the_bytes_of_one_pickled_after():
-    # --jobs workers receive pickled models: one pickled fresh from learn
-    # builds its serve start in the worker, one pickled after a serve
-    # carries it; its starts' polytope is then a copy that fits p
+    # --jobs workers receive pickled models, which carry no starts whether
+    # they were pickled fresh from learn or after a serve: each builds its
+    # own in the worker, equal to the original's
     p, model, test = _learned("grid-4-int")
     before = pickle.loads(pickle.dumps(model))
     served = [solve_via_compression(model, p, c) for c in test]
     after = pickle.loads(pickle.dumps(model))
-    assert "serve" in vars(after._starts) and after._starts.p is not p
-    carried, own = compression._starts(after, p).serve, compression._starts(model, p).serve
-    assert carried is not own and carried.p.A.tobytes() == own.p.A.tobytes()
+    assert model._starts is not None and before._starts is None and after._starts is None
+    derived, own = compression._starts(after, p).serve, compression._starts(model, p).serve
+    assert derived is not own and derived.p.A.tobytes() == own.p.A.tobytes()
     for m in (before, after):
         assert all(_same_serve(solve_via_compression(m, p, c), r) for c, r in zip(test, served))
+
+
+@pytest.mark.parametrize("case,live", [("example1", None), ("randomlp", None), ("grid-4-int", None), ("packing-360", 66)])
+def test_a_reduced_lp_drops_its_dead_rows_only_past_the_floor_and_above_rank_0(case, live):
+    # example1 has 2 dead rows of 4 and grid-4 fewer than _DEAD_ROWS; the
+    # rank-0 randomlp model has more, but its serves make no pivot.  Those
+    # keep every row and serve with no index map; packing-360 keeps 66 of
+    # its 744 rows, and its serves answer on p's rows
+    p, model, test = _learned(case)
+    starts = compression._starts(model, p)
+    reduced = build_reduced_lp(model, p, test[0])[0]
+    dead = ~(p.A @ model.U).any(axis=1) & (p.b - p.A @ model.x0 >= 0.0)
+    assert (starts.live is None) == (live is None)
+    if live is None:
+        assert reduced.m == p.m and (model.rank == 0 or dead.sum() < compression._DEAD_ROWS)
+        return
+    assert starts.live.size == reduced.m == live and np.array_equal(starts.live, np.flatnonzero(~dead))
+    for c in test:
+        r = solve_via_compression(model, p, c)
+        assert r.y.shape == (p.m,) and set(r.basis_id) <= set(starts.live.tolist())
+        assert np.array_equal(np.flatnonzero(r.y), np.intersect1d(np.flatnonzero(r.y), starts.live))
+
+
+def test_a_pickled_model_ships_without_its_starts_and_answers_as_the_original():
+    # after a serve a packing-360 model holds its starts: a copy of A and
+    # the 360 x 360 anchor inverse, 3.3 MB pickled.  --jobs workers get the
+    # polytope separately, so the pickle leaves the starts out
+    p, model, test = _learned("packing-360", n_test=10)
+    serves = [solve_via_compression(model, p, c) for c in test]
+    verdicts = [check_exact(model, p, c) for c in test]
+    blob = pickle.dumps(model)
+    assert model._starts is not None and len(blob) < 100_000
+    other = pickle.loads(blob)
+    assert other._starts is None
+    assert all(_same_serve(solve_via_compression(other, p, c), r) for c, r in zip(test, serves))
+    assert [check_exact(other, p, c) for c in test] == verdicts
+
+
+def test_a_serve_at_a_degenerate_start_shifts_its_stall_away(monkeypatch):
+    # the packing recipe at 56 blocks (d = 840, m = 1,736) with a model
+    # from 40 costs (rank 40): z = 0 is a degenerate vertex of the reduced
+    # LP, and every serve here makes a run of _DEGENERATE_RUN degenerate
+    # pivots.  Walked out by Bland's rule, the median serve took 249
+    # pivots; with the stall shift it takes 119.  The cap leaves 26% above
+    # that and is 40% below the unshifted median.  Each served value is the
+    # reduced LP's cold optimum.  A shifted serve whose end basis fails the
+    # closing pricing at the true b finishes cold: none of the 20 does
+    # under one BLAS thread, one under two, where A U and the model differ
+    # in their last bits.  The bits are those of the dense referee, which
+    # mirrors the stall rule
+    inst = gen_instance("packing", {**PRESETS["packing-360"]["params"], "blocks": 56}, 0)
+    p = inst.polytope
+    model, _ = learner.learn(p, make_anchor(p, inst.c0), sample_costs(inst, 40, seed=0))
+    test = sample_costs(inst, 20, seed=1, stream=STREAM_TEST)
+    assert (p.d, model.rank) == (840, 40)
+    pivots, cold = [], []
+    real_eliminate, real_simplex = lp_core._eliminate, lp_core._simplex
+    with monkeypatch.context() as spy:
+        spy.setattr(lp_core, "_eliminate", lambda *a: pivots.append(1) or real_eliminate(*a))
+        spy.setattr(lp_core, "_simplex", lambda *a: cold.append(1) or real_simplex(*a))
+        served, counts = [], []
+        for c in test:
+            pivots.clear()
+            served.append(solve_via_compression(model, p, c))
+            counts.append(len(pivots))
+    assert len(cold) <= 1
+    assert np.median(counts) <= 150
+    starts = compression._starts(model, p)
+    assert starts.reduced.m < p.m
+    for c, r in zip(test, served):
+        reduced, c_red, offset = build_reduced_lp(model, p, c)
+        v = offset + solve_lp(reduced, c_red).value
+        assert r.value == pytest.approx(v, abs=VALUE_TOL * (1.0 + abs(v)))
+        full = solve_lp(p, c, start=starts.anchor).value
+        assert r.value >= full - VALUE_TOL * (1.0 + abs(full))  # the slice is a restriction
+    monkeypatch.setattr(lp_core, "_dual_simplex", helpers.dense_dual_simplex)
+    assert all(_same_serve(solve_via_compression(model, p, c), r) for c, r in zip(test, served))
 
 
 def test_a_twin_polytope_reuses_the_carried_reduced_lp_and_another_b_does_not():

@@ -45,7 +45,7 @@ from lpslice.lp_core import (
 from lpslice.instances import PRESETS, STREAM_TEST, gen_instance, make_preset, sample_costs
 from lpslice.learner import make_anchor
 from lpslice.oracle import enumerate_vertices
-from lpslice.tolerances import MULTIPLIER_TOL, VALUE_TOL
+from lpslice.tolerances import MULTIPLIER_TOL, REDUCED_COST_TOL, VALUE_TOL
 
 
 def test_polytope_validation():
@@ -1056,6 +1056,27 @@ def test_solves_read_the_scale_of_a_and_b_from_the_polytope(monkeypatch):
         solve_lp(p, c, start=compression._starts(model, p).anchor)
         check_exact(model, p, c)
     assert sizes and not {p.A.size, p.m} & set(sizes), sorted(set(sizes))
+
+
+def test_the_reduced_cost_threshold_scales_with_the_cost(monkeypatch):
+    # two rows of scale 1 meet at x*, and c = -1e9 a_1 is optimal there
+    # with multipliers (1e9, 0); rounding makes the second -8.8e-8.  That
+    # is far inside tol_rc, which scales with |c| (0.44 here), but far
+    # past REDUCED_COST_TOL (1 + p.scale) = 2e-9: a threshold blind to c
+    # would let that row leave, and the started solve would pivot away
+    # from an optimal start
+    a1, a2 = np.array([0.4, 0.44]), np.array([0.85, 0.27])
+    p = Polytope(np.vstack([a1, a2, -np.eye(2)]), np.array([1.0, 1.0, 0.0, 0.0]))
+    start = VertexStart.at(p, np.linalg.solve(p.A[:2], p.b[:2]))
+    c = -1e9 * a1
+    y = start.inv @ -c
+    assert start.rows.tolist() == [0, 1] and p.scale == 1.0
+    assert -REDUCED_COST_TOL * (1.0 + np.abs(c).max()) < y.min() < -REDUCED_COST_TOL * (1.0 + p.scale)
+    pivots = []
+    real = lp_core._eliminate
+    monkeypatch.setattr(lp_core, "_eliminate", lambda *a: pivots.append(1) or real(*a))
+    r = solve_lp(p, c, start=start)
+    assert pivots == [] and r.basis_id == (0, 1) and r.x.tobytes() == start.x.tobytes()
 
 
 def test_a_cold_packing_solve_flips_its_box_instead_of_pivoting(monkeypatch):

@@ -187,8 +187,8 @@ def test_a_started_solve_that_rounding_derails_finishes_cold(monkeypatch):
     # randomlp-a under its law widened 100 times (rank 22): the reduced
     # LP's started dual simplex ends with y_B >= 0, but its closing pricing
     # finds a reduced cost of -3.7e-6, which only rounding makes.  The serve
-    # finishes with exactly one cold solve, whose value is HiGHS's, and the
-    # check certifies it
+    # finishes with exactly one cold solve of the reduced LP on its live
+    # rows, whose value is HiGHS's, and the check certifies it
     inst = _widened_randomlp(100)
     p = inst.polytope
     model, _ = learn(p, make_anchor(p, inst.c0), sample_costs(inst, 60, seed=0))
@@ -198,7 +198,9 @@ def test_a_started_solve_that_rounding_derails_finishes_cold(monkeypatch):
     real = lp_core._simplex
     monkeypatch.setattr(lp_core, "_simplex", lambda *a: cold.append(a[0].A.T.shape) or real(*a))
     r = solve_via_compression(model, p, c)
-    assert cold == [(model.rank, p.m)]  # A^T of the reduced LP
+    live = compression._starts(model, p).live
+    assert live.size == 274 < p.m
+    assert cold == [(model.rank, live.size)]  # A^T of the reduced LP
     v = _highs_value(p, c)
     assert r.value == pytest.approx(v, abs=1e-7 * (1.0 + abs(v)))
     assert check_exact(model, p, c)

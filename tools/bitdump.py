@@ -1,6 +1,6 @@
 """Hash the bits that lpslice computes on the perfbench workloads.
 
-    python3 tools/bitdump.py [--seed N ...]
+    python3 tools/bitdump.py [--seed N ...] [--pivots]
 
 Run from the root of a source checkout; lpslice is imported from ./src.
 For each seed (default 0) and each of the four workloads, the workload is
@@ -16,6 +16,13 @@ read-only: no bytecode is written), its model is learned, and one line
                  the same three for the model written by model_to_json and
                  read back by model_from_json; each must equal its
                  counterpart above, and the CI bits step fails otherwise
+
+With ``--pivots``, the lines of the serve, check and full parts are each
+followed by ``<seed> <workload> pivots-<part> <count>``: the pivots that
+part's calls made in total, counted as calls of ``lp_core._eliminate``
+(every pivot of a cold or started solve, and each artificial that a cold
+phase one drives out).  Pivot totals of two checkouts compare by the same
+diff.
 
 A call that raises InternalError is hashed as that.  Two checkouts
 compute the same bits exactly when they print the same lines, so a diff
@@ -44,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import lpslice as ls  # noqa: E402
+from lpslice import lp_core  # noqa: E402
 from lpslice.compression import model_from_json, model_to_json  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
@@ -111,11 +119,25 @@ def dump(name: str, seed: int):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seed", type=int, nargs="+", default=[0])
+    ap.add_argument("--pivots", action="store_true", help="also print the pivot total of the serve, check and full parts")
     args = ap.parse_args(argv)
+    pivots = [0]
+    if args.pivots:
+        eliminate = lp_core._eliminate
+
+        def counted(*a):
+            pivots[0] += 1
+            return eliminate(*a)
+
+        lp_core._eliminate = counted
     for seed in args.seed:
         for name in WORKLOADS:
-            for part, digest in dump(name, seed):
+            seen = 0
+            for part, digest in dump(name, seed):  # a part's calls run between its line and the one before
                 print(seed, name, part, digest, flush=True)
+                if args.pivots and part in ("serve", "check", "full"):
+                    print(seed, name, "pivots-" + part, pivots[0] - seen, flush=True)
+                seen = pivots[0]
     return 0
 
 
