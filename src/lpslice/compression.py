@@ -3,7 +3,12 @@
 A ``CompressionModel`` is an affine slice x0 + range(U) of the ambient space,
 with U's columns the directions appended so far and Q an orthonormal basis
 of range(U).  A point x lies in the slice when the residual of w = x - x0
-off range(U), w - Q(Q^T w), is short; no basis of the complement is kept.
+off range(U), w - Q(Q^T w), has norm at most tau = TAU_CONTAIN (1 + ||x0||)
+(``_tau``); no basis of the complement is kept.  That one rule decides
+``in_range``, the containment test, ``append_direction`` and the rank of a
+model built by ``CompressionModel.create``.  Its set is the tube of radius
+tau around the slice, which is convex, so a face whose vertices lie in it
+lies in it.
 The central operation is ``contains_optimal_face``: decide whether the full
 optimal face of (p, c) lies inside the slice, and if not, produce a vertex
 of the face that sticks out.  Exactness of a slice for cost c means exactly
@@ -51,7 +56,7 @@ from .lp_core import (
     _twins,
     solve_lp,
 )
-from .tolerances import EPS_FEAS, FACE_SPAN, MULTIPLIER_TOL, TAU_CONTAIN, TAU_RANGE, TAU_RANK
+from .tolerances import EPS_FEAS, FACE_SPAN, MULTIPLIER_TOL, TAU_CONTAIN, TAU_RANK
 from . import linalg
 
 __all__ = [
@@ -73,7 +78,7 @@ __all__ = [
 # Model files of earlier versions carry a "tol" block with these values,
 # the only ones the CLI could write.  A file with other values would be
 # served under thresholds it did not ask for, so it is refused.
-_FILE_TOL = {"eps_feas": EPS_FEAS, "eps_face": 1e-7, "tau_rank": TAU_RANK, "tau_range": TAU_RANGE, "tau_contain": TAU_CONTAIN}
+_FILE_TOL = {"eps_feas": EPS_FEAS, "eps_face": 1e-7, "tau_rank": TAU_RANK, "tau_range": 1e-7, "tau_contain": TAU_CONTAIN}
 
 
 class RankError(ValueError):
@@ -102,7 +107,7 @@ class CompressionModel:
     Q instead left every model and verdict bitwise equal but took more
     reduced-LP pivots over 100 serves at benchmark seed 0: 445 against 410
     on packing-360, 698 against 686 on grid5-int.  Q gives the residuals
-    w - Q(Q^T w) that ``in_range`` and the containment test measure.
+    w - Q(Q^T w) that the membership rule measures.
 
     The starts that serves, checks and containment tests solve from are
     data a model derives for the polytope it is asked about (``_Starts``),
@@ -154,11 +159,14 @@ class CompressionModel:
     def create(cls, x0: np.ndarray, U: np.ndarray, provenance: dict | None = None):
         """Build a model from raw directions, recomputing Q.
 
-        Raises ValueError if U is column-rank-deficient at tolerance TAU_RANK.
+        Q is ``linalg.extend`` of the empty basis by U's columns with cutoff
+        tau (``_tau``), the bits ``append_direction`` gives them one at a
+        time.  ValueError when a column lies in the slice of the columns
+        before it, by the membership rule (its residual is at most tau).
         """
         x0 = np.asarray(x0, dtype=float)
         U = np.asarray(U, dtype=float)
-        Q = linalg.orthonormal_columns(U)
+        Q = linalg.extend(np.zeros((len(x0), 0)), U, _tau(x0))
         if Q.shape[1] != U.shape[1]:
             raise ValueError("U does not have full column rank")
         return cls(x0, U, Q, provenance or {})
@@ -254,32 +262,47 @@ def _residual(model: CompressionModel, w: np.ndarray) -> np.ndarray:
     return w - model.Q @ (model.Q.T @ w)
 
 
+def _tau(x0: np.ndarray) -> float:
+    """The membership tolerance of the slices anchored at x0:
+    tau = TAU_CONTAIN * (1 + ||x0||)."""
+    return TAU_CONTAIN * (1.0 + float(np.linalg.norm(x0)))
+
+
+def _off_slice(model: CompressionModel, w: np.ndarray, tau: float) -> bool:
+    """The membership rule: x0 + w leaves the slice when the residual of w
+    off range(U) is longer than tau (``_tau(model.x0)``)."""
+    return float(np.linalg.norm(_residual(model, w))) > tau
+
+
 def in_range(model: CompressionModel, w: np.ndarray) -> bool:
-    """Is w in range(U)?  ||w - Q Q^T w|| <= TAU_RANGE * (1 + ||w||)."""
+    """Does x0 + w lie in the slice?  The containment test's rule
+    (``_off_slice``): ||w - Q Q^T w|| <= TAU_CONTAIN * (1 + ||x0||)."""
     w = np.asarray(w, dtype=float)
     if w.shape != (model.d,):
         raise ValueError("direction has wrong dimension")
-    resid = float(np.linalg.norm(_residual(model, w)))
-    return resid <= TAU_RANGE * (1.0 + float(np.linalg.norm(w)))
+    return not _off_slice(model, w, _tau(model.x0))
 
 
 def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel:
     """New model whose slice also spans x - x0.
 
-    Precondition: x - x0 is outside the current range (RankError otherwise).
-    The first rank(U) columns of the new Q equal the old Q bitwise, which is
-    what makes replays of the learner reproduce models exactly.  The new
-    model takes over the old one's anchor start and derives the reduced
-    polytope and the serve start of its own U.
+    Precondition: x lies outside the slice by ``in_range`` (RankError
+    otherwise).  Q grows by ``linalg.extend`` with the same cutoff tau, so
+    ``CompressionModel.create`` rebuilds it bitwise from U, and every
+    append raises the rank (InternalError if rounding in Gram-Schmidt's
+    second pass undoes that).  The first
+    rank(U) columns of the new Q equal the old Q bitwise, which is what
+    makes replays of the learner reproduce models exactly.  The new model
+    takes over the old one's anchor start and derives the reduced polytope
+    and the serve start of its own U.
     """
     x = np.asarray(x, dtype=float)
     w = x - model.x0
     if in_range(model, w):
         raise RankError("direction already lies in the slice")
-    try:
-        Q = linalg.append_orthonormal(model.Q, w)
-    except ValueError as e:  # between TAU_RANK and TAU_RANGE: treat as rank failure
-        raise RankError(str(e)) from e
+    Q = linalg.extend(model.Q, w[:, None], _tau(model.x0))
+    if Q is model.Q:  # the re-orthogonalization pass moved the residual back to tau
+        raise InternalError("direction fell into the slice on re-orthogonalization")
     U = np.column_stack([model.U, w])
     grown = CompressionModel(model.x0, U, Q, dict(model.provenance))
     if model._starts is not None:
@@ -292,10 +315,10 @@ def contains_optimal_face(model: CompressionModel, p: Polytope, c: np.ndarray) -
 
     One full solve, started from the anchor x0 (the model's anchor start
     on p; cold when x0 is not a vertex), gives a vertex optimizer x* and
-    multipliers y.  A face point x leaves the slice when the
-    residual of x - x0 off range(U) is longer than tau = TAU_CONTAIN *
-    (1 + ||x0||).  The test looks only at what can leave the slice, in
-    three steps:
+    multipliers y.  A face point x leaves the slice by the membership
+    rule (``_off_slice``): the residual of x - x0 off range(U) is longer
+    than tau = TAU_CONTAIN * (1 + ||x0||).  The test looks only at what
+    can leave the slice, in three steps:
 
     1. The optimizer: if x* leaves the slice, x* is the witness.
     2. The face's free directions.  Let S = {j : y_j > thr}, with thr =
@@ -334,10 +357,10 @@ def _contains_given_solve(model: CompressionModel, p: Polytope, c: np.ndarray, r
         raise ValueError(f"containment requires a feasible bounded LP, got {res.status.value}")
     if model.rank == model.d:
         return ContainmentResult(True)
-    tau = TAU_CONTAIN * (1.0 + float(np.linalg.norm(model.x0)))
+    tau = _tau(model.x0)
 
     def outside(x):
-        return float(np.linalg.norm(_residual(model, x - model.x0))) > tau
+        return _off_slice(model, x - model.x0, tau)
 
     if outside(res.x):
         return ContainmentResult(False, res.x)

@@ -399,6 +399,17 @@ _GENERATORS = {
 }
 
 
+def _with_cost_model(poly: Polytope, kind: str, cost_cfg: dict, seed: int):
+    """(polytope, cost model, c0) of an instance: the cost model realized
+    from cost_cfg on the cost-model stream of seed, and poly rebuilt with
+    ``kind`` and the model's prior metadata, if any, in its meta."""
+    model, c0, prior_meta = _build_cost_model(cost_cfg, poly.d, rng_for(seed, STREAM_COSTMODEL))
+    meta = {**poly.meta, "kind": kind}
+    if prior_meta is not None:
+        meta["prior"] = prior_meta
+    return Polytope(poly.A, poly.b, meta=meta), model, c0
+
+
 def gen_instance(kind: str, params: dict, seed: int) -> Instance:
     """Deterministically build an Instance of the given family.
 
@@ -408,13 +419,7 @@ def gen_instance(kind: str, params: dict, seed: int) -> Instance:
     if kind not in _GENERATORS:
         raise GenerationError(f"unknown instance kind {kind!r}")
     poly = _GENERATORS[kind](params, rng_for(seed, STREAM_STRUCT))
-    model, c0, prior_meta = _build_cost_model(params["cost"], poly.d, rng_for(seed, STREAM_COSTMODEL))
-
-    meta = dict(poly.meta)
-    meta["kind"] = kind
-    if prior_meta is not None:
-        meta["prior"] = prior_meta
-    poly = Polytope(poly.A, poly.b, meta=meta)
+    poly, model, c0 = _with_cost_model(poly, kind, params["cost"], seed)
 
     if poly.d <= CHECK_DIM_LIMIT or params.get("check", False):
         fb = check_feasible_bounded(poly)
@@ -1068,13 +1073,7 @@ def load_instance(path, cost_config: dict | None = None) -> Instance:
     cfg.setdefault("c0", [float(v) for v in c])
     cfg.pop("c0_range", None)
     cfg.pop("c0_norm", None)
-    model, c0, prior_meta = _build_cost_model(cfg, poly.d, rng_for(seed, STREAM_COSTMODEL))
-
-    meta = dict(poly.meta)
-    meta["kind"] = "mps"
-    if prior_meta is not None:
-        meta["prior"] = prior_meta
-    poly = Polytope(poly.A, poly.b, meta=meta)
+    poly, model, c0 = _with_cost_model(poly, "mps", cfg, seed)
     name = g.name or path.stem
     prov = {
         "path": str(path),

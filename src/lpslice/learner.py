@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compression import CompressionModel, _contains_given_solve, _starts, append_direction
-from .lp_core import InternalError, Polytope, SolveStatus, solve_lp
+from .lp_core import Polytope, SolveStatus, solve_lp
 
 __all__ = [
     "LearnTrace",
@@ -82,11 +82,11 @@ def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
     """Run the cumulative learner over an iterable of costs.
 
     Returns (model, trace).  ``costs`` is consumed lazily; ``ids`` optionally
-    relabels samples (default 1-based positions).  Appends across the whole
-    run are capped at d; exceeding the cap means the containment test and
-    the range test disagree, which is reported as InternalError rather than
-    looping.  Every threshold of the run is a constant of
-    :mod:`lpslice.tolerances`.  The model's provenance holds only
+    relabels samples (default 1-based positions).  A witness lies outside
+    the slice by the rule that ``append_direction`` refuses by, so every
+    append raises the rank, and at rank d the slice contains every face:
+    the run makes at most d appends.  Every threshold of the run is a
+    constant of :mod:`lpslice.tolerances`.  The model's provenance holds only
     ``hard_indices`` and the trace's ``anchor_provenance`` is empty, so a
     replay returns an equal model; labels such as the instance name are the
     caller's to add.  Every full solve starts from the model's anchor start
@@ -104,8 +104,6 @@ def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
     if not _starts(model, p).reduced.contains(np.zeros(0)):  # (A U) 0 = 0: z = 0 of every slice
         raise ValueError("x0 is outside the reduced LP of every slice: its serves would raise")
     trace = LearnTrace()
-    d = p.d
-    total_appends = 0
     for pos, c in enumerate(costs, start=1):
         sid = ids[pos - 1] if ids is not None else pos
         c = np.asarray(c, dtype=float)
@@ -117,9 +115,6 @@ def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
                 break
             model = append_direction(model, res.witness)
             n_app += 1
-            total_appends += 1
-            if total_appends > d:
-                raise InternalError("append count exceeded the ambient dimension")
         trace.processed.append(sid)
         trace.appends_per_sample.append(n_app)
         trace.optima.append(full.x)
@@ -145,6 +140,13 @@ def replay_on_hard_subsequence(p: Polytope, x0: np.ndarray, trace: LearnTrace, c
     return model
 
 
+def _gap(n: int, t: int, delta: float) -> float:
+    """The compression term (4/n)(6t + log(e/delta)) of the exactness
+    bounds: ``certificate_bound`` and ``prior.composite_certificate``
+    subtract it.  n >= 1."""
+    return (4.0 / n) * (6.0 * t + 1.0 - math.log(delta))
+
+
 def certificate_bound(n: int, t: int, delta: float) -> Certificate:
     """Exactness certificate from sample size n, hard-set size t, failure budget delta.
 
@@ -156,7 +158,7 @@ def certificate_bound(n: int, t: int, delta: float) -> Certificate:
         raise ValueError("delta must be in (0, 1)")
     if n == 0:
         return Certificate(n=0, t=t, delta=delta, lower_bound=0.0)
-    raw = 1.0 - (4.0 / n) * (6.0 * t + 1.0 - math.log(delta))
+    raw = 1.0 - _gap(n, t, delta)
     return Certificate(n=n, t=t, delta=delta, lower_bound=max(0.0, min(1.0, raw)))
 
 

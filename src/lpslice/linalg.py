@@ -25,18 +25,20 @@ def _project_out(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _extend(Q: np.ndarray, V: np.ndarray, cutoff: float) -> np.ndarray:
+def extend(Q: np.ndarray, V: np.ndarray, cutoff: float) -> np.ndarray:
     """Q with more orthonormal columns, grown from V's columns.
 
-    The one Gram-Schmidt loop behind the public helpers: V's columns are
-    taken left to right, each made orthogonal to Q and to the columns kept
-    before it, and kept unless its residual norm is at most ``cutoff`` (or
-    zero).  The loop ends once the span has d columns: any later residual
-    is rounding noise.  Each kept column makes a fresh span, one
-    ``np.concatenate`` of the last span and the column.  Projecting against
-    a view of one preallocated array instead changes the rounding, hence
-    the bits of every basis and model, so the fresh array stays.  Returns Q
-    itself when no column is kept.
+    The one Gram-Schmidt loop of the package, with the caller's cutoff:
+    V's columns are taken left to right, each made orthogonal to Q and to
+    the columns kept before it, and kept unless its residual norm is at
+    most ``cutoff`` (or zero).  The first columns of the result are Q
+    bitwise, so extending by V[:, :k] and then by the rest gives the bits
+    of extending by V at once.  The loop ends once the span has d columns:
+    any later residual is rounding noise.  Each kept column makes a fresh
+    span, one ``np.concatenate`` of the last span and the column.
+    Projecting against a view of one preallocated array instead changes
+    the rounding, hence the bits of every basis and model, so the fresh
+    array stays.  Returns Q itself when no column is kept.
     """
     span = Q
     for v in V.T:
@@ -53,7 +55,7 @@ def _extend(Q: np.ndarray, V: np.ndarray, cutoff: float) -> np.ndarray:
 def orthonormal_columns(V: np.ndarray, rank_tol: float = TAU_RANK) -> np.ndarray:
     """Orthonormal basis for the column span of V.
 
-    ``_extend`` from an empty basis: columns are processed left to right;
+    ``extend`` from an empty basis: columns are processed left to right;
     near-dependent columns (residual norm at most ``rank_tol`` times the
     largest column norm of V) are dropped.  Deterministic: identical input
     yields a bitwise identical basis, and the basis for V[:, :k] is a
@@ -64,7 +66,7 @@ def orthonormal_columns(V: np.ndarray, rank_tol: float = TAU_RANK) -> np.ndarray
     if V.ndim != 2:
         raise ValueError("expected a 2-d array of columns")
     cutoff = rank_tol * float(np.max(np.linalg.norm(V, axis=0), initial=0.0))
-    return _extend(np.zeros((V.shape[0], 0)), V, cutoff)
+    return extend(np.zeros((V.shape[0], 0)), V, cutoff)
 
 
 def first_independent(V: np.ndarray, k: int) -> np.ndarray:
@@ -72,7 +74,7 @@ def first_independent(V: np.ndarray, k: int) -> np.ndarray:
     of the columns picked before them: Gram-Schmidt with the default cutoff
     of ``orthonormal_columns``.  Fewer than k when V has rank below k.
 
-    Kept apart from ``_extend``: it works on rows and skips a column after
+    Kept apart from ``extend``: it works on rows and skips a column after
     one pass.  It picks the basis at a degenerate vertex when
     ``lp_core.VertexStart.at`` builds a start there."""
     V = np.asarray(V, dtype=float)
@@ -96,31 +98,17 @@ def first_independent(V: np.ndarray, k: int) -> np.ndarray:
     return np.array(kept, dtype=int)
 
 
-def append_orthonormal(Q: np.ndarray, v: np.ndarray):
-    """Extend orthonormal Q by one column spanning v's residual direction.
-
-    ``_extend`` by one column.  Returns the extended basis, whose first
-    columns are Q bitwise; raises ValueError if v is numerically inside
-    span(Q) (residual at most TAU_RANK times max(1, ||v||)).
-    """
-    v = np.asarray(v, dtype=float)
-    out = _extend(Q, v[:, None], TAU_RANK * max(1.0, float(np.linalg.norm(v))))
-    if out.shape[1] == Q.shape[1]:
-        raise ValueError("direction is numerically dependent on current span")
-    return out
-
-
 def complete_basis(Q: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of span(Q) in R^d.
 
-    ``_extend`` of Q over the standard basis vectors e_0, e_1, ... in index
+    ``extend`` of Q over the standard basis vectors e_0, e_1, ... in index
     order, up to d columns in all; a candidate whose residual norm is at
     most COMPLETE_TOL is skipped.  Deterministic; only the new columns are
     returned.
     """
     Q = np.asarray(Q, dtype=float)
     d, r = Q.shape
-    full = _extend(Q, np.eye(d), COMPLETE_TOL)
+    full = extend(Q, np.eye(d), COMPLETE_TOL)
     if full.shape[1] != d:
         raise ValueError("failed to complete orthonormal basis")
     return np.ascontiguousarray(full[:, r:])  # C order: products with a strided view may round differently

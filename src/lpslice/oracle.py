@@ -236,8 +236,11 @@ def exact_check_bruteforce(model, p: Polytope, c: np.ndarray) -> bool:
     """Ground-truth exactness: every optimal-face vertex lies on the model slice.
 
     The optimal face's vertex set is every enumerated vertex whose value is
-    within FACE_VALUE_TOL * (1 + |v|) of the enumerated minimum; containment of the
-    face follows by convexity.  Membership reuses the model's in_range test.
+    within FACE_VALUE_TOL * (1 + |v|) of the enumerated minimum.  Membership
+    is the model's own rule (``compression.in_range``, the containment
+    test's): a point is in the slice when it lies within TAU_CONTAIN *
+    (1 + ||x0||) of it.  That set is convex, so the face lies in it when its
+    vertices do.
     """
     from .compression import in_range
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .learner import _gap
+
 __all__ = [
     "ScoreParams",
     "EstimatedPrior",
@@ -204,7 +206,7 @@ def composite_certificate(rho: float, n1: int, t: int, delta1: float) -> float:
         raise ValueError("rho and delta1 must be in (0, 1)")
     if n1 == 0:
         return 0.0
-    return max(0.0, 1.0 - rho - (4.0 / n1) * (6.0 * t + 1.0 - math.log(delta1)))
+    return max(0.0, 1.0 - rho - _gap(n1, t, delta1))
 
 
 def anchor_cost(prior: EstimatedPrior) -> np.ndarray:

@@ -10,11 +10,10 @@ EPS_FEAS = 1e-7
 # Gram-Schmidt rank cutoff, relative to the largest column norm of the matrix.
 TAU_RANK = 1e-8
 
-# Range membership: ||w - Q Q^T w|| <= TAU_RANGE * (1 + ||w||).
-TAU_RANGE = 1e-7
-
-# Face containment: a face point x stays in the slice when the residual r
-# of x - x0 off range(U) has ||r|| <= TAU_CONTAIN * (1 + ||x0||).
+# Slice membership, the one rule of compression: x lies in the slice
+# x0 + range(U) when the residual r of x - x0 off range(U) has ||r|| <=
+# TAU_CONTAIN * (1 + ||x0||).  It decides in_range and the containment test,
+# refuses an append and is the Gram-Schmidt cutoff of a model's Q.
 TAU_CONTAIN = 1e-6
 
 # Thresholds of the simplex, shared by the cold and the vertex-started path.

@@ -283,7 +283,7 @@ def lu_basis_inverse(p: Polytope, rows) -> np.ndarray:
 
 
 def column_stack_extend(Q: np.ndarray, V: np.ndarray, cutoff: float, limit: int) -> np.ndarray:
-    """The reference for ``linalg._extend``: Q with up to ``limit`` more
+    """The reference for ``linalg.extend``: Q with up to ``limit`` more
     orthonormal columns from V's, the span rebuilt by ``np.column_stack``
     of Q and every kept column after each one, with no stop at d columns."""
     span = Q

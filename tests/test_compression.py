@@ -80,6 +80,17 @@ def test_append_direction_growth_and_refusal():
         append_direction(m2, np.array([5.0, 5.0]))
 
 
+def test_an_append_that_gram_schmidt_drops_raises_instead_of_leaving_q_short(monkeypatch):
+    # in_range measures one projection off range(U) and Gram-Schmidt two: a
+    # residual within about 1e-14 of tau beside an in-slice part near 1e6
+    # can pass the first and not the second.  Faked here, since where that
+    # window falls depends on the BLAS kernel's rounding.
+    m1 = append_direction(CompressionModel.empty(np.array([1.0, 0.0])), np.array([1.0, 1.0]))
+    monkeypatch.setattr(compression, "in_range", lambda model, w: False)
+    with pytest.raises(InternalError, match="re-orthogonalization"):
+        append_direction(m1, np.array([1.0, -3.0]))
+
+
 def test_contains_optimal_face_on_square(square):
     m = vertical_slice()
     res = contains_optimal_face(m, square, np.array([-1.0, 0.5]))
@@ -280,6 +291,26 @@ def test_a_point_leaves_the_slice_by_its_distance_not_by_a_coordinate(offset, co
     assert res.contained is contained
     if not contained:
         assert np.array_equal(res.witness, [1.0, h, h])
+
+
+@pytest.mark.parametrize("width", [100.0, 1000.0])
+def test_learn_read_back_and_the_referee_share_the_containment_rule(width):
+    # the box [0, width] x [0, 5e-6]: the second cost's optimum (width, 5e-6)
+    # is 5e-6 off the rank-1 slice spanned by (width, 0), beyond tau = 1e-6,
+    # though within 1e-7 (1 + ||w||) and 1e-8 times the longest column of U
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    p = Polytope(A, np.array([width, 0.0, 5e-6, 0.0]))
+    x0 = make_anchor(p, np.array([1.0, 1.0]))
+    costs = [np.array([-1.0, 1.0]), np.array([-1.0, -1.0])]
+    model, trace = learner.learn(p, x0, costs)
+    assert model.rank == 2 and trace.hard == [1, 2]
+    back = model_from_json(model_to_json(model))
+    assert back.Q.tobytes() == model.Q.tobytes()
+    first, _ = learner.learn(p, x0, costs[:1])
+    c = costs[1]
+    verdicts = {check_exact(first, p, c), contains_optimal_face(first, p, c).contained, exact_check_bruteforce(first, p, c)}
+    assert verdicts == {False}
+    assert solve_via_compression(model, p, c).value == pytest.approx(-width - 5e-6, abs=1e-12)
 
 
 def test_integer_cost_grid_learn_runs_far_fewer_face_lps_than_the_referee(monkeypatch):
@@ -654,6 +685,28 @@ def test_the_served_vertex_is_tried_only_above_the_split_dimension_at_a_nondegen
         assert calls.count("serve") == len(costs) and "transposed" in calls
     else:
         assert calls == []
+
+
+@pytest.mark.parametrize("k", [0, 100, 359])
+def test_a_basis_multiplier_between_the_two_cuts_falls_back_to_face_containment(k, monkeypatch):
+    # c = -A_B^T y, B the anchor's basis and y all ones but y_k = 0: x0 is
+    # optimal, so the serve ends there, and its smallest multiplier is
+    # neither clearly positive nor below the optimality cut
+    inst = make_preset("packing-360")
+    p = inst.polytope
+    model, _ = learner.learn(p, make_anchor(p, inst.c0), sample_costs(inst, 8, seed=0))
+    anchor = compression._starts(model, p).anchor
+    y = np.ones(p.d)
+    y[k] = 0.0
+    c = -(p.A[anchor.rows].T @ y)
+    cut, fallback = [], []
+    limits, contains = compression._limits, compression.contains_optimal_face
+    monkeypatch.setattr(compression, "_limits", lambda q, cost: cut.append(1) or limits(q, cost))
+    assert compression._verdict_at_served_vertex(model, p, c) is None
+    assert cut == [1]  # it got past the positive cut to the negative one
+    monkeypatch.setattr(compression, "contains_optimal_face", lambda *a: fallback.append(1) or contains(*a))
+    assert check_exact(model, p, c) == contains(model, p, c).contained
+    assert fallback == [1]
 
 
 @pytest.mark.parametrize("how", ["json", "pickle"])

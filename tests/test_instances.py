@@ -8,6 +8,7 @@ from lpslice import (
     FeasibilityStatus,
     ParseError,
     Polytope,
+    RejectedInstance,
     UnsupportedFeature,
     check_feasible_bounded,
     sample_costs,
@@ -234,6 +235,71 @@ ENDATA
     r = solve_lp(poly, c)
     # the range turns x <= 10 into 6 <= x <= 10
     assert vmap.original_value(r.value) == pytest.approx(6.0)
+
+
+BOUNDS_AND_RANGES_MPS = """\
+NAME          BNDRNG
+ROWS
+ N  OBJ
+ G  LOW
+ E  EQP
+ E  EQN
+ L  CAP
+COLUMNS
+    A         OBJ       1.0        LOW       1.0
+    A         EQP       1.0
+    B         OBJ       1.0        EQN       1.0
+    C         CAP       1.0
+    D         CAP       1.0
+    E         LOW       1.0
+    F         OBJ       1.0
+RHS
+    R         LOW       2.0        EQP       3.0
+    R         EQN       4.0        CAP       9.0
+RANGES
+    RG        LOW       5.0        EQP       2.0
+    RG        EQN       -1.5
+BOUNDS
+ LO B         A         -2.0
+ FX B         B         1.5
+ FR B         C
+ MI B         D
+ UP B         D         4.0
+ PL B         E
+ LO B         F         1.0
+ PL B         F
+ENDATA
+"""
+
+
+def test_parse_mps_bound_types_and_ranges_on_g_and_e_rows():
+    g = parse_mps(BOUNDS_AND_RANGES_MPS)
+    inf = np.inf
+    # LO, FX, FR, MI then UP, PL, and LO then PL
+    assert g.lo.tolist() == [-2.0, 1.5, -inf, -inf, 0.0, 1.0]
+    assert g.hi.tolist() == [inf, 1.5, inf, 4.0, inf, inf]
+    # G with R: [2, 2 + 5]; E with R >= 0: [3, 3 + 2]; E with R < 0: [4 - 1.5, 4];
+    # an E row keeps its upper side and its __rng row takes the lower
+    assert g.row_names == ("LOW", "EQP", "EQN", "CAP", "LOW__rng", "EQP__rng", "EQN__rng")
+    assert g.rel == (">=", "<=", "<=", "<=", "<=", ">=", ">=")
+    assert g.rhs.tolist() == [2.0, 5.0, 4.0, 9.0, 7.0, 3.0, 2.5]
+    with pytest.raises(RejectedInstance, match="C"):
+        normalize_to_inequality_form(g)
+    # with C bounded above, every lower bound shifts its column and every
+    # finite bound is a row
+    g = parse_mps(BOUNDS_AND_RANGES_MPS.replace(" FR B         C", " UP B         C         6.0"))
+    poly, c, offset, vmap = normalize_to_inequality_form(g)
+    assert vmap.shift.tolist() == [-2.0, 1.5, 0.0, 0.0, 0.0, 1.0]
+    assert c.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 1.0] and offset == -2.0 + 1.5 + 1.0
+    assert poly.b.tolist() == [-4.0, 7.0, 2.5, 9.0, 9.0, -5.0, -1.0, 0.0, 0.0, 0.0, 0.0, 6.0, 4.0, 0.0, 0.0]
+    assert poly.A[7:].tolist() == [[-1.0 if k == j else 0.0 for k in range(6)] for j in (0, 1)] + [
+        [1.0 if k == 1 else 0.0 for k in range(6)],
+        [-1.0 if k == 2 else 0.0 for k in range(6)],
+        [1.0 if k == 2 else 0.0 for k in range(6)],
+        [1.0 if k == 3 else 0.0 for k in range(6)],
+        [-1.0 if k == 4 else 0.0 for k in range(6)],
+        [-1.0 if k == 5 else 0.0 for k in range(6)],
+    ]
 
 
 def test_parse_mps_objective_rhs_becomes_constant():

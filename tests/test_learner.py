@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,34 @@ def test_a_large_learn_inverts_the_anchor_basis_once(monkeypatch):
     for c in costs[8:]:
         solve_via_compression(model, p, c)
     assert calls == [(r, "x")] * 8
+
+
+def _prefix_case(name):
+    if name == "packing-360":
+        inst = make_preset("packing-360")
+        costs = list(sample_costs(inst, 40, seed=0))
+    else:  # perfbench's grid5-int: grid-4 at 5 x 5, costs round(c0 + u), u uniform in [-s, s]^d, s = mean|c0|
+        params = copy.deepcopy(PRESETS["grid-4"]["params"])
+        params.update(rows=5, cols=5)
+        inst = gen_instance("shortestpathgrid", params, 0)
+        s = float(np.mean(np.abs(inst.c0)))
+        costs = list(np.round(inst.c0 + np.random.default_rng(0).uniform(-s, s, (40, inst.d))))
+    p = inst.polytope
+    return p, make_anchor(p, inst.c0), costs
+
+
+@pytest.mark.parametrize(("name", "rank"), [("packing-360", 29), ("grid5-int", 12)])
+def test_a_learn_on_a_prefix_of_the_costs_is_a_prefix_of_the_full_learn(name, rank):
+    # the model after the first n costs is the one learned from those costs
+    # alone, so one learn answers for every training size n
+    p, x0, costs = _prefix_case(name)
+    full, trace = learn(p, x0, costs)
+    assert full.rank == rank
+    for n in (5, 10, 20, 39):
+        model, t = learn(p, x0, costs[:n])
+        r = model.rank
+        assert r == sum(trace.appends_per_sample[:n])
+        assert model.U.tobytes() == full.U[:, :r].tobytes()
+        assert model.Q.tobytes() == full.Q[:, :r].tobytes()
+        assert t.hard == [i for i in trace.hard if i <= n]
+        assert [x.tobytes() for x in t.optima] == [x.tobytes() for x in trace.optima[:n]]

@@ -3,9 +3,9 @@ import pytest
 
 from helpers import column_stack_extend
 from lpslice.linalg import (
-    append_orthonormal,
     check_orthonormal,
     complete_basis,
+    extend,
     orthonormal_columns,
     subspace_gap,
 )
@@ -45,24 +45,26 @@ def test_orthonormal_columns_empty_and_zero():
     assert orthonormal_columns(np.zeros((4, 2))).shape == (4, 0)
 
 
-def test_append_orthonormal_keeps_existing_columns_bitwise():
+def test_extend_by_one_column_keeps_existing_columns_bitwise():
     rng = np.random.default_rng(3)
     Q = orthonormal_columns(rng.standard_normal((6, 2)))
     v = rng.standard_normal(6)
-    Q2 = append_orthonormal(Q, v)
+    Q2 = extend(Q, v[:, None], 1e-6)
     assert Q2.shape == (6, 3)
     assert np.array_equal(Q2[:, :2], Q)
     assert check_orthonormal(Q2)
 
 
-def test_append_orthonormal_rejects_dependent_direction():
+def test_extend_keeps_no_dependent_direction():
     rng = np.random.default_rng(4)
     Q = orthonormal_columns(rng.standard_normal((5, 3)))
     inside = Q @ np.array([1.0, -0.5, 2.0])
-    with pytest.raises(ValueError):
-        append_orthonormal(Q, inside)
-    with pytest.raises(ValueError):
-        append_orthonormal(Q, np.zeros(5))
+    assert extend(Q, inside[:, None], 1e-6) is Q
+    assert extend(Q, np.zeros((5, 1)), 0.0) is Q
+    # a residual at the cutoff is dropped, one above it is kept
+    out = np.linalg.svd(Q, full_matrices=True)[0][:, 3]
+    assert extend(Q, (inside + 1e-6 * out)[:, None], 2e-6) is Q
+    assert extend(Q, (inside + 1e-6 * out)[:, None], 5e-7).shape == (5, 4)
 
 
 def test_complete_basis_full_rank_result():
@@ -122,5 +124,5 @@ def test_extend_matches_the_column_stack_reference_bitwise():
             assert complete_basis(start).tobytes() == np.ascontiguousarray(full[:, r:]).tobytes()
         if r < d:
             v = rng.standard_normal(d)
-            ref = column_stack_extend(Q, v[:, None], TAU_RANK * max(1.0, float(np.linalg.norm(v))), 1)
-            assert append_orthonormal(Q, v).tobytes() == ref.tobytes()
+            ref = column_stack_extend(Q, v[:, None], 1e-6, 1)
+            assert extend(Q, v[:, None], 1e-6).tobytes() == ref.tobytes()
