@@ -3,8 +3,9 @@
 A ``CompressionModel`` is an affine slice x0 + range(U) of the ambient space,
 with U's columns the directions appended so far and Q an orthonormal basis
 of range(U).  A point x lies in the slice when the residual of w = x - x0
-off range(U), w - Q(Q^T w), has norm at most tau = TAU_CONTAIN (1 + ||x0||)
-(``_tau``); no basis of the complement is kept.  That one rule decides
+off range(U), w - Q(Q^T w) taken twice as Gram-Schmidt takes it, has norm
+at most tau = TAU_CONTAIN (1 + ||x0||) (``_tau``); no basis of the
+complement is kept.  That one rule decides
 ``in_range``, the containment test, ``append_direction`` and the rank of a
 model built by ``CompressionModel.create``.  Its set is the tube of radius
 tau around the slice, which is convex, so a face whose vertices lie in it
@@ -270,13 +271,17 @@ def _tau(x0: np.ndarray) -> float:
 
 def _off_slice(model: CompressionModel, w: np.ndarray, tau: float) -> bool:
     """The membership rule: x0 + w leaves the slice when the residual of w
-    off range(U) is longer than tau (``_tau(model.x0)``)."""
-    return float(np.linalg.norm(_residual(model, w))) > tau
+    off range(U) is longer than tau (``_tau(model.x0)``).  The residual is
+    ``linalg._project_out``'s, the two passes by which ``linalg.extend``
+    keeps or drops a column of Q, so a direction this rule puts outside is
+    one that ``append_direction`` appends."""
+    return float(np.linalg.norm(linalg._project_out(model.Q, w))) > tau
 
 
 def in_range(model: CompressionModel, w: np.ndarray) -> bool:
     """Does x0 + w lie in the slice?  The containment test's rule
-    (``_off_slice``): ||w - Q Q^T w|| <= TAU_CONTAIN * (1 + ||x0||)."""
+    (``_off_slice``): ||w - Q Q^T w|| <= TAU_CONTAIN * (1 + ||x0||), the
+    projection taken twice."""
     w = np.asarray(w, dtype=float)
     if w.shape != (model.d,):
         raise ValueError("direction has wrong dimension")
@@ -289,8 +294,8 @@ def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel
     Precondition: x lies outside the slice by ``in_range`` (RankError
     otherwise).  Q grows by ``linalg.extend`` with the same cutoff tau, so
     ``CompressionModel.create`` rebuilds it bitwise from U, and every
-    append raises the rank (InternalError if rounding in Gram-Schmidt's
-    second pass undoes that).  The first
+    append raises the rank: ``in_range`` measures the residual of the two
+    Gram-Schmidt passes that ``extend`` keeps the column by.  The first
     rank(U) columns of the new Q equal the old Q bitwise, which is what
     makes replays of the learner reproduce models exactly.  The new model
     takes over the old one's anchor start and derives the reduced polytope
@@ -300,9 +305,7 @@ def append_direction(model: CompressionModel, x: np.ndarray) -> CompressionModel
     w = x - model.x0
     if in_range(model, w):
         raise RankError("direction already lies in the slice")
-    Q = linalg.extend(model.Q, w[:, None], _tau(model.x0))
-    if Q is model.Q:  # the re-orthogonalization pass moved the residual back to tau
-        raise InternalError("direction fell into the slice on re-orthogonalization")
+    Q = linalg.extend(model.Q, w[:, None], _tau(model.x0))  # keeps w: in_range measured its residual as extend does
     U = np.column_stack([model.U, w])
     grown = CompressionModel(model.x0, U, Q, dict(model.provenance))
     if model._starts is not None:

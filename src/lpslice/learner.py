@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compression import CompressionModel, _contains_given_solve, _starts, append_direction
-from .lp_core import Polytope, SolveStatus, solve_lp
+from .lp_core import Polytope, SolveStatus, VertexStart, _active_tol, solve_lp
+from .tolerances import MULTIPLIER_TOL
 
 __all__ = [
     "LearnTrace",
@@ -78,11 +79,62 @@ def make_anchor(p: Polytope, c0: np.ndarray) -> np.ndarray:
     return r.x
 
 
+def _above_cut(Y: np.ndarray, bound) -> np.ndarray:
+    """For each column y of Y: is every value within ``bound`` of it above
+    ``_free_face``'s single-vertex cut, min y > MULTIPLIER_TOL (1 + max|y|)?"""
+    return (Y - bound).min(axis=0) > MULTIPLIER_TOL * (1.0 + (np.abs(Y) + bound).max(axis=0))
+
+
+def _settled_at_anchor(p: Polytope, x0: np.ndarray, start: VertexStart | None, costs: list) -> np.ndarray:
+    """Mask of the costs whose started solve stops at stage one with x0 the
+    unique optimum, so that they append nothing.
+
+    Such a cost's solve from ``start`` returns ``start.x`` after one
+    product, y_B = inv (-c), and its containment test stops at
+    ``_free_face``'s single-vertex cut, since start.x is x0 and so in every
+    slice.  That needs the cut to hold for y_B, and the closing test
+    min(slack) >= -tol_rc, which start.slack passes for every cost when it
+    passes at -``_active_tol(p)``.  Here y_B is one column of Y = inv (-C)^T
+    over the costs of shape (d,) with finite entries, which rounds
+    otherwise than the solve's own product.  Each is a sum of d products,
+    within about d eps/2 (|inv| |c|) of the exact value (Higham 2002,
+    section 3.1), so a cost is marked only when the cut holds for every
+    value within (d + 2) eps (|inv| |c|) of its column, a margin for the
+    rounding of the bound and of y +- bound; the bound is formed only for
+    the columns that pass the cut themselves.  No start, a start whose
+    vertex is not x0 bitwise or that the closing test could refuse, or
+    costs that do not stack into an (n, d) array mark nothing.
+    """
+    settled = np.zeros(len(costs), dtype=bool)
+    if start is None or p.d == 0 or not np.array_equal(start.x, x0) or float(start.slack.min()) < -_active_tol(p):
+        return settled
+    try:
+        C = np.array(costs, dtype=float)
+    except (TypeError, ValueError):  # costs of several shapes: each meets solve_lp's refusal
+        return settled
+    if C.shape != (len(costs), p.d):
+        return settled
+    idx = np.isfinite(C).all(axis=1).nonzero()[0]
+    with np.errstate(all="ignore"):  # an overflow leaves nan or inf, which marks nothing
+        Y = start.inv @ -C[idx].T
+        near = _above_cut(Y, 0.0)
+        if near.any():
+            idx, Y = idx[near], Y[:, near]
+            settled[idx] = _above_cut(Y, (p.d + 2) * np.finfo(float).eps * (np.abs(start.inv) @ np.abs(C[idx].T)))
+    return settled
+
+
 def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
     """Run the cumulative learner over an iterable of costs.
 
-    Returns (model, trace).  ``costs`` is consumed lazily; ``ids`` optionally
-    relabels samples (default 1-based positions).  A witness lies outside
+    Returns (model, trace).  ``costs`` is read in full first, and
+    ``ids`` optionally relabels samples (default 1-based positions).  A
+    cost whose unique optimum is x0 by the rule of the containment test,
+    for every rounding of y_B = A_B^-T (-c) (``_settled_at_anchor``, one
+    product for all costs), is recorded with 0 appends and the anchor
+    start's vertex as its optimum, and is not solved: x0 lies in every
+    slice.  Every other cost is solved and tested in order.  The trace
+    and model are bitwise those of solving every cost.  A witness lies outside
     the slice by the rule that ``append_direction`` refuses by, so every
     append raises the rank, and at rank d the slice contains every face:
     the run makes at most d appends.  Every threshold of the run is a
@@ -103,9 +155,15 @@ def learn(p: Polytope, x0: np.ndarray, costs, ids=None):
     start = _starts(model, p).anchor
     if not _starts(model, p).reduced.contains(np.zeros(0)):  # (A U) 0 = 0: z = 0 of every slice
         raise ValueError("x0 is outside the reduced LP of every slice: its serves would raise")
+    costs = list(costs)
     trace = LearnTrace()
-    for pos, c in enumerate(costs, start=1):
+    for pos, (c, settled) in enumerate(zip(costs, _settled_at_anchor(p, model.x0, start, costs).tolist()), start=1):
         sid = ids[pos - 1] if ids is not None else pos
+        if settled:  # solve_lp would return start.x itself, and the test True
+            trace.processed.append(sid)
+            trace.appends_per_sample.append(0)
+            trace.optima.append(start.x)
+            continue
         c = np.asarray(c, dtype=float)
         full = solve_lp(p, c, start=start)  # appends do not change the full LP: solve it once
         n_app = 0

@@ -12,6 +12,7 @@ samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -172,22 +173,65 @@ def member(prior: EstimatedPrior, c: np.ndarray) -> bool:
     return score(prior.params, c) <= prior.threshold
 
 
+def _members(prior: EstimatedPrior, block: list) -> list:
+    """``member`` of each candidate of block, from one product where
+    rounding cannot change the answer.
+
+    When the candidates stack into an (n, d) array they are scored at once,
+    ((R M) * R).sum(1) with R = C - mu.  Each score, this one or
+    ``score``'s (r M) r, rounds a sum of d products of sums of d products,
+    so it lies within about d eps (|r|^T |M| |r|) of the exact value
+    (Higham 2002, section 3.1): (2d + 2) eps (|r|^T |M| |r|) bounds the
+    difference of the two, with a margin for the rounding of the bound and
+    of s +- bound.  A candidate whose batched score lies farther than that
+    from the threshold is decided by it; every other one, and every
+    candidate of a block that does not stack or has a non-finite entry,
+    goes through ``member`` itself.
+    """
+    params, thr = prior.params, prior.threshold
+    d = params.mu.shape[0]
+    try:
+        C = np.array(block, dtype=float)
+    except (TypeError, ValueError):  # candidates of several shapes
+        C = None
+    sure = np.zeros(len(block), dtype=bool)
+    inside = np.zeros(len(block), dtype=bool)
+    if C is not None and C.shape == (len(block), d):
+        fin = np.isfinite(C).all(axis=1)
+        R = C[fin] - params.mu
+        with np.errstate(all="ignore"):  # an overflow leaves nan or inf, which decides nothing
+            s = np.maximum(((R @ params.M) * R).sum(axis=1), 0.0)  # score's clamp
+            absR = np.abs(R)
+            bound = (2 * d + 2) * np.finfo(float).eps * ((absR @ np.abs(params.M)) * absR).sum(axis=1)
+            inside[fin] = s + bound <= thr
+            sure[fin] = inside[fin] | (s - bound > thr)
+    return [k if ok else member(prior, c) for c, ok, k in zip(block, sure.tolist(), inside.tolist())]
+
+
 def retain_stream(prior: EstimatedPrior, stream, n1: int):
     """First n1 members of the stream in order, plus the skip count.
 
-    Raises Exhausted (reporting the shortfall) if the stream ends first.
+    Candidates are read in blocks of the n1 - len(retained) members still
+    needed, so no candidate after the n1-th member is read.  A block is
+    scored by one product, and ``member`` itself judges each candidate
+    whose batched score lies within a rounding bound of the threshold
+    (``_members``), so the retained list is bitwise the one a per-cost
+    ``member`` loop keeps.  Raises Exhausted (reporting the shortfall) if
+    the stream ends first.
     """
     retained: list[np.ndarray] = []
     skipped = 0
     if n1 <= 0:
         return retained, skipped
-    for c in stream:
-        if member(prior, c):
-            retained.append(np.asarray(c, dtype=float))
-            if len(retained) == n1:
-                return retained, skipped
-        else:
-            skipped += 1
+    stream = iter(stream)
+    while block := list(itertools.islice(stream, n1 - len(retained))):
+        for c, keep in zip(block, _members(prior, block)):
+            if keep:
+                retained.append(np.asarray(c, dtype=float))
+            else:
+                skipped += 1
+        if len(retained) == n1:
+            return retained, skipped
     raise Exhausted(
         f"stream exhausted with {len(retained)}/{n1} retained ({skipped} skipped)"
     )

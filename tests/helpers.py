@@ -5,9 +5,11 @@ simplex with dense pivot products that its sparse ones must match, the LU
 basis solves that its singleton-first ones must match, the Gram-Schmidt
 loop that rebuilds its span with ``np.column_stack`` and the Gram-Schmidt
 free face, which the library's loop and its basis-inverse free face must
-match, the all-complement containment referee, and independent binomial
-oracles computed by direct summation (math.comb + fsum), so the package's
-log-space tail code is checked against arithmetic it does not share."""
+match, the all-complement containment referee, the per-cost loops that
+``learn`` and ``retain_stream`` must match bitwise, and independent
+binomial oracles computed by direct summation (math.comb + fsum), so the
+package's log-space tail code is checked against arithmetic it does not
+share."""
 
 from __future__ import annotations
 
@@ -16,9 +18,11 @@ import math
 import numpy as np
 
 from lpslice import ContainmentResult, InternalError, Polytope, SolveResult, SolveStatus, lp_core, solve_lp
-from lpslice.compression import _residual
+from lpslice.compression import CompressionModel, _contains_given_solve, _residual, _starts, append_direction
+from lpslice.learner import LearnTrace
 from lpslice.linalg import _project_out, complete_basis, orthonormal_columns
 from lpslice.lp_core import VertexStart
+from lpslice.prior import Exhausted, member
 from lpslice.tolerances import (
     DRIVE_OUT_TOL,
     FACE_SPAN,
@@ -381,6 +385,54 @@ def referee(model, p: Polytope, c, res: SolveResult | None = None) -> Containmen
             if abs(fr.value - base) > tau:
                 return ContainmentResult(False, fr.x)
     return ContainmentResult(True)
+
+
+def sequential_learn(p: Polytope, x0: np.ndarray, costs, ids=None):
+    """``learner.learn`` as a per-cost loop: every cost, read lazily, is
+    solved from the anchor start and tested in order, with no screen at
+    the anchor.  Returns (model, trace) as ``learn`` does."""
+    model = CompressionModel.empty(x0)
+    start = _starts(model, p).anchor
+    if not _starts(model, p).reduced.contains(np.zeros(0)):
+        raise ValueError("x0 is outside the reduced LP of every slice: its serves would raise")
+    trace = LearnTrace()
+    for pos, c in enumerate(costs, start=1):
+        sid = ids[pos - 1] if ids is not None else pos
+        c = np.asarray(c, dtype=float)
+        full = solve_lp(p, c, start=start)
+        n_app = 0
+        while True:
+            res = _contains_given_solve(model, p, c, full)
+            if res.contained:
+                break
+            model = append_direction(model, res.witness)
+            n_app += 1
+        trace.processed.append(sid)
+        trace.appends_per_sample.append(n_app)
+        trace.optima.append(full.x)
+        if n_app:
+            trace.hard.append(sid)
+    trace.final_rank = model.rank
+    model.provenance["hard_indices"] = list(trace.hard)
+    return model, trace
+
+
+def member_loop(prior, stream, n1: int):
+    """``prior.retain_stream`` as a per-cost ``member`` loop: the first n1
+    members of the stream, read one at a time, and the skip count;
+    Exhausted with the same message when the stream ends first."""
+    retained: list[np.ndarray] = []
+    skipped = 0
+    if n1 <= 0:
+        return retained, skipped
+    for c in stream:
+        if member(prior, c):
+            retained.append(np.asarray(c, dtype=float))
+            if len(retained) == n1:
+                return retained, skipped
+        else:
+            skipped += 1
+    raise Exhausted(f"stream exhausted with {len(retained)}/{n1} retained ({skipped} skipped)")
 
 
 def binom_tail(m: int, q: float, k: int) -> float:

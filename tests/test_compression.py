@@ -80,15 +80,27 @@ def test_append_direction_growth_and_refusal():
         append_direction(m2, np.array([5.0, 5.0]))
 
 
-def test_an_append_that_gram_schmidt_drops_raises_instead_of_leaving_q_short(monkeypatch):
-    # in_range measures one projection off range(U) and Gram-Schmidt two: a
-    # residual within about 1e-14 of tau beside an in-slice part near 1e6
-    # can pass the first and not the second.  Faked here, since where that
-    # window falls depends on the BLAS kernel's rounding.
-    m1 = append_direction(CompressionModel.empty(np.array([1.0, 0.0])), np.array([1.0, 1.0]))
-    monkeypatch.setattr(compression, "in_range", lambda model, w: False)
-    with pytest.raises(InternalError, match="re-orthogonalization"):
-        append_direction(m1, np.array([1.0, -3.0]))
+def test_the_membership_rule_measures_the_residual_gram_schmidt_keeps_a_column_by():
+    # range(Q) is the span of the first five coordinates, so Q has a zero
+    # last row and Q (Q^T w) is exactly 0 there: every rounding error of a
+    # projection lies in range(Q), and the second pass removes it.  w's part
+    # in the slice, near 1e11, leaves a one-pass residual near 3e-5, far
+    # above tau = 1e-6 at x0 = 0, while its true residual is its last entry,
+    # 5e-7.  A rule that measured one pass called w outside the slice, and
+    # Gram-Schmidt's two passes then dropped it: the append raised
+    # InternalError.  Now the rule and the append measure the same bits
+    rng = np.random.default_rng(0)
+    m = CompressionModel.create(np.zeros(6), np.vstack([rng.standard_normal((5, 5)), np.zeros((1, 5))]))
+    assert not m.Q[5].any()
+    w = 1e11 * (m.Q @ rng.standard_normal(5))
+    w[5] = 5e-7
+    assert np.linalg.norm(w - m.Q @ (m.Q.T @ w)) > 10 * compression._tau(m.x0)
+    with pytest.raises(RankError):
+        append_direction(m, w)
+    assert in_range(m, w)
+    w[5] = 2e-6  # outside by both measures: appended, and the rank is d
+    assert not in_range(m, w)
+    assert append_direction(m, w).rank == 6
 
 
 def test_contains_optimal_face_on_square(square):

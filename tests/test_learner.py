@@ -5,18 +5,22 @@ import pytest
 
 import lpslice.compression as compression
 import lpslice.learner as learner
-from helpers import small_lp
+from helpers import sequential_learn, small_lp
 from lpslice import (
     Polytope,
+    anchor_cost,
+    calibrate,
     certificate_bound,
     check_exact,
+    fit_score,
     learn,
     make_anchor,
+    retain_stream,
     solve_lp,
     solve_via_compression,
 )
 from lpslice import lp_core
-from lpslice.instances import PRESETS, gen_instance, make_preset, sample_costs
+from lpslice.instances import PRESETS, STREAM_PILOT, gen_instance, make_preset, sample_costs
 from lpslice.learner import (
     replay_on_hard_subsequence,
     trace_from_json,
@@ -115,13 +119,82 @@ def test_learn_rank_never_exceeds_dimension():
         assert sum(trace.appends_per_sample) == model.rank
 
 
-def test_learn_solves_each_full_lp_once(monkeypatch):
-    # appends do not change the full LP, so a hard sample is solved once
-    # however many directions it adds
-    inst = make_preset("grid-4")
+def _doubled_row_square():
+    """The square with its row x <= 1 written twice: at (1, 0) the two
+    active rows are that row twice, a singular basis, so it is no start."""
+    return Polytope(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(5))
+
+
+def _screen_case(name):
+    """(p, x0, costs) of a case of the anchor screen."""
+    if name == "desk-example1":  # perfbench's set-up: the CLI's estimated-prior defaults, 2,000 retained costs
+        inst = make_preset("example1", 0)
+        pilot = sample_costs(inst, 160, 0, stream=STREAM_PILOT)
+        prior = calibrate(fit_score(pilot[:40]), pilot[40:], 0.1, 0.05)
+        p = inst.polytope
+        return p, make_anchor(p, anchor_cost(prior)), retain_stream(prior, sample_costs(inst, 4000, 0), 2000)[0]
+    if name == "zero-dim":  # R^0: a solve returns a fresh empty x, not the start's
+        return Polytope(np.zeros((2, 0)), np.ones(2)), np.zeros(0), [np.zeros(0)] * 3
+    if name == "non-vertex":
+        return _doubled_row_square(), np.array([1.0, 0.0]), [np.array([-1.0, a]) for a in (-0.5, 0.3, -0.2, 0.7, -0.9)]
+    if name == "grid-4-int":  # a degenerate anchor: 56 active rows at d = 24
+        inst = make_preset("grid-4")
+        costs = list(np.round(sample_costs(inst, 40, seed=4)))
+    else:  # randomlp-a under its own law, or with R and R_C scaled by 30
+        params = PRESETS["randomlp-a"]["params"]
+        f, n = (1, 2) if name == "randomlp-a" else (30, 60)
+        cost = {**params["cost"], "R": f * params["cost"]["R"], "R_C": f * params["cost"]["R_C"]}
+        inst = gen_instance("randomlp", {**params, "cost": cost}, 0)
+        costs = list(sample_costs(inst, n, seed=0))
     p = inst.polytope
-    x0 = make_anchor(p, inst.c0)
-    costs = np.round(sample_costs(inst, 12, seed=4))  # the first sample appends three times
+    return p, make_anchor(p, inst.c0), costs
+
+
+def _settled(p, x0, costs):
+    return learner._settled_at_anchor(p, x0, compression._starts(compression.CompressionModel.empty(x0), p).anchor, costs)
+
+
+@pytest.mark.parametrize(
+    ("name", "settled", "rank"),
+    [("desk-example1", 999, 1), ("randomlp-a", 2, 0), ("randomlp-a-wide", 11, 7), ("grid-4-int", 0, 3), ("non-vertex", 0, 1), ("zero-dim", 0, 0)],
+)
+def test_learn_is_the_per_cost_loop_bitwise(name, settled, rank):
+    # the costs settled at the anchor by one product are recorded without a
+    # solve; the model and every entry of the trace are those of solving
+    # and testing each cost in order
+    p, x0, costs = _screen_case(name)
+    assert _settled(p, x0, costs).sum() == settled
+    model, trace = learn(p, x0, costs)
+    ref, want = sequential_learn(p, x0, iter(costs))
+    assert model.rank == rank
+    assert model.x0.tobytes() == ref.x0.tobytes()
+    assert model.U.tobytes() == ref.U.tobytes() and model.Q.tobytes() == ref.Q.tobytes()
+    assert model.provenance == ref.provenance
+    assert (trace.processed, trace.hard, trace.appends_per_sample, trace.final_rank) == (
+        want.processed,
+        want.hard,
+        want.appends_per_sample,
+        want.final_rank,
+    )
+    assert [x.tobytes() for x in trace.optima] == [x.tobytes() for x in want.optima]
+
+
+def test_a_cost_solve_lp_refuses_raises_where_the_per_cost_loop_raises(square):
+    # the screen skips what does not stack; the first cost of a wrong shape
+    # meets solve_lp's refusal in its turn, after the costs before it
+    costs = [np.array([-1.0, -0.1]), np.array([-0.5, -1.0]), np.zeros(3), np.array([-1.0, -0.2]), np.zeros(4)]
+    x0 = np.array([1.0, 1.0])
+    assert learn(square, x0, costs[:2])[1].processed == [1, 2]
+    for run in (learn, sequential_learn):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            run(square, x0, costs)
+    bad = [np.array([-1.0, -0.1]), np.array([np.inf, -1.0])]  # finite entries only are screened
+    for run in (learn, sequential_learn):
+        with pytest.raises(ValueError, match="finite"):
+            run(square, x0, bad)
+
+
+def _count_full_solves(monkeypatch, p):
     solved = []  # full LPs: solves of p itself, not of the face LPs containment runs
     for mod in (learner, compression):
         real = mod.solve_lp
@@ -132,9 +205,30 @@ def test_learn_solves_each_full_lp_once(monkeypatch):
             return _real(q, c, *args, **kwargs)
 
         monkeypatch.setattr(mod, "solve_lp", counted)
+    return solved
+
+
+def test_learn_solves_each_full_lp_once(monkeypatch):
+    # appends do not change the full LP, so a hard sample is solved once
+    # however many directions it adds
+    inst = make_preset("grid-4")
+    p = inst.polytope
+    x0 = make_anchor(p, inst.c0)
+    costs = np.round(sample_costs(inst, 12, seed=4))  # the first sample appends three times
+    solved = _count_full_solves(monkeypatch, p)
     model, trace = learn(p, x0, costs)
     assert sum(trace.appends_per_sample) > len(trace.hard) > 0  # some sample appends twice
     assert solved == [c.tobytes() for c in costs]
+    # on widened randomlp-a, 11 of 60 costs are settled at the anchor by the
+    # screen's one product: those are never solved, every other cost once,
+    # and their optimum is the start's own x
+    p, x0, costs = _screen_case("randomlp-a-wide")
+    settled = _settled(p, x0, costs)
+    solved = _count_full_solves(monkeypatch, p)
+    model, trace = learn(p, x0, costs)
+    assert model.rank > 0 and settled.sum() == 11
+    assert solved == [c.tobytes() for c, s in zip(costs, settled) if not s]
+    assert all(trace.optima[k] is compression._starts(model, p).anchor.x for k in settled.nonzero()[0])
 
 
 def test_replay_on_hard_subsequence_is_bitwise(square):
@@ -264,11 +358,10 @@ def test_learn_factors_the_anchor_basis_once(monkeypatch):
 
 
 def test_a_non_vertex_anchor_tries_one_factorization_per_learn(monkeypatch):
-    # the square with its row x <= 1 written twice: at x0 = (1, 0) the two
-    # active rows are that row twice, a singular basis, so x0 is no start
-    # and every full solve is the cold one; the one inverse is tried once
-    # for the whole learn, not once per cost
-    p = Polytope(np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), np.ones(5))
+    # at x0 = (1, 0) of the doubled-row square, x0 is no start and every
+    # full solve is the cold one; the one inverse is tried once for the
+    # whole learn, not once per cost
+    p = _doubled_row_square()
     x0 = np.array([1.0, 0.0])
     costs = [np.array([-1.0, a]) for a in (-0.5, 0.3, -0.2, 0.7, -0.9)]
     calls = []

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import binom_tail, cutoff_oracle
+import lpslice.prior as prior_mod
+from helpers import binom_tail, cutoff_oracle, member_loop
 from lpslice import binomial_cutoff_size_bound
+from lpslice.instances import STREAM_PILOT, cost_stream, make_preset, sample_costs
 from lpslice.prior import (
     EstimatedPrior,
     Exhausted,
@@ -158,6 +160,82 @@ def test_retain_stream_zero_request_and_exhaustion():
     assert retain_stream(prior, iter([]), 0) == ([], 0)
     with pytest.raises(Exhausted):
         retain_stream(prior, iter([np.array([0.5])]), 2)
+
+
+def _example1_prior(seed: int):
+    """example1 under the CLI's estimated-prior defaults: 40 pilot costs
+    fit the score, 120 calibrate it at rho = 0.1, delta0 = 0.05."""
+    inst = make_preset("example1", 0)
+    pilot = sample_costs(inst, 160, seed, stream=STREAM_PILOT)
+    return inst, pilot[40:], calibrate(fit_score(pilot[:40]), pilot[40:], 0.1, 0.05)
+
+
+def _retained(run, prior, stream, n1):
+    """(bytes of each retained cost, skipped), or the Exhausted message."""
+    try:
+        retained, skipped = run(prior, stream, n1)
+    except Exhausted as e:
+        return str(e)
+    return [c.tobytes() for c in retained], skipped
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_retain_stream_is_the_per_cost_member_loop_bitwise(seed):
+    # perfbench desk-example1's filter at seed 0 (2,000 of 4,000 candidates)
+    # and five more seeds
+    inst, _, prior = _example1_prior(seed)
+    candidates = sample_costs(inst, 4000, seed)
+    got = _retained(retain_stream, prior, candidates, 2000)
+    assert got == _retained(member_loop, prior, candidates, 2000)
+    assert isinstance(got, tuple) and got[1] > 0
+
+
+def test_retain_stream_asks_member_at_the_threshold(monkeypatch):
+    # the k-th score of the calibration sample is the threshold itself: the
+    # batched score cannot decide it, and member does
+    _, cal, prior = _example1_prior(0)
+    asked = []
+    real = prior_mod.member
+    monkeypatch.setattr(prior_mod, "member", lambda pr, c: asked.append(c.tobytes()) or real(pr, c))
+    scores = [score(prior.params, c) for c in cal]
+    at = [c.tobytes() for c, s in zip(cal, scores) if s == prior.threshold]
+    for n1 in (prior.k, len(cal)):  # the k members, then more than the sample holds
+        asked.clear()
+        assert _retained(retain_stream, prior, cal, n1) == _retained(member_loop, prior, cal, n1)
+        assert at and set(at) <= set(asked)
+
+
+def test_retain_stream_reads_a_generator_up_to_the_n1th_member():
+    # blocks of the members still needed never read past the n1-th member,
+    # so the stream is left where the per-cost loop leaves it
+    inst, _, prior = _example1_prior(1)
+    for n1 in (1, 7, 300):
+        streams = [cost_stream(inst, 3), cost_stream(inst, 3)]
+        assert _retained(retain_stream, prior, streams[0], n1) == _retained(member_loop, prior, streams[1], n1)
+        assert next(streams[0]).tobytes() == next(streams[1]).tobytes()
+    stream = (c for c in sample_costs(inst, 50, 3))  # a finite generator runs out
+    assert _retained(retain_stream, prior, stream, 60) == _retained(member_loop, prior, iter(sample_costs(inst, 50, 3)), 60)
+
+
+def test_retain_stream_with_an_infinite_threshold_keeps_every_candidate():
+    _, _, fitted = _example1_prior(2)
+    prior = EstimatedPrior(params=fitted.params, threshold=math.inf, k=121, m=120, rho=0.1, delta0=0.05)
+    costs = np.random.default_rng(0).normal(0.0, 1e6, (40, 2))
+    assert _retained(retain_stream, prior, costs, 40) == ([c.tobytes() for c in costs], 0)
+
+
+def test_retain_stream_judges_a_block_that_does_not_stack_by_member():
+    # a scalar broadcasts against mu in score, as member sees it, and a cost
+    # with a nan entry goes to member too; a cost of another length raises
+    # there, in both loops
+    p = ScoreParams(mu=np.zeros(2), M=np.eye(2), lam=1.0)
+    prior = EstimatedPrior(params=p, threshold=1.0, k=1, m=1, rho=0.1, delta0=0.05)
+    stream = [np.array([0.5, 0.0]), 0.5, np.array([2.0, 0.0]), [0.1, 0.1], np.array([np.nan, 0.0]), np.array([0.0, 0.2])]
+    got, want = retain_stream(prior, stream, 4), member_loop(prior, stream, 4)
+    assert [np.asarray(c).tobytes() for c in got[0]] == [np.asarray(c).tobytes() for c in want[0]] and got[1] == want[1]
+    for run in (retain_stream, member_loop):
+        with pytest.raises(ValueError):
+            run(prior, [np.array([0.5, 0.0]), np.zeros(3)], 2)
 
 
 def test_composite_certificate_values():

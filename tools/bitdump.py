@@ -3,11 +3,14 @@
     python3 tools/bitdump.py [--seed N ...] [--pivots]
 
 Run from the root of a source checkout; lpslice is imported from ./src.
-For each seed (default 0) and each of the four workloads, the workload is
-set up as perfbench sets it up (``perfbench/workloads.py``, imported
-read-only: no bytecode is written), its model is learned, and one line
+For each seed (default 0; ``--seed 0 7`` and ``--seed 0 --seed 7`` both
+give two) and each of the four workloads, the workload is set up as
+perfbench sets it up (``perfbench/workloads.py``, imported read-only: no
+bytecode is written), its model is learned, and one line
 ``<seed> <workload> <part> <sha256>`` is printed per part:
 
+    trace        the learn's processed ids, hard set, appends per sample
+                 and the bytes of every sample's optimum, in order
     model        x0, U and the hard set of the learned model
     serve        status, value, x, y and basis_id of the serve of every test cost
     check        the check_exact verdict of every test cost
@@ -110,7 +113,8 @@ def dump(name: str, seed: int):
     """(part, sha256) for each part of the workload at this seed."""
     prep, _ = WORKLOADS[name].setup(seed)
     p, test = prep.p, prep.test
-    model, _ = ls.learn(p, prep.x0, prep.train)
+    model, trace = ls.learn(p, prep.x0, prep.train)
+    yield "trace", _digest([trace.processed, trace.hard, trace.appends_per_sample, trace.optima])
     yield from _model_parts(model, p, test)
     yield "full", _digest(_answer(lambda c: ls.solve_lp(p, c), c) for c in test)
     yield from _model_parts(model_from_json(model_to_json(model)), p, test, "json-")
@@ -118,7 +122,7 @@ def dump(name: str, seed: int):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--seed", type=int, nargs="+", default=[0])
+    ap.add_argument("--seed", type=int, nargs="+", action="extend")
     ap.add_argument("--pivots", action="store_true", help="also print the pivot total of the serve, check and full parts")
     args = ap.parse_args(argv)
     pivots = [0]
@@ -130,7 +134,7 @@ def main(argv=None) -> int:
             return eliminate(*a)
 
         lp_core._eliminate = counted
-    for seed in args.seed:
+    for seed in args.seed or [0]:
         for name in WORKLOADS:
             seen = 0
             for part, digest in dump(name, seed):  # a part's calls run between its line and the one before
